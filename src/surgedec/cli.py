@@ -91,7 +91,7 @@ def _cmd_scalability(args) -> int:
                          cfg.leaf_grid)
     node_of = default_placement(lay, top)
     rep = simulate(graph, top, cfg.latency, args.p, trials=cfg.trials,
-                   seed=cfg.seed, node_of=node_of, extended=cfg.extended_ids)
+                   seed=cfg.seed, node_of=node_of)
     print(f"qubits={rows * cols} d={cfg.d} epochs={cfg.epochs} trials={cfg.trials}")
     print(f"latency_ns mean={rep.latency_mean_ns:.1f} min={rep.latency_min_ns} "
           f"p95={rep.latency_p95_ns}")

@@ -20,11 +20,10 @@ class RunConfig:
     fanout: int = 25
     leaf_grid: tuple = (2, 2)
     latency: LatencyModel = LatencyModel()
-    extended_ids: bool = False
 
 
 _TOP_KEYS = {"d", "epochs", "qubit_grid", "merge_prob", "seed", "trials",
-             "topology", "latency", "extended_ids"}
+             "topology", "latency"}
 _TOPO_KEYS = {"fanout", "leaf_grid"}
 _LAT_KEYS = {f.name for f in dataclasses.fields(LatencyModel)}
 
@@ -34,7 +33,7 @@ def parse_config(data: dict) -> RunConfig:
     if bad:
         raise ValueError(f"unknown config keys {sorted(bad)}")
     kwargs = {}
-    for key in ("d", "epochs", "merge_prob", "seed", "trials", "extended_ids"):
+    for key in ("d", "epochs", "merge_prob", "seed", "trials"):
         if key in data:
             kwargs[key] = data[key]
     if "qubit_grid" in data:

@@ -10,7 +10,7 @@ Work is proportional to the activity near the face, not to block size.
 from __future__ import annotations
 
 from .graph import DecodingGraph, carve_blocks, face_edges
-from .uf import UfState, region_vids
+from .uf import UfState, decode_block, region_vids
 
 
 def fuse(a: UfState, b: UfState, face) -> UfState:
@@ -60,15 +60,7 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
             adj.setdefault(u, []).append((w, ekey))
             adj.setdefault(w, []).append((u, ekey))
             a._union(u, w)
-    for root, faces in list(a.art.items()):
-        if face in faces:
-            faces.discard(face)
-            a.contacts[root].pop(face, None)
-            if not faces:
-                del a.art[root]
-                if not a.contacts[root]:
-                    del a.contacts[root]
-    a.live = {r for r in a.parity if a._alive(r)}
+    a.release_face(face, absorb=False)
     a.settle()
     a.peel_resolved()
     return a
@@ -83,16 +75,12 @@ class FusionPlan:
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         self.blocks = {blk.block_id: blk for blk in carve_blocks(graph)}
-        self.regions = {}
-        self.open_faces = {}
-        for bid, blk in self.blocks.items():
-            self.regions[bid] = region_vids(graph, [bid])
-            self.open_faces[bid] = tuple(
-                lab[1] for lab in blk.faces.values() if lab != 'real')
+        self.regions = region_vids(graph)
         incident = {}
-        for bid, faces in self.open_faces.items():
-            for f in faces:
-                incident.setdefault(f, []).append(bid)
+        for bid, blk in self.blocks.items():
+            for lab in blk.faces.values():
+                if lab != 'real':
+                    incident.setdefault(lab[1], []).append(bid)
         for f, bids in incident.items():
             if len(bids) != 2:
                 raise ValueError(f"face {f} is not shared by exactly two blocks")
@@ -108,14 +96,9 @@ class FusionPlan:
         by_block = {}
         for v in defects:
             by_block.setdefault(graph.block_of(v), []).append(v)
-        states = {}
-        for bid in self.blocks:
-            st = UfState(graph, by_block.get(bid, ()),
-                         region=self.regions[bid],
-                         face_status=dict.fromkeys(self.open_faces[bid], 'open'))
-            st.settle()
-            st.peel_resolved()
-            states[bid] = st
+        states = {bid: decode_block(graph, blk, by_block.get(bid, ()),
+                                    region=self.regions[bid])
+                  for bid, blk in self.blocks.items()}
         rep = {bid: bid for bid in self.blocks}
 
         def find(x):

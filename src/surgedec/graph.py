@@ -333,26 +333,11 @@ class DecodingGraph:
 
     def vertices(self):
         """All vertex ids, sorted by packed id (patch, round, row, col)."""
-        d = self.d
-        for p in range(self.layout.n_patches):
-            for rnd in range(self.rounds):
-                for row in range(d):
-                    for col in range(d - 1):
-                        yield pack_vid(p, rnd, row, col)
-        for s in self.layout.seams:
-            spid = self.seam_pid(s)
-            nrows = d if s.orient == "ew" else d - 1
-            for rnd in range(self.rounds):
-                if self.is_merged(s, rnd):
-                    for row in range(nrows):
-                        yield pack_vid(spid, rnd, row, _SEAM_COL)
+        return self.vertices_in_rounds(0, self.rounds)
 
     def edges(self):
         """All edge keys, deduplicated, in deterministic order."""
-        for vid in self.vertices():
-            for ekey, other, _ in self.neighbors(vid):
-                if other < 0 or other > vid:
-                    yield ekey
+        return self.edges_in_rounds(0, self.rounds)
 
     def vertices_in_rounds(self, r0: int, r1: int):
         d = self.d

@@ -167,11 +167,10 @@ class Replayer:
     """Replays one pipeline run as timed events on the network."""
 
     def __init__(self, pipe: Pipeline, topology: Topology, latency: LatencyModel,
-                 node_of=None, instructions=(), extended=False):
+                 node_of=None, instructions=()):
         self.pipe = pipe
         self.top = topology
         self.lat = latency
-        self.extended = extended
         units = sorted(pipe.leaf_patch)
         if node_of is None:
             if len(units) > len(topology.leaves):
@@ -183,26 +182,10 @@ class Replayer:
         self.n_slots = pipe.epochs + 3
         self.slot_ns = pipe.graph.d * latency.t_round_ns
 
-        # per-window seam-face dependencies and commit duties
-        self.deps = {}
-        self.commit_faces = {}
-        for (p, e), blk in pipe.blocks.items():
-            u = pipe.mapping[p]
-            need, duty = [], []
-            for lab in blk.faces.values():
-                if lab == "real" or lab[1][0] != "s":
-                    continue
-                src, dst = pipe.face_route[lab[1]]
-                if dst == u:
-                    need.append(lab[1])
-                else:
-                    duty.append(lab[1])
-            self.deps[(u, e)] = tuple(sorted(need))
-            self.commit_faces[(u, e)] = tuple(sorted(duty))
-
+        # wire index of every edge of each face a commit sends across
         self._face_index = {}
-        for faces in self.commit_faces.values():
-            for f in faces:
+        for sends in pipe.sends.values():
+            for f, _ in sends:
                 edges = face_edges(pipe.graph, f)
                 self._face_index[f] = {ek: i for i, ek in enumerate(edges)}
 
@@ -242,6 +225,8 @@ class Replayer:
         lat = self.lat
         slot_ns = self.slot_ns
         groups = self.pipe.groups
+        walls = self.pipe.walls
+        patch_of = self.pipe.leaf_patch
         send_map = {}
         for _, src, dst, info in result.sends:
             send_map.setdefault((src, info.face[2]), []).append((dst, info))
@@ -278,7 +263,7 @@ class Replayer:
                 e_com = k - g
                 decodes = 0 <= e_dec < self.epochs
                 commits = 0 <= e_com < self.epochs
-                if decodes and any(f not in arrived for f in self.deps[(u, e_dec)]):
+                if decodes and any(f not in arrived for f in walls[(patch_of[u], e_dec)]):
                     return
                 if not decodes and not commits:
                     next_slot[u] = k + 1
@@ -313,7 +298,7 @@ class Replayer:
                 ready = (e + 1) * slot_ns
                 depth = (slot_start[(u, k)] - (k + 1) * slot_ns) // slot_ns
                 depth_series[k] = max(depth_series[k], depth)
-                rows.append((e, self.pipe.leaf_patch[u], t - ready,
+                rows.append((e, patch_of[u], t - ready,
                              lat.decode_ns(result.iters[(u, e)]) / self.pipe.graph.d,
                              depth))
             elif rank == FUSE_DONE:
@@ -332,8 +317,7 @@ class Replayer:
                     arrive = t + hops * lat.t_link_ns + (n_msgs - 1) * lat.t_cycle_ns
                     push(arrive, self.node_of[dst], MSG_ARRIVE, ("face", info.face, dst))
                 up = self._depth_of[self.node_of[u]]
-                push(t + up * lat.t_link_ns, 0, LOGICAL_RESULT,
-                     (self.pipe.leaf_patch[u], e))
+                push(t + up * lat.t_link_ns, 0, LOGICAL_RESULT, (patch_of[u], e))
             else:  # LOGICAL_RESULT at the root
                 patch, e = data
                 for node in self._meas.get((patch, e), ()):
@@ -374,8 +358,7 @@ def _backlog(depths: list) -> bool:
 
 def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
              p: float, trials: int = 1, seed: int = 0, mapping=None,
-             node_of=None, instructions=(), extended: bool = False,
-             check_valid: bool = True) -> MetricsReport:
+             node_of=None, instructions=(), check_valid: bool = True) -> MetricsReport:
     """Sample noise, decode through the pipeline, replay the timing.
 
     Aggregates latency and inverse throughput over every decoded block
@@ -384,7 +367,7 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     patch's corrected observable disagrees with the sampled truth.
     """
     pipe = Pipeline(graph, mapping)
-    rep = Replayer(pipe, topology, latency, node_of, instructions, extended)
+    rep = Replayer(pipe, topology, latency, node_of, instructions)
     table = EdgeTable(graph)
 
     lat_hist = _Hist()

@@ -26,26 +26,3 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
-
-def percentile(values, q: float) -> float:
-    """Nearest-rank percentile; q in [0, 100]."""
-    if not values:
-        raise ValueError("empty sample")
-    ordered = sorted(values)
-    if q <= 0:
-        return ordered[0]
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def mean(values) -> float:
-    vals = list(values)
-    if not vals:
-        raise ValueError("empty sample")
-    return sum(vals) / len(vals)
-
-
-def std(values) -> float:
-    vals = list(values)
-    m = mean(vals)
-    return math.sqrt(sum((v - m) ** 2 for v in vals) / len(vals))

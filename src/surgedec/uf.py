@@ -237,6 +237,29 @@ class UfState:
             out |= self._peel(root, by_root[root])
         return out
 
+    def release_face(self, face, absorb: bool):
+        """Wake the clusters suspended on a face.
+
+        With absorb, each cluster's recorded contact edge on the face
+        becomes its absorbing boundary contact.  A cluster whose last
+        suspending face this was rejoins live if it is still alive.
+        """
+        for root, faces in list(self.art.items()):
+            if face not in faces:
+                continue
+            c = self.contacts[root].pop(face)
+            if absorb:
+                cur = self.bnd.get(root)
+                if cur is None or c < cur:
+                    self.bnd[root] = c
+            faces.discard(face)
+            if not faces:
+                del self.art[root]
+                if not self.contacts[root]:
+                    del self.contacts[root]
+                if self._alive(root):
+                    self.live.add(root)
+
     def absorb_face(self, face) -> set:
         """Seal an open face as an absorbing sink and drain clusters into it.
 
@@ -246,20 +269,7 @@ class UfState:
         """
         if self.face_status.get(face) != 'open':
             raise ValueError(f"face {face} is not open")
-        for root, faces in list(self.art.items()):
-            if face not in faces:
-                continue
-            c = self.contacts[root].pop(face)
-            cur = self.bnd.get(root)
-            if cur is None or c < cur:
-                self.bnd[root] = c
-            faces.discard(face)
-            if not faces:
-                del self.art[root]
-                if not self.contacts[root]:
-                    del self.contacts[root]
-                if self._alive(root):
-                    self.live.add(root)
+        self.release_face(face, absorb=True)
         self.settle()
         emitted = self.peel_resolved()
         self.face_status[face] = 'wall'
@@ -267,25 +277,26 @@ class UfState:
         return {k for k in emitted if k in fset}
 
 
-def region_vids(graph: DecodingGraph, blocks) -> frozenset:
-    """All vertex ids owned by the given (patch, epoch) blocks."""
-    want = frozenset(blocks)
-    d = graph.layout.d
-    out = []
-    for patch, epoch in want:
-        for v in graph.vertices_in_rounds(epoch * d, (epoch + 1) * d):
-            if graph.block_of(v) == (patch, epoch):
-                out.append(v)
-    return frozenset(out)
+def region_vids(graph: DecodingGraph) -> dict:
+    """Vertex ids of every (patch, epoch) block, from one pass over the graph."""
+    block_of = graph.block_of
+    out = {}
+    for v in graph.vertices():
+        out.setdefault(block_of(v), []).append(v)
+    return {bid: frozenset(vids) for bid, vids in out.items()}
 
 
-def decode_block(graph: DecodingGraph, block, defects) -> UfState:
-    """Decode one carved block standalone; artificial faces stay open."""
-    fs = {}
-    for lab in block.faces.values():
-        if lab != 'real':
-            fs[lab[1]] = 'open'
-    region = region_vids(graph, [block.block_id])
+def decode_block(graph: DecodingGraph, block, defects, walls=(), region=None) -> UfState:
+    """Decode one carved block standalone and return its state.
+
+    Artificial faces listed in walls are sealed; every other artificial
+    face stays open, so clusters reaching it suspend.  region defaults to
+    the block's own vertices.
+    """
+    fs = {lab[1]: 'wall' if lab[1] in walls else 'open'
+          for lab in block.faces.values() if lab != 'real'}
+    if region is None:
+        region = region_vids(graph)[block.block_id]
     state = UfState(graph, defects, region=region, face_status=fs)
     state.settle()
     state.peel_resolved()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .graph import DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import UfState, region_vids
+from .uf import decode_block, region_vids
 
 
 class PipelineStallError(RuntimeError):
@@ -30,14 +30,6 @@ class BoundaryInfo:
     """Committed crossing edges of one shared face."""
     face: tuple
     committed_crossings: frozenset
-
-
-@dataclass(frozen=True)
-class Window:
-    leaf: int
-    epoch: int
-    blocks: tuple
-    group: int
 
 
 @dataclass
@@ -87,21 +79,29 @@ class Pipeline:
         self.groups = assign_groups(layout, self.mapping)
         self.epochs = graph.rounds // graph.d
         self.blocks = {b.block_id: b for b in carve_blocks(graph)}
-        self.regions = {bid: region_vids(graph, [bid]) for bid in self.blocks}
+        self.regions = region_vids(graph)
         self.leaf_patch = {leaf: p for p, leaf in self.mapping.items()}
-        # seam face -> (upstream leaf, downstream leaf) by group order
-        self.face_route = {}
+        # seam faces of each block by role: walls are inbound faces, sealed
+        # by the upstream (lower-group) leaf's commit; sends pair each
+        # outbound face with the downstream leaf its commit goes to
+        self.walls = {}
+        self.sends = {}
         for bid, blk in self.blocks.items():
+            leaf = self.mapping[bid[0]]
+            walls, sends = [], []
             for lab in blk.faces.values():
                 if lab == 'real' or lab[1][0] != 's':
                     continue
                 face = lab[1]
                 seam = layout.seams[face[1]]
                 la, lb = self.mapping[seam.patch_a], self.mapping[seam.patch_b]
-                if self.groups[la] < self.groups[lb]:
-                    self.face_route[face] = (la, lb)
+                down = lb if self.groups[la] < self.groups[lb] else la
+                if down == leaf:
+                    walls.append(face)
                 else:
-                    self.face_route[face] = (lb, la)
+                    sends.append((face, down))
+            self.walls[bid] = tuple(sorted(walls))
+            self.sends[bid] = tuple(sorted(sends))
         self._reset([])
 
     def _reset(self, defects):
@@ -110,41 +110,27 @@ class Pipeline:
             by_block.setdefault(self.graph.block_of(v), set()).add(v)
         self._block_defects = by_block
         self._states = {}      # leaf -> rolling UfState
-        self._flips = {}       # block id -> defects toggled by upstream commits
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
         self._result = PipelineResult(set(), {}, {}, [], dict(self.groups),
                                       self.epochs)
 
-    def window(self, leaf: int, epoch: int) -> Window:
-        p = self.leaf_patch[leaf]
-        return Window(leaf, epoch, (self.blocks[(p, epoch)],), self.groups[leaf])
-
     def _decode_window(self, leaf: int, epoch: int):
         p = self.leaf_patch[leaf]
         bid = (p, epoch)
-        blk = self.blocks[bid]
         reg = self.regions[bid]
-        fs = {}
-        for lab in blk.faces.values():
-            if lab == 'real':
-                continue
-            face = lab[1]
-            route = self.face_route.get(face)
-            if route is not None and route[1] == leaf:
-                info = self._inbox.pop(face, None)
-                if info is None:
-                    raise PipelineStallError(
-                        f"window ({leaf}, {epoch}) lacks boundary info for {face}")
-                fl = self._flips.setdefault(bid, set())
-                for u, w in info.committed_crossings:
-                    fl.symmetric_difference_update((u if u in reg else w,))
-                fs[face] = 'wall'
-            else:
-                fs[face] = 'open'
-        defects = self._block_defects.get(bid, set()) ^ self._flips.pop(bid, set())
-        st = UfState(self.graph, sorted(defects), region=reg, face_status=fs)
-        iters = st.settle()
-        st.peel_resolved()
+        walls = self.walls[bid]
+        # upstream commits toggle the defects their crossings end on here
+        flips = set()
+        for face in walls:
+            info = self._inbox.pop(face, None)
+            if info is None:
+                raise PipelineStallError(
+                    f"window ({leaf}, {epoch}) lacks boundary info for {face}")
+            for u, w in info.committed_crossings:
+                flips.symmetric_difference_update((u if u in reg else w,))
+        defects = self._block_defects.get(bid, set()) ^ flips
+        st = decode_block(self.graph, self.blocks[bid], sorted(defects), walls, reg)
+        iters = st.grow_iterations
         rolling = self._states.get(leaf)
         if rolling is None:
             self._states[leaf] = st
@@ -160,15 +146,10 @@ class Pipeline:
         if st is None:
             raise PipelineStallError(
                 f"window ({leaf}, {epoch}) committed before it decoded")
-        p = self.leaf_patch[leaf]
         out = []
-        faces = sorted(lab[1] for lab in self.blocks[(p, epoch)].faces.values()
-                       if lab != 'real' and lab[1][0] == 's'
-                       and self.face_route[lab[1]][0] == leaf)
-        for face in faces:
+        for face, dst in self.sends[(self.leaf_patch[leaf], epoch)]:
             crossings = st.absorb_face(face)
-            out.append((cascade, leaf, self.face_route[face][1],
-                        BoundaryInfo(face, frozenset(crossings))))
+            out.append((cascade, leaf, dst, BoundaryInfo(face, frozenset(crossings))))
         self._result.commits[(leaf, epoch)] = cascade
         return out
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 from .graph import DecodingGraph, face_edges
 
-OP_INSTRUCTION = 0x1
-OP_ROUND_DATA = 0x2
 OP_BOUNDARY = 0x3
 OP_RESULT = 0x4
 

@@ -36,6 +36,8 @@ def test_unknown_keys_rejected():
         parse_config({"topology": {"depth": 2}})
     with pytest.raises(ValueError):
         parse_config({"latency": {"t_round": 1000}})
+    with pytest.raises(ValueError):
+        parse_config({"extended_ids": True})
 
 
 def test_load_from_file(tmp_path):

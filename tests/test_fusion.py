@@ -152,6 +152,49 @@ def test_intra_state_fuse_closes_loop():
     assert st.defects == set()
 
 
+def live_is_exact(st):
+    return st.live == {r for r in st.parity if st._alive(r)}
+
+
+def test_fuse_and_absorb_keep_live_exact():
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
+                 [Seam(0, 1, "ew"), Seam(2, 3, "ew"),
+                  Seam(0, 2, "ns"), Seam(1, 3, "ns")])
+    g = DecodingGraph(lay, 9)
+    for s in lay.seams:
+        merge_patches(g, s, (0, 9))
+    plan = FusionPlan(g)
+    ekeys = list(g.edges())
+    rng = random.Random(2718)
+    for _ in range(15):
+        defects = toggled_defects({k for k in ekeys if rng.random() < 0.04})
+        by_block = {}
+        for v in sorted(defects):
+            by_block.setdefault(g.block_of(v), []).append(v)
+        states = {bid: decode_block(g, blk, by_block.get(bid, ()))
+                  for bid, blk in plan.blocks.items()}
+        # absorb every open face of one block, one at a time
+        st = states[(1, 1)]
+        for lab in plan.blocks[(1, 1)].faces.values():
+            if lab != "real":
+                st.absorb_face(lab[1])
+                assert live_is_exact(st)
+        assert st.defects == set()
+        # fuse the rest along the plan's order
+        states.pop((1, 1))
+        rep = {bid: bid for bid in states}
+        for face, (ba, bb) in plan.fuse_order:
+            if (1, 1) in (ba, bb):
+                continue
+            ra, rb = rep[ba], rep[bb]
+            merged = fuse(states[ra], states[rb], face)
+            assert live_is_exact(merged)
+            if ra != rb:
+                rep = {k: ra if r == rb else r for k, r in rep.items()}
+                states[ra] = merged
+                del states[rb]
+
+
 def test_fuse_errors():
     g = build_patch_graph(3, 6)
     blocks = blocks_by_id(g)

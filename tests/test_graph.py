@@ -178,6 +178,13 @@ def test_remerge_after_split_counts():
     merge_patches(g, seam, (10, 15))
     seam_vertices = [v for v in g.vertices() if unpack_vid(v)[0] >= 2]
     assert len(seam_vertices) == (3 + 5) * 5
+    # the full enumerators are the round-slice ones over every round
+    vs = list(g.vertices())
+    es = list(g.edges())
+    assert vs == sorted(vs) == list(g.vertices_in_rounds(0, g.rounds))
+    assert es == list(g.edges_in_rounds(0, g.rounds))
+    assert len(set(es)) == len(es)
+    assert set(es) == {k for v in vs for k, _, _ in g.neighbors(v)}
 
 
 def test_ns_merge_counts():

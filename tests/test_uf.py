@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from surgedec.graph import EAST, WEST, build_patch_graph, carve_blocks, pack_vid
+from surgedec.graph import (EAST, WEST, DecodingGraph, Layout, build_patch_graph,
+                            carve_blocks, face_edges, merge_patches, pack_vid)
 from surgedec.oracle import oracle_mwpm
 from surgedec.uf import UfState, cut_parities, decode_block, decode_region
 
@@ -119,6 +120,27 @@ def test_absorb_face_drains_suspended_cluster():
     assert st.face_status[("t", 0, 1)] == "wall"
     with pytest.raises(ValueError):
         st.absorb_face(("t", 0, 1))
+
+
+def test_wall_face_is_never_grown_or_suspended_on():
+    lay = Layout(5, {0: (0, 0), 1: (0, 1)})
+    g = merge_patches(DecodingGraph(lay, 10), lay.seams[0], (0, 10))
+    blocks = {b.block_id: b for b in carve_blocks(g)}
+    cases = [
+        # patch 1 next to its west seam face, patch 0 next to its future face
+        (blocks[(1, 0)], pack_vid(1, 2, 2, 0), ("s", 0, 0)),
+        (blocks[(0, 0)], pack_vid(0, 4, 2, 1), ("t", 0, 1)),
+    ]
+    for blk, v, wall in cases:
+        st = decode_block(g, blk, [v], walls=(wall,))
+        assert st.face_status[wall] == "wall"
+        assert all(st.face_status[lab[1]] == "open"
+                   for lab in blk.faces.values() if lab not in ("real", ("artificial", wall)))
+        assert not any(st.growth.get(k, 0) for k in face_edges(g, wall))
+        assert all(wall not in faces for faces in st.art.values())
+        assert all(wall not in faces for faces in st.contacts.values())
+        open_st = decode_block(g, blk, [v])
+        assert any(open_st.growth.get(k, 0) for k in face_edges(g, wall))
 
 
 def test_defect_outside_region_rejected():

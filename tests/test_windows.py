@@ -12,6 +12,8 @@ import pytest
 from surgedec.fusion import FusionPlan
 from surgedec.graph import (DecodingGraph, Layout, Seam, build_patch_graph,
                             merge_patches, pack_vid)
+from surgedec.noise import apply_merge_schedule, random_merge_schedule
+from surgedec.uf import decode_region
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
@@ -164,3 +166,19 @@ def test_one_patch_per_leaf_enforced():
     g = merged_graph(lay, 3)
     with pytest.raises(ValueError):
         Pipeline(g, mapping={0: 7, 1: 7})
+
+
+def test_pipeline_plan_and_global_valid_under_random_schedules():
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    for seed in (1, 2, 3, 4):
+        g = apply_merge_schedule(DecodingGraph(lay, 9),
+                                 random_merge_schedule(lay, 3, 0.5, seed))
+        pipe = Pipeline(g)
+        plan = FusionPlan(g)
+        ekeys = list(g.edges())
+        rng = random.Random(seed)
+        for _ in range(5):
+            defects = toggled_defects({k for k in ekeys if rng.random() < 0.03})
+            assert toggled_defects(pipe.run(sorted(defects)).correction) == defects
+            assert toggled_defects(plan.decode(sorted(defects))) == defects
+            assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects
