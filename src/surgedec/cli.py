@@ -19,7 +19,7 @@ from .config import RunConfig, load_config
 from .fusion import FusionPlan
 from .graph import DecodingGraph, Layout, face_edges, merge_patches
 from .microbench import CATALOG, run as run_bench
-from .netsim import LatencyModel, default_placement, simulate, write_rows_csv
+from .netsim import default_placement, simulate, write_rows_csv
 from .noise import EdgeTable, apply_merge_schedule, derived_rng, random_merge_schedule
 from .stats import wilson_interval
 from .topology import build_topology, max_tree_hops, route, tree_path

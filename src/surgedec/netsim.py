@@ -1,4 +1,4 @@
-"""Discrete-event timing model of the decoder network.
+"""Timing model of the decoder network.
 
 The pipeline in windows.py fixes what every unit computes and which
 boundary information it exchanges; this module replays that dataflow
@@ -8,6 +8,11 @@ on a unit never starts before (k + 1) * d * t_round, because rounds
 keep streaming out of the fridge whether or not the decoders are ready,
 and it additionally waits for the unit to be free and for boundary
 information from upstream neighbours to arrive.
+
+Nothing contends for a link, and a decode only waits on commits of
+lower groups at the same or earlier slots, so one pass over the slots in
+the pipeline's cascade order knows every input time of a slot before it
+reaches it: the replay is exact without an event queue.
 
 Reported per-block latency is decode completion minus availability of
 the block's last measurement round, so it includes queueing.  Inverse
@@ -21,8 +26,6 @@ committed epoch's data is available when all costs are zero.
 from __future__ import annotations
 
 import csv
-import heapq
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,15 +35,6 @@ from .noise import EdgeTable, derived_rng
 from .topology import Topology, tree_path
 from .uf import cut_parities
 from .windows import Pipeline
-
-# event kinds, rank decides order among equal timestamps at one node
-ROUND_AVAILABLE = 0
-MSG_ARRIVE = 1
-DECODE_DONE = 2
-FUSE_DONE = 3
-COMMIT = 4
-LOGICAL_RESULT = 5
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -143,43 +137,36 @@ class _Hist:
         raise AssertionError("histogram underflow")
 
 
-def default_placement(layout, topology: Topology, mapping=None) -> dict:
+def default_placement(layout, topology: Topology) -> dict:
     """Tile the patch grid onto the leaf grid, units -> leaf node ids.
 
     Adjacent patches land on the same or a grid-adjacent node, so
     boundary information stays off the tree.
     """
-    if mapping is None:
-        mapping = {p: p for p in layout.positions}
     rows = 1 + max(r for r, _ in layout.positions.values())
     cols = 1 + max(c for _, c in layout.positions.values())
     lrows, lcols = topology.grid_dims
     tile_r = -(-rows // lrows)
     tile_c = -(-cols // lcols)
-    node_of = {}
-    for patch, (r, c) in layout.positions.items():
-        leaf = topology.leaves[(r // tile_r) * lcols + (c // tile_c)]
-        node_of[mapping[patch]] = leaf
-    return node_of
+    return {patch: topology.leaves[(r // tile_r) * lcols + (c // tile_c)]
+            for patch, (r, c) in layout.positions.items()}
 
 
 class Replayer:
-    """Replays one pipeline run as timed events on the network."""
+    """Replays one pipeline run on the network, one cascade slot at a time."""
 
     def __init__(self, pipe: Pipeline, topology: Topology, latency: LatencyModel,
                  node_of=None, instructions=()):
         self.pipe = pipe
         self.top = topology
         self.lat = latency
-        units = sorted(pipe.leaf_patch)
+        units = sorted(pipe.groups)
         if node_of is None:
             if len(units) > len(topology.leaves):
                 raise ValueError("more units than leaf nodes; pass node_of")
             node_of = {u: topology.leaves[i] for i, u in enumerate(units)}
         self.node_of = dict(node_of)
         self.units = units
-        self.epochs = pipe.epochs
-        self.n_slots = pipe.epochs + 3
         self.slot_ns = pipe.graph.d * latency.t_round_ns
 
         # wire index of every edge of each face a commit sends across
@@ -202,6 +189,11 @@ class Replayer:
             else:
                 raise ValueError(f"unknown instruction op {ins.op!r}")
 
+        dests = [*self.node_of.values(), *(n for ns in self._meas.values() for n in ns)]
+        bad = sorted({n for n in dests if not wire.dest_fits(n)})
+        if bad:
+            raise ValueError(f"nodes {bad} do not fit the wire's destination field")
+
     def _hop_count(self, src_unit: int, dst_unit: int) -> int:
         key = (src_unit, dst_unit)
         got = self._hops.get(key)
@@ -222,127 +214,78 @@ class Replayer:
         return len(wire.pack_boundary_indices(vals))
 
     def trace(self, result) -> TraceResult:
+        """Time every slot of the run in the pipeline's cascade order.
+
+        A slot starts at the latest of: its rounds are available, its unit
+        has finished the previous slot, and every inbound wall face of the
+        block it decodes has arrived.  Its commit then fixes the arrival of
+        its boundary sends, of the logical result at the root, and of the
+        forwards and cond-merge configurations that result triggers.
+        events counts the modelled events: round availability per unit and
+        slot, decode done, slot done, commit, and each message or result.
+        """
+        pipe = self.pipe
         lat = self.lat
+        link = lat.t_link_ns
         slot_ns = self.slot_ns
-        groups = self.pipe.groups
-        walls = self.pipe.walls
-        patch_of = self.pipe.leaf_patch
+        depth_of = self._depth_of
         send_map = {}
         for _, src, dst, info in result.sends:
             send_map.setdefault((src, info.face[2]), []).append((dst, info))
 
-        heap = []
-        seq = itertools.count()
-
-        def push(t, node, rank, data):
-            heapq.heappush(heap, (t, node, rank, next(seq), data))
-
-        for u in self.units:
-            for k in range(self.n_slots):
-                push((k + 1) * slot_ns, self.node_of[u], ROUND_AVAILABLE, (u, k))
-
-        next_slot = {u: 0 for u in self.units}
-        busy = {u: False for u in self.units}
-        arrived = set()
-        slot_start = {}
+        free = dict.fromkeys(self.units, 0)  # unit -> end of its last slot
+        arrival = {}       # wall face -> arrival of its boundary info
+        decode_start = {}  # (unit, epoch) -> start of the slot decoding it
         rows = []
         commit_ns = {}
-        depth_series = [0] * self.n_slots
+        depth_series = [0] * pipe.slots
         feedback_ns = {}
-        instr_arrival = []
-        first_g3 = None
-        n_events = 0
+        instr_arrival = []  # ((unit, merge epoch), arrival)
+        n_events = len(self.units) * pipe.slots
 
-        def try_start(u, now):
-            while True:
-                k = next_slot[u]
-                if k >= self.n_slots or busy[u] or now < (k + 1) * slot_ns:
-                    return
-                g = groups[u]
-                e_dec = k - (g - 1)
-                e_com = k - g
-                decodes = 0 <= e_dec < self.epochs
-                commits = 0 <= e_com < self.epochs
-                if decodes and any(f not in arrived for f in walls[(patch_of[u], e_dec)]):
-                    return
-                if not decodes and not commits:
-                    next_slot[u] = k + 1
+        for k in range(pipe.slots):
+            due = (k + 1) * slot_ns
+            for u, e_dec, e_com in pipe.cascade(k):
+                start = max(due, free[u])
+                dur = 0
+                n_events += 1
+                if e_dec is not None:
+                    for f in pipe.walls[(u, e_dec)]:
+                        t = arrival.get(f)
+                        if t is None:
+                            raise AssertionError(
+                                f"unit {u} stalled at slot {k} without {f}")
+                        start = max(start, t)
+                    dur = lat.decode_ns(result.iters[(u, e_dec)])
+                    depth = (start - due) // slot_ns
+                    depth_series[k] = max(depth_series[k], depth)
+                    decode_start[(u, e_dec)] = start
+                    rows.append((e_dec, u, start + dur - (e_dec + 1) * slot_ns,
+                                 dur / pipe.graph.d, depth))
+                    n_events += 1
+                done = free[u] = start + dur
+                if e_com is None:
                     continue
-                busy[u] = True
-                slot_start[(u, k)] = now
-                dur = lat.decode_ns(result.iters[(u, e_dec)]) if decodes else 0
-                node = self.node_of[u]
-                if decodes:
-                    push(now + dur, node, DECODE_DONE, (u, k, e_dec))
-                push(now + dur, node, FUSE_DONE, (u, k))
-                if commits:
-                    push(now + dur, node, COMMIT, (u, k, e_com))
-                return
-
-        while heap:
-            t, node, rank, _, data = heapq.heappop(heap)
-            n_events += 1
-            if rank == ROUND_AVAILABLE:
-                try_start(data[0], t)
-            elif rank == MSG_ARRIVE:
-                what = data[0]
-                if what == "face":
-                    arrived.add(data[1])
-                    try_start(data[2], t)
-                elif what == "forward":
-                    feedback_ns[data[1]] = t
-                else:  # cond-merge configuration at a hosting unit
-                    instr_arrival.append((data[1], data[2], t))
-            elif rank == DECODE_DONE:
-                u, k, e = data
-                ready = (e + 1) * slot_ns
-                depth = (slot_start[(u, k)] - (k + 1) * slot_ns) // slot_ns
-                depth_series[k] = max(depth_series[k], depth)
-                rows.append((e, patch_of[u], t - ready,
-                             lat.decode_ns(result.iters[(u, e)]) / self.pipe.graph.d,
-                             depth))
-            elif rank == FUSE_DONE:
-                u, k = data
-                busy[u] = False
-                next_slot[u] = k + 1
-                try_start(u, t)
-            elif rank == COMMIT:
-                u, k, e = data
-                commit_ns[(u, e)] = t
-                if groups[u] == 3 and first_g3 is None:
-                    first_g3 = t
-                for dst, info in send_map.get((u, e), ()):
-                    hops = self._hop_count(u, dst)
-                    n_msgs = self._message_count(info)
-                    arrive = t + hops * lat.t_link_ns + (n_msgs - 1) * lat.t_cycle_ns
-                    push(arrive, self.node_of[dst], MSG_ARRIVE, ("face", info.face, dst))
-                up = self._depth_of[self.node_of[u]]
-                push(t + up * lat.t_link_ns, 0, LOGICAL_RESULT, (patch_of[u], e))
-            else:  # LOGICAL_RESULT at the root
-                patch, e = data
-                for node in self._meas.get((patch, e), ()):
-                    push(t + self._depth_of[node] * lat.t_link_ns, node,
-                         MSG_ARRIVE, ("forward", (patch, e)))
-                for ins in self._cond.get((patch, e), ()):
+                commit_ns[(u, e_com)] = done
+                sends = send_map.get((u, e_com), ())
+                for dst, info in sends:
+                    arrival[info.face] = (done + self._hop_count(u, dst) * link
+                                          + (self._message_count(info) - 1) * lat.t_cycle_ns)
+                at_root = done + depth_of[self.node_of[u]] * link
+                forwards = self._meas.get((u, e_com), ())
+                if forwards:
+                    feedback_ns[(u, e_com)] = at_root + max(depth_of[n] for n in forwards) * link
+                conds = self._cond.get((u, e_com), ())
+                for ins in conds:
                     for pid in (ins.seam.patch_a, ins.seam.patch_b):
-                        unit = self.pipe.mapping[pid]
-                        down = self._depth_of[self.node_of[unit]]
-                        push(t + down * lat.t_link_ns, self.node_of[unit],
-                             MSG_ARRIVE, ("instr", (unit, ins.merge_epoch),
-                                          ins.taken))
+                        instr_arrival.append(((pid, ins.merge_epoch),
+                                              at_root + depth_of[self.node_of[pid]] * link))
+                n_events += 2 + len(sends) + len(forwards) + 2 * len(conds)
 
-        for u in self.units:
-            if next_slot[u] != self.n_slots:
-                raise AssertionError(f"unit {u} stalled at slot {next_slot[u]}")
-
-        margin = None
-        for (unit, e_m), _, t in instr_arrival:
-            if e_m is None or not 0 <= e_m < self.epochs:
-                continue
-            k_m = e_m + groups[unit] - 1
-            m = slot_start[(unit, k_m)] - t
-            margin = m if margin is None else min(margin, m)
-
+        margin = min((decode_start[key] - t for key, t in instr_arrival
+                       if key[1] is not None and 0 <= key[1] < pipe.epochs), default=None)
+        first_g3 = min((t for (u, _), t in commit_ns.items() if pipe.groups[u] == 3),
+                       default=None)
         g3_lat = None if first_g3 is None else first_g3 - slot_ns
         rows.sort(key=lambda r: (r[0], r[1]))
         return TraceResult(rows, commit_ns, first_g3, g3_lat, depth_series,
@@ -357,8 +300,8 @@ def _backlog(depths: list) -> bool:
 
 
 def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
-             p: float, trials: int = 1, seed: int = 0, mapping=None,
-             node_of=None, instructions=(), check_valid: bool = True) -> MetricsReport:
+             p: float, trials: int = 1, seed: int = 0,
+             node_of=None, instructions=()) -> MetricsReport:
     """Sample noise, decode through the pipeline, replay the timing.
 
     Aggregates latency and inverse throughput over every decoded block
@@ -366,7 +309,7 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     for CSV export.  A trial counts as a logical failure when any
     patch's corrected observable disagrees with the sampled truth.
     """
-    pipe = Pipeline(graph, mapping)
+    pipe = Pipeline(graph)
     rep = Replayer(pipe, topology, latency, node_of, instructions)
     table = EdgeTable(graph)
 
@@ -385,15 +328,14 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     for trial in range(trials):
         sample = table.sample(p, derived_rng(seed, trial))
         result = pipe.run(sample.defects)
-        if check_valid:
-            touched = Counter()
-            for ua, ub in result.correction:
-                touched[ua] += 1
-                if ub >= 0:
-                    touched[ub] += 1
-            toggled = {v for v, c in touched.items() if c & 1}
-            if toggled != sample.defects:
-                raise AssertionError(f"trial {trial}: correction invalid")
+        touched = Counter()
+        for ua, ub in result.correction:
+            touched[ua] += 1
+            if ub >= 0:
+                touched[ub] += 1
+        toggled = {v for v, c in touched.items() if c & 1}
+        if toggled != sample.defects:
+            raise AssertionError(f"trial {trial}: correction invalid")
         cp = cut_parities(graph, result.correction)
         bad = [pid for pid in sample.true_logical
                if sample.true_logical[pid] ^ cp.get(pid, 0)]

@@ -13,17 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DecodingGraph, Layout, Seam
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    p: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
+from .graph import DecodingGraph, Layout
 
 
 @dataclass
@@ -39,17 +29,16 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 class EdgeTable:
-    """Materialised edge slice of a graph, for vectorised sampling.
+    """Materialised edges of a graph, for vectorised sampling.
 
-    Covers rounds [r0, r1) (defaults to the whole graph).  Sampling returns
-    sparse results, so per-trial cost scales with the flip count.
+    Sampling returns sparse results, so per-trial cost scales with the
+    flip count.
     """
 
-    def __init__(self, graph: DecodingGraph, r0: int = 0, r1: int | None = None):
+    def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        r1 = graph.rounds if r1 is None else r1
-        self.ekeys = list(graph.edges_in_rounds(r0, r1))
-        vids = sorted(set(graph.vertices_in_rounds(r0, min(r1 + 1, graph.rounds))))
+        self.ekeys = list(graph.edges())
+        vids = sorted(graph.vertices())
         self._vid_arr = np.asarray(vids, dtype=np.int64)
         index = {v: i for i, v in enumerate(vids)}
         n = len(vids)
@@ -85,6 +74,8 @@ class EdgeTable:
         return out
 
     def sample(self, p: float, rng: np.random.Generator) -> ErrorSample:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {p}")
         flips = self.sample_flips(p, rng)
         truth = {pid: 0 for pid in self.graph.layout.positions}
         truth.update(self.logical_of(flips))
@@ -93,13 +84,6 @@ class EdgeTable:
             defects=set(self.defects_of(flips)),
             true_logical=truth,
         )
-
-
-def sample_errors(graph: DecodingGraph, params: NoiseParams, rng=None) -> ErrorSample:
-    """One noise sample over the whole graph."""
-    if rng is None:
-        rng = derived_rng(params.seed)
-    return EdgeTable(graph).sample(params.p, rng)
 
 
 def raw_merge_draws(layout: Layout, epochs: int, prob: float, seed: int) -> list:

@@ -1,15 +1,15 @@
 """Three-group parallel window pipeline.
 
-Patches are mapped onto leaves (decoder resources) and leaves are colored
-with three groups so no two adjacent leaves share a group.  At cascade k,
-group g decodes its blocks of epoch k-(g-1) and commits epoch k-g; within a
-cascade the groups act in order 1, 2, 3.  Temporal interfaces between a
-leaf's consecutive epochs are fused in place; spatial interfaces between
-leaves are resolved once, by the upstream (lower-group) side committing its
-crossing edges, which the downstream side absorbs as flipped defects before
-decoding.  The dataflow is deterministic and independent of wall-clock
-timing, so the network simulator can replay a run's dependency log under
-any latency model.
+Every patch is decoded by its own unit, named by the patch id, and units
+are colored with three groups so no two adjacent units share a group.  At
+cascade slot k, group g decodes its block of epoch k-(g-1) and commits
+epoch k-g; within a slot the groups act in order 1, 2, 3.  Temporal
+interfaces between a unit's consecutive epochs are fused in place; spatial
+interfaces between units are resolved once, by the upstream (lower-group)
+side committing its crossing edges, which the downstream side absorbs as
+flipped defects before decoding.  The dataflow is deterministic and
+independent of wall-clock timing, so the network simulator walks the same
+cascade to replay a run under any latency model.
 """
 
 from __future__ import annotations
@@ -35,68 +35,54 @@ class BoundaryInfo:
 @dataclass
 class PipelineResult:
     correction: set
-    commits: dict          # (leaf, epoch) -> cascade index
-    iters: dict            # (leaf, epoch) -> growth rounds spent decoding
-    sends: list            # (cascade, src leaf, dst leaf, BoundaryInfo)
-    groups: dict           # leaf -> group
-    epochs: int
+    commits: dict          # (unit, epoch) -> cascade slot
+    iters: dict            # (unit, epoch) -> growth rounds spent decoding
+    sends: list            # (slot, src unit, dst unit, BoundaryInfo)
 
 
-def assign_groups(layout, mapping=None) -> dict:
-    """Three-color the leaves so grid-adjacent leaves never share a group.
+def assign_groups(layout) -> dict:
+    """Three-color the patches so grid-adjacent patches never share a group.
 
-    mapping sends each patch to a leaf id; by default every patch gets its
-    own leaf.  The diagonal stripe (2*row + col) mod 3 satisfies the
-    adjacency constraint on any grid and gives [1, 2, 3] on a 1x3 row.
+    The diagonal stripe (2*row + col) mod 3 differs by 1 or 2 between grid
+    neighbours, so it satisfies the adjacency constraint on any grid, and
+    gives [1, 2, 3] on a 1x3 row.
     """
-    if mapping is None:
-        mapping = {p: p for p in layout.positions}
-    leaf_pos = {}
-    for p, (r, c) in sorted(layout.positions.items()):
-        leaf_pos.setdefault(mapping[p], (r, c))
-    groups = {leaf: (2 * r + c) % 3 + 1 for leaf, (r, c) in leaf_pos.items()}
-    for s in layout.seams:
-        la, lb = mapping[s.patch_a], mapping[s.patch_b]
-        if la != lb and groups[la] == groups[lb]:
-            raise ValueError(f"adjacent leaves {la}, {lb} share group {groups[la]}")
-    return groups
+    return {p: (2 * r + c) % 3 + 1 for p, (r, c) in sorted(layout.positions.items())}
 
 
 class Pipeline:
     """Drives a carved decoding graph through the cascade schedule.
 
-    One patch per leaf; a leaf's window at epoch e is its patch's block.
+    One unit per patch; a unit's window at epoch e is its patch's block.
     """
 
-    def __init__(self, graph: DecodingGraph, mapping=None):
+    def __init__(self, graph: DecodingGraph):
         self.graph = graph
         layout = graph.layout
-        if mapping is None:
-            mapping = {p: p for p in layout.positions}
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("each leaf hosts exactly one patch")
-        self.mapping = dict(mapping)
-        self.groups = assign_groups(layout, self.mapping)
+        self.groups = assign_groups(layout)
         self.epochs = graph.rounds // graph.d
+        # three extra slots drain the cascade: group 3 commits the last
+        # epoch at slot epochs + 2
+        self.slots = self.epochs + 3
+        self._by_group = {g: sorted(u for u, gu in self.groups.items() if gu == g)
+                          for g in (1, 2, 3)}
         self.blocks = {b.block_id: b for b in carve_blocks(graph)}
         self.regions = region_vids(graph)
-        self.leaf_patch = {leaf: p for p, leaf in self.mapping.items()}
         # seam faces of each block by role: walls are inbound faces, sealed
-        # by the upstream (lower-group) leaf's commit; sends pair each
-        # outbound face with the downstream leaf its commit goes to
+        # by the upstream (lower-group) unit's commit; sends pair each
+        # outbound face with the downstream unit its commit goes to
         self.walls = {}
         self.sends = {}
         for bid, blk in self.blocks.items():
-            leaf = self.mapping[bid[0]]
             walls, sends = [], []
             for lab in blk.faces.values():
                 if lab == 'real' or lab[1][0] != 's':
                     continue
                 face = lab[1]
                 seam = layout.seams[face[1]]
-                la, lb = self.mapping[seam.patch_a], self.mapping[seam.patch_b]
-                down = lb if self.groups[la] < self.groups[lb] else la
-                if down == leaf:
+                a, b = seam.patch_a, seam.patch_b
+                down = b if self.groups[a] < self.groups[b] else a
+                if down == bid[0]:
                     walls.append(face)
                 else:
                     sends.append((face, down))
@@ -104,19 +90,31 @@ class Pipeline:
             self.sends[bid] = tuple(sorted(sends))
         self._reset([])
 
+    def cascade(self, k: int):
+        """Units active in slot k, in cascade order.
+
+        Yields (unit, e_dec, e_com): the epoch the unit decodes and the
+        epoch it commits in this slot, each None when out of range.  Group g
+        decodes epoch k-(g-1) and commits epoch k-g, groups in order 1, 2, 3.
+        """
+        for g in (1, 2, 3):
+            e_dec, e_com = (e if 0 <= e < self.epochs else None
+                            for e in (k - (g - 1), k - g))
+            if e_dec is not None or e_com is not None:
+                for unit in self._by_group[g]:
+                    yield unit, e_dec, e_com
+
     def _reset(self, defects):
         by_block = {}
         for v in defects:
             by_block.setdefault(self.graph.block_of(v), set()).add(v)
         self._block_defects = by_block
-        self._states = {}      # leaf -> rolling UfState
+        self._states = {}      # unit -> rolling UfState
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
-        self._result = PipelineResult(set(), {}, {}, [], dict(self.groups),
-                                      self.epochs)
+        self._result = PipelineResult(set(), {}, {}, [])
 
-    def _decode_window(self, leaf: int, epoch: int):
-        p = self.leaf_patch[leaf]
-        bid = (p, epoch)
+    def _decode_window(self, unit: int, epoch: int):
+        bid = (unit, epoch)
         reg = self.regions[bid]
         walls = self.walls[bid]
         # upstream commits toggle the defects their crossings end on here
@@ -125,64 +123,57 @@ class Pipeline:
             info = self._inbox.pop(face, None)
             if info is None:
                 raise PipelineStallError(
-                    f"window ({leaf}, {epoch}) lacks boundary info for {face}")
+                    f"window ({unit}, {epoch}) lacks boundary info for {face}")
             for u, w in info.committed_crossings:
                 flips.symmetric_difference_update((u if u in reg else w,))
         defects = self._block_defects.get(bid, set()) ^ flips
         st = decode_block(self.graph, self.blocks[bid], sorted(defects), walls, reg)
         iters = st.grow_iterations
-        rolling = self._states.get(leaf)
+        rolling = self._states.get(unit)
         if rolling is None:
-            self._states[leaf] = st
+            self._states[unit] = st
         else:
             pre = rolling.grow_iterations
-            rolling = fuse(rolling, st, ('t', p, epoch))
+            rolling = fuse(rolling, st, ('t', unit, epoch))
             iters += rolling.grow_iterations - pre
-            self._states[leaf] = rolling
-        self._result.iters[(leaf, epoch)] = iters
+            self._states[unit] = rolling
+        self._result.iters[bid] = iters
 
-    def _commit_window(self, leaf: int, epoch: int, cascade: int):
-        st = self._states.get(leaf)
+    def _commit_window(self, unit: int, epoch: int, cascade: int):
+        st = self._states.get(unit)
         if st is None:
             raise PipelineStallError(
-                f"window ({leaf}, {epoch}) committed before it decoded")
+                f"window ({unit}, {epoch}) committed before it decoded")
         out = []
-        for face, dst in self.sends[(self.leaf_patch[leaf], epoch)]:
+        for face, dst in self.sends[(unit, epoch)]:
             crossings = st.absorb_face(face)
-            out.append((cascade, leaf, dst, BoundaryInfo(face, frozenset(crossings))))
-        self._result.commits[(leaf, epoch)] = cascade
+            out.append((cascade, unit, dst, BoundaryInfo(face, frozenset(crossings))))
+        self._result.commits[(unit, epoch)] = cascade
         return out
 
-    def run_epoch(self, cascade: int, boundary_in=()) -> list:
-        """One cascade step; returns the BoundaryInfo records sent."""
-        for bi in boundary_in:
-            self._inbox[bi.face] = bi
+    def run_epoch(self, cascade: int) -> list:
+        """One cascade slot; returns the BoundaryInfo records sent."""
         sent = []
-        for g in (1, 2, 3):
-            for leaf in sorted(self.leaf_patch):
-                if self.groups[leaf] != g:
-                    continue
-                e_dec = cascade - (g - 1)
-                if 0 <= e_dec < self.epochs:
-                    self._decode_window(leaf, e_dec)
-                e_com = cascade - g
-                if 0 <= e_com < self.epochs:
-                    for rec in self._commit_window(leaf, e_com, cascade):
-                        sent.append(rec)
-                        self._inbox[rec[3].face] = rec[3]
+        for unit, e_dec, e_com in self.cascade(cascade):
+            if e_dec is not None:
+                self._decode_window(unit, e_dec)
+            if e_com is not None:
+                for rec in self._commit_window(unit, e_com, cascade):
+                    sent.append(rec)
+                    self._inbox[rec[3].face] = rec[3]
         self._result.sends.extend(sent)
         return sent
 
     def run(self, defects) -> PipelineResult:
-        """Full run over all cascades; returns corrections and the log."""
+        """Full run over all cascade slots; returns corrections and the log."""
         self._reset(defects)
-        for k in range(self.epochs + 3):
+        for k in range(self.slots):
             self.run_epoch(k)
         correction = set()
-        for leaf in sorted(self._states):
-            st = self._states[leaf]
+        for unit in sorted(self._states):
+            st = self._states[unit]
             if st.defects:
-                raise AssertionError(f"leaf {leaf} left defects unresolved")
+                raise AssertionError(f"unit {unit} left defects unresolved")
             correction ^= st.correction
         self._result.correction = correction
         return self._result

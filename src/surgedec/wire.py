@@ -32,11 +32,15 @@ class Message:
     payload: int
 
 
+def dest_fits(dest: int, extended: bool = False) -> bool:
+    """True when a node id fits the format's destination field."""
+    return 0 <= dest < (1 << _DEST_BITS[extended])
+
+
 def encode_message(msg: Message, extended: bool = False) -> int:
     pbits = _PAYLOAD_BITS[extended]
-    dbits = _DEST_BITS[extended]
-    if not 0 <= msg.dest < (1 << dbits):
-        raise ValueError(f"dest {msg.dest} exceeds {dbits} bits")
+    if not dest_fits(msg.dest, extended):
+        raise ValueError(f"dest {msg.dest} exceeds {_DEST_BITS[extended]} bits")
     if not 0 <= msg.header < (1 << 8):
         raise ValueError(f"header {msg.header} exceeds 8 bits")
     if not 0 <= msg.payload < (1 << pbits):

@@ -1,3 +1,7 @@
+import dataclasses
+
+import pytest
+
 from surgedec.graph import DecodingGraph, Layout, merge_patches
 from surgedec.netsim import (
     Instruction,
@@ -6,7 +10,8 @@ from surgedec.netsim import (
     default_placement,
     simulate,
 )
-from surgedec.noise import apply_merge_schedule, random_merge_schedule
+from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
+                            random_merge_schedule)
 from surgedec.topology import build_topology
 from surgedec.windows import Pipeline
 
@@ -47,18 +52,54 @@ def test_first_g3_commit_floor_holds_under_noise():
 
 
 def test_every_commit_keeps_cadence_during_drain():
-    # zero cost and zero noise: commit of epoch e by a group-g unit lands
-    # exactly at the cadence of its paired slot, including drain slots
-    g = row_graph(3, epochs=3)
-    top = build_topology(3, 25, (1, 3))
+    # zero cost: commit of epoch e by a group-g unit lands exactly at the
+    # cadence of its paired slot, including drain slots, whatever the
+    # merges and the noise
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    field = apply_merge_schedule(DecodingGraph(lay, rounds=4 * 3),
+                                 random_merge_schedule(lay, 4, 0.5, seed=3))
+    cases = [(row_graph(3, epochs=3), build_topology(3, 25, (1, 3)), set()),
+             (field, build_topology(9, 25, (3, 3)),
+              EdgeTable(field).sample(0.02, derived_rng(3)).defects)]
+    for g, top, defects in cases:
+        pipe = Pipeline(g)
+        tr = Replayer(pipe, top, ZERO_COST).trace(pipe.run(defects))
+        slot = g.d * 1000
+        assert len(tr.commit_ns) == len(pipe.groups) * pipe.epochs
+        for (u, e), t in tr.commit_ns.items():
+            assert t == (e + pipe.groups[u] + 1) * slot
+        last_g3 = max(t for (u, _), t in tr.commit_ns.items() if pipe.groups[u] == 3)
+        # the last epoch is committed in the last drain slot
+        assert last_g3 == (pipe.epochs + 3) * slot
+
+
+def test_missing_boundary_info_stalls_the_replay():
+    g = grid_graph(epochs=2)
+    top = build_topology(4, 25, (2, 2))
     pipe = Pipeline(g)
-    repl = Replayer(pipe, top, ZERO_COST)
-    tr = repl.trace(pipe.run(set()))
-    slot = g.d * 1000
-    for (u, e), t in tr.commit_ns.items():
-        assert t == (e + pipe.groups[u] + 1) * slot
-    last_g3 = max(t for (u, _), t in tr.commit_ns.items() if pipe.groups[u] == 3)
-    assert last_g3 == 6 * slot  # epoch 2 committed in slot 5
+    res = pipe.run(set())
+    repl = Replayer(pipe, top, LatencyModel())
+    assert repl.trace(res).rows
+    for drop in (0, len(res.sends) - 1):
+        cut = dataclasses.replace(res, sends=res.sends[:drop] + res.sends[drop + 1:])
+        with pytest.raises(AssertionError, match="stalled"):
+            repl.trace(cut)
+
+
+def test_destinations_beyond_the_wire_are_rejected():
+    # 625 leaves take node ids 26..650; standard messages address 8 bits
+    g = row_graph(2, epochs=1)
+    pipe = Pipeline(g)
+    top = build_topology(625, 25, (25, 25))
+    lat = LatencyModel()
+    with pytest.raises(ValueError, match="650"):
+        Replayer(pipe, top, lat, node_of={0: top.leaves[-2], 1: top.leaves[-1]})
+    with pytest.raises(ValueError, match="256"):
+        Replayer(pipe, top, lat, node_of={0: 255, 1: 256})
+    assert Replayer(pipe, top, lat, node_of={0: 254, 1: 255}).trace(pipe.run(set())).rows
+    far = [Instruction("measure", patch=0, epoch=0, forward_node=top.leaves[-1])]
+    with pytest.raises(ValueError, match="650"):
+        Replayer(pipe, top, lat, instructions=far)
 
 
 def test_single_unit_latency_is_pure_decode_time():

@@ -12,12 +12,10 @@ from surgedec.graph import (
 )
 from surgedec.noise import (
     EdgeTable,
-    NoiseParams,
     apply_merge_schedule,
     derived_rng,
     random_merge_schedule,
     raw_merge_draws,
-    sample_errors,
 )
 
 
@@ -33,7 +31,7 @@ def brute_defects(edges):
 
 def test_p0_empty():
     g = build_patch_graph(5, 5)
-    s = sample_errors(g, NoiseParams(p=0.0, seed=1))
+    s = EdgeTable(g).sample(0.0, derived_rng(1))
     assert s.flipped_edges == set()
     assert s.defects == set()
     assert s.true_logical == {0: 0}
@@ -41,7 +39,7 @@ def test_p0_empty():
 
 def test_p1_single_round_d3():
     g = build_patch_graph(3, 1)
-    s = sample_errors(g, NoiseParams(p=1.0, seed=1))
+    s = EdgeTable(g).sample(1.0, derived_rng(1))
     all_edges = set(g.edges())
     assert len(all_edges) == 13
     assert s.flipped_edges == all_edges
@@ -67,8 +65,8 @@ def test_defect_density_matches_analytic():
 
 def test_reproducible_given_seed():
     g = build_patch_graph(3, 3)
-    a = sample_errors(g, NoiseParams(p=0.1, seed=7))
-    b = sample_errors(g, NoiseParams(p=0.1, seed=7))
+    a = EdgeTable(g).sample(0.1, derived_rng(7))
+    b = EdgeTable(g).sample(0.1, derived_rng(7))
     assert a.flipped_edges == b.flipped_edges
     assert a.defects == b.defects
     assert a.true_logical == b.true_logical
@@ -80,7 +78,7 @@ def test_sample_self_consistent_and_parity():
     merge_patches(g, Seam(0, 1, "ew"), (0, 3))
     merge_patches(g, Seam(0, 2, "ns"), (3, 6))
     for seed in range(5):
-        s = sample_errors(g, NoiseParams(p=0.08, seed=seed))
+        s = EdgeTable(g).sample(0.08, derived_rng(seed))
         assert brute_defects(s.flipped_edges) == s.defects
         # components: 0-1 and 0-2 merged at some rounds -> {0,1,2} + {3}
         comp = {0: 0, 1: 0, 2: 0, 3: 1}
@@ -108,10 +106,11 @@ def test_edge_slices_partition_graph():
 
 
 def test_noise_params_validation():
-    with pytest.raises(ValueError):
-        NoiseParams(p=1.5)
-    with pytest.raises(ValueError):
-        NoiseParams(p=-0.1)
+    table = EdgeTable(build_patch_graph(3, 1))
+    for p in (1.5, -0.2):
+        with pytest.raises(ValueError):
+            table.sample(p, derived_rng(1))
+    assert table.sample(1.0, derived_rng(1)).flipped_edges == set(table.ekeys)
 
 
 def grid_layout(rows, cols, d=3):

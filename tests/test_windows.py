@@ -50,7 +50,13 @@ def test_assign_groups_row_and_grid():
     assert assign_groups(row_layout(3)) == {0: 1, 1: 2, 2: 3}
     groups = assign_groups(grid_layout())
     assert groups == {0: 1, 1: 2, 2: 3, 3: 1}
-    lay = grid_layout()
+    for s in grid_layout().seams:
+        assert groups[s.patch_a] != groups[s.patch_b]
+    # a 4x4 grid, every seam present: the stripe alone keeps neighbours apart
+    lay = Layout(3, {4 * r + c: (r, c) for r in range(4) for c in range(4)})
+    assert len(lay.seams) == 24
+    groups = assign_groups(lay)
+    assert set(groups.values()) == {1, 2, 3}
     for s in lay.seams:
         assert groups[s.patch_a] != groups[s.patch_b]
 
@@ -159,13 +165,6 @@ def test_stall_surfaces_as_error():
     # commit scheduled before its own decode ever ran
     with pytest.raises(PipelineStallError):
         pipe.run_epoch(1)
-
-
-def test_one_patch_per_leaf_enforced():
-    lay = row_layout(2)
-    g = merged_graph(lay, 3)
-    with pytest.raises(ValueError):
-        Pipeline(g, mapping={0: 7, 1: 7})
 
 
 def test_pipeline_plan_and_global_valid_under_random_schedules():
