@@ -10,7 +10,7 @@ Work is proportional to the activity near the face, not to block size.
 from __future__ import annotations
 
 from .graph import DecodingGraph, carve_blocks, face_edges
-from .uf import UfState, decode_block, region_vids
+from .uf import UfState, decode_block
 
 
 def fuse(a: UfState, b: UfState, face) -> UfState:
@@ -25,12 +25,6 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
     if a.face_status.get(face) != 'open' or b.face_status.get(face) != 'open':
         raise ValueError(f"face {face} is not open on both sides")
     if a is not b:
-        if a.region is None or b.region is None:
-            raise ValueError("only region-bounded states can be fused")
-        # copy on write: block regions are shared frozensets
-        if isinstance(a.region, frozenset):
-            a.region = set(a.region)
-        a.region |= b.region
         for f, st in b.face_status.items():
             if a.face_status.setdefault(f, st) != st:
                 raise ValueError(f"face {f} has conflicting statuses")
@@ -38,6 +32,7 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
         a.size.update(b.size)
         a.parity.update(b.parity)
         a.bnd.update(b.bnd)
+        a.real.update(b.real)
         a.art.update(b.art)
         a.contacts.update(b.contacts)
         a.frontier.update(b.frontier)
@@ -75,12 +70,10 @@ class FusionPlan:
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         self.blocks = {blk.block_id: blk for blk in carve_blocks(graph)}
-        self.regions = region_vids(graph)
         incident = {}
         for bid, blk in self.blocks.items():
-            for lab in blk.faces.values():
-                if lab != 'real':
-                    incident.setdefault(lab[1], []).append(bid)
+            for f in blk.faces:
+                incident.setdefault(f, []).append(bid)
         for f, bids in incident.items():
             if len(bids) != 2:
                 raise ValueError(f"face {f} is not shared by exactly two blocks")
@@ -96,8 +89,7 @@ class FusionPlan:
         by_block = {}
         for v in defects:
             by_block.setdefault(graph.block_of(v), []).append(v)
-        states = {bid: decode_block(graph, blk, by_block.get(bid, ()),
-                                    region=self.regions[bid])
+        states = {bid: decode_block(graph, blk, by_block.get(bid, ()))
                   for bid, blk in self.blocks.items()}
         rep = {bid: bid for bid in self.blocks}
 

@@ -10,7 +10,7 @@ lexicographic order with seam vertices after all patches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # virtual endpoints of boundary edges
 WEST = -1
@@ -124,18 +124,20 @@ def _face_time(patch: int, epoch: int) -> tuple:
     return ("t", patch, epoch)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodingBlock:
-    """One patch over one epoch of d rounds, with labelled faces.
+    """One patch over one epoch of d rounds, bounded by its shared faces.
 
-    faces maps 'w','e','n','s','past','future' to either 'real' or a tuple
-    ('artificial', face_id) naming the shared face.
+    faces holds the ids of the faces the block shares with its neighbours:
+    the ('s', seam, epoch) faces of merged seams, then the ('t', patch,
+    epoch) temporal faces to the previous and next epoch.  Every edge that
+    leaves the block lies on one of them; the rest of the block's edges are
+    internal or end on a real boundary.
     """
 
     patch: int
     epoch: int
-    round_range: tuple[int, int]
-    faces: dict = field(default_factory=dict)
+    faces: tuple
 
     @property
     def block_id(self) -> tuple[int, int]:
@@ -439,21 +441,13 @@ def merge_patches(graph: DecodingGraph, seam: Seam, round_range: tuple[int, int]
     return graph
 
 
-def split_patches(graph: DecodingGraph, seam: Seam, rnd: int) -> DecodingGraph:
-    """Deactivate a seam from rnd onward; boundary edges are restored."""
-    graph.split(seam, rnd)
-    return graph
-
-
-def carve_blocks(graph: DecodingGraph, layout: Layout | None = None) -> list[DecodingBlock]:
+def carve_blocks(graph: DecodingGraph) -> list[DecodingBlock]:
     """Partition the graph into per-patch, per-epoch decoding blocks.
 
     Requires the graph rounds to be a multiple of d and every merge interval
-    to be epoch aligned, so each face is shared by exactly two blocks or is a
-    real boundary.
+    to be epoch aligned, so each shared face belongs to exactly two blocks
+    and every other side of a block is a real boundary.
     """
-    if layout is not None and layout is not graph.layout:
-        raise ValueError("layout does not match the graph")
     lay = graph.layout
     d = graph.d
     if graph.rounds % d != 0:
@@ -466,16 +460,16 @@ def carve_blocks(graph: DecodingGraph, layout: Layout | None = None) -> list[Dec
     blocks = []
     for e in range(epochs):
         for p in range(lay.n_patches):
-            faces = {}
+            faces = []
             for side in ("w", "e", "n", "s"):
                 s = lay.side_seam(p, side)
                 if s is not None and graph.is_merged(s, e * d):
-                    faces[side] = ("artificial", _face_seam(lay.seam_index(s), e))
-                else:
-                    faces[side] = "real"
-            faces["past"] = "real" if e == 0 else ("artificial", _face_time(p, e))
-            faces["future"] = "real" if e == epochs - 1 else ("artificial", _face_time(p, e + 1))
-            blocks.append(DecodingBlock(p, e, (e * d, (e + 1) * d), faces))
+                    faces.append(_face_seam(lay.seam_index(s), e))
+            if e > 0:
+                faces.append(_face_time(p, e))
+            if e < epochs - 1:
+                faces.append(_face_time(p, e + 1))
+            blocks.append(DecodingBlock(p, e, tuple(faces)))
     return blocks
 
 

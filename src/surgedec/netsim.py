@@ -56,9 +56,9 @@ class Instruction:
 
     'measure' forwards the result of (patch, epoch) to forward_node.
     'cond_merge' sends merge-or-split configuration for a seam to both
-    hosting units once the conditioning result reaches the root; taken
-    is pre-resolved by the harness, the graph already reflects it, and
-    the replay only checks the instruction would have arrived in time.
+    hosting units once the conditioning result reaches the root; the
+    graph already reflects the branch taken, and the replay only checks
+    the instruction would have arrived in time.
     """
 
     op: str
@@ -67,7 +67,6 @@ class Instruction:
     forward_node: int | None = None
     seam: object = None
     merge_epoch: int | None = None
-    taken: bool | None = None
 
 
 @dataclass

@@ -9,7 +9,8 @@ clusters into correction edges; defects are consumed on peel, so repeated
 peel passes over a long-lived state stay consistent under XOR accounting.
 
 Face statuses understood by a state:
-  'open':  artificial boundary; clusters reaching it suspend.
+  'open':  shared face whose far side is not decoded yet; clusters
+           reaching it suspend.
   'wall':  sealed interface; its edges are ignored entirely.
 A face absent from the map is an ordinary interior interface.
 """
@@ -20,21 +21,22 @@ from .graph import DecodingGraph, face_edges
 
 
 class UfState:
-    """Decoder state for one region of the decoding graph.
+    """Decoder state for one or more blocks of the decoding graph.
 
-    region is a frozenset of vertex ids (None means the whole graph).
-    face_status maps face ids to 'open' or 'wall'; it is mutated as faces
-    get fused or sealed.
+    The state is bounded by its faces, not by a vertex set: every edge that
+    leaves a block lies on a shared face, and face_status maps each such
+    face to 'open' or 'wall' (no statuses means the whole graph).  It is
+    mutated as faces get fused or sealed.
     """
 
-    def __init__(self, graph: DecodingGraph, defects, region=None, face_status=None):
+    def __init__(self, graph: DecodingGraph, defects, face_status=None):
         self.graph = graph
-        self.region = region
         self.face_status = dict(face_status or {})
         self.parent = {}
         self.size = {}
         self.parity = {}
         self.bnd = {}        # root -> min (vertex, edge key) absorbing contact
+        self.real = {}       # root -> min (vertex, edge key) real-boundary contact
         self.art = {}        # root -> set of open faces the cluster reached
         self.contacts = {}   # root -> {face: min (vertex, edge key)}
         self.frontier = {}   # root -> set of vertices with ungrown edges
@@ -45,8 +47,6 @@ class UfState:
         self.correction = set()
         self.grow_iterations = 0
         for v in defects:
-            if region is not None and v not in region:
-                raise ValueError(f"defect {v} outside region")
             self.defects.add(v)
             self.parent[v] = v
             self.size[v] = 1
@@ -73,10 +73,11 @@ class UfState:
         self.parent[rb] = ra
         self.size[ra] += self.size.pop(rb)
         self.parity[ra] ^= self.parity.pop(rb)
-        cb = self.bnd.pop(rb, None)
-        if cb is not None:
-            ca = self.bnd.get(ra)
-            self.bnd[ra] = cb if ca is None or cb < ca else ca
+        for contact in (self.bnd, self.real):
+            cb = contact.pop(rb, None)
+            if cb is not None:
+                ca = contact.get(ra)
+                contact[ra] = cb if ca is None or cb < ca else ca
         ab = self.art.pop(rb, None)
         if ab:
             self.art.setdefault(ra, set()).update(ab)
@@ -120,7 +121,6 @@ class UfState:
         if not self.live:
             return False
         graph = self.graph
-        region = self.region
         fs = self.face_status
         growth = self.growth
         full = []
@@ -146,8 +146,6 @@ class UfState:
                                 if not g:
                                     pending += 1
                                 continue
-                        if region is not None and other not in region:
-                            continue
                     g = growth.get(ekey, 0)
                     if g >= 2:
                         continue
@@ -169,9 +167,10 @@ class UfState:
             elif other < 0:
                 root = self._find(v)
                 c = (v, ekey)
-                cur = self.bnd.get(root)
-                if cur is None or c < cur:
-                    self.bnd[root] = c
+                for contact in (self.bnd, self.real):
+                    cur = contact.get(root)
+                    if cur is None or c < cur:
+                        contact[root] = c
                 self.live.discard(root)
             else:
                 self._adopt(other)
@@ -264,8 +263,10 @@ class UfState:
         """Seal an open face as an absorbing sink and drain clusters into it.
 
         Suspended clusters touching the face are matched through their
-        recorded contact edge; the face becomes a wall afterwards.  Returns
-        the emitted edges that cross the face (the committed crossings).
+        recorded contact edge; the face becomes a wall afterwards, so no
+        cluster keeps a contact on it: a later merge would otherwise sink
+        through a crossing that was never committed.  Returns the emitted
+        edges that cross the face (the committed crossings).
         """
         if self.face_status.get(face) != 'open':
             raise ValueError(f"face {face} is not open")
@@ -274,6 +275,12 @@ class UfState:
         emitted = self.peel_resolved()
         self.face_status[face] = 'wall'
         fset = set(face_edges(self.graph, face))
+        for root, (_, ekey) in list(self.bnd.items()):
+            if ekey in fset:
+                if root in self.real:
+                    self.bnd[root] = self.real[root]
+                else:
+                    del self.bnd[root]
         return {k for k in emitted if k in fset}
 
 
@@ -286,18 +293,18 @@ def region_vids(graph: DecodingGraph) -> dict:
     return {bid: frozenset(vids) for bid, vids in out.items()}
 
 
-def decode_block(graph: DecodingGraph, block, defects, walls=(), region=None) -> UfState:
+def decode_block(graph: DecodingGraph, block, defects, walls=()) -> UfState:
     """Decode one carved block standalone and return its state.
 
-    Artificial faces listed in walls are sealed; every other artificial
-    face stays open, so clusters reaching it suspend.  region defaults to
-    the block's own vertices.
+    Faces listed in walls are sealed; every other face of the block stays
+    open, so clusters reaching it suspend.  Growth never leaves the block
+    because every edge out of it lies on one of its faces.
     """
-    fs = {lab[1]: 'wall' if lab[1] in walls else 'open'
-          for lab in block.faces.values() if lab != 'real'}
-    if region is None:
-        region = region_vids(graph)[block.block_id]
-    state = UfState(graph, defects, region=region, face_status=fs)
+    for v in defects:
+        if graph.block_of(v) != block.block_id:
+            raise ValueError(f"defect {v} outside block {block.block_id}")
+    fs = {f: 'wall' if f in walls else 'open' for f in block.faces}
+    state = UfState(graph, defects, face_status=fs)
     state.settle()
     state.peel_resolved()
     return state

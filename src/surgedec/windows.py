@@ -67,6 +67,7 @@ class Pipeline:
         self._by_group = {g: sorted(u for u, gu in self.groups.items() if gu == g)
                           for g in (1, 2, 3)}
         self.blocks = {b.block_id: b for b in carve_blocks(graph)}
+        # vertex sets only orient the crossings an inbound commit flips
         self.regions = region_vids(graph)
         # seam faces of each block by role: walls are inbound faces, sealed
         # by the upstream (lower-group) unit's commit; sends pair each
@@ -75,10 +76,9 @@ class Pipeline:
         self.sends = {}
         for bid, blk in self.blocks.items():
             walls, sends = [], []
-            for lab in blk.faces.values():
-                if lab == 'real' or lab[1][0] != 's':
+            for face in blk.faces:
+                if face[0] != 's':
                     continue
-                face = lab[1]
                 seam = layout.seams[face[1]]
                 a, b = seam.patch_a, seam.patch_b
                 down = b if self.groups[a] < self.groups[b] else a
@@ -127,7 +127,7 @@ class Pipeline:
             for u, w in info.committed_crossings:
                 flips.symmetric_difference_update((u if u in reg else w,))
         defects = self._block_defects.get(bid, set()) ^ flips
-        st = decode_block(self.graph, self.blocks[bid], sorted(defects), walls, reg)
+        st = decode_block(self.graph, self.blocks[bid], sorted(defects), walls)
         iters = st.grow_iterations
         rolling = self._states.get(unit)
         if rolling is None:

@@ -1,15 +1,10 @@
 """Fixed 64-bit message codec for the decoder interconnect.
 
-Standard format packs the destination node into bits [63:56], a header
+A message packs the destination node into bits [63:56], a header
 byte into [55:48], and leaves the low 48 bits as payload.  The header
 byte carries an opcode in its high nibble; boundary-information headers
 use the low nibble as the number of edge indices in the payload, three
 16-bit indices per message.
-
-The extended format widens the destination to 16 bits ([63:48], header
-at [47:40], 40-bit payload) for deployments with more than 256 nodes.
-It is a local extension, not part of the deployed interconnect, and
-stays off unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -21,8 +16,8 @@ from .graph import DecodingGraph, face_edges
 OP_BOUNDARY = 0x3
 OP_RESULT = 0x4
 
-_PAYLOAD_BITS = {False: 48, True: 40}
-_DEST_BITS = {False: 8, True: 16}
+_PAYLOAD_BITS = 48
+_DEST_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -32,30 +27,28 @@ class Message:
     payload: int
 
 
-def dest_fits(dest: int, extended: bool = False) -> bool:
-    """True when a node id fits the format's destination field."""
-    return 0 <= dest < (1 << _DEST_BITS[extended])
+def dest_fits(dest: int) -> bool:
+    """True when a node id fits the destination field."""
+    return 0 <= dest < (1 << _DEST_BITS)
 
 
-def encode_message(msg: Message, extended: bool = False) -> int:
-    pbits = _PAYLOAD_BITS[extended]
-    if not dest_fits(msg.dest, extended):
-        raise ValueError(f"dest {msg.dest} exceeds {_DEST_BITS[extended]} bits")
+def encode_message(msg: Message) -> int:
+    if not dest_fits(msg.dest):
+        raise ValueError(f"dest {msg.dest} exceeds {_DEST_BITS} bits")
     if not 0 <= msg.header < (1 << 8):
         raise ValueError(f"header {msg.header} exceeds 8 bits")
-    if not 0 <= msg.payload < (1 << pbits):
-        raise ValueError(f"payload {msg.payload:#x} exceeds {pbits} bits")
-    return (msg.dest << (pbits + 8)) | (msg.header << pbits) | msg.payload
+    if not 0 <= msg.payload < (1 << _PAYLOAD_BITS):
+        raise ValueError(f"payload {msg.payload:#x} exceeds {_PAYLOAD_BITS} bits")
+    return (msg.dest << (_PAYLOAD_BITS + 8)) | (msg.header << _PAYLOAD_BITS) | msg.payload
 
 
-def decode_message(word: int, extended: bool = False) -> Message:
+def decode_message(word: int) -> Message:
     if not 0 <= word < (1 << 64):
         raise ValueError(f"word {word:#x} is not a 64-bit value")
-    pbits = _PAYLOAD_BITS[extended]
     return Message(
-        dest=word >> (pbits + 8),
-        header=(word >> pbits) & 0xFF,
-        payload=word & ((1 << pbits) - 1),
+        dest=word >> (_PAYLOAD_BITS + 8),
+        header=(word >> _PAYLOAD_BITS) & 0xFF,
+        payload=word & ((1 << _PAYLOAD_BITS) - 1),
     )
 
 

@@ -11,6 +11,8 @@ import math
 import random
 import time
 
+import pytest
+
 from surgedec import microbench
 from surgedec.cli import _accuracy_point
 from surgedec.graph import DecodingGraph, Layout, merge_patches
@@ -22,6 +24,8 @@ from surgedec.stats import wilson_interval
 from surgedec.topology import build_topology, max_tree_hops
 from surgedec.uf import cut_parities, decode_region
 from surgedec.wire import Message, decode_message, encode_message
+
+pytestmark = pytest.mark.slow
 
 ZERO_COST = LatencyModel(t_round_ns=1000, t_link_ns=0, t_cycle_ns=0,
                          decode_base_cycles=0, decode_per_iter_cycles=0)

@@ -8,6 +8,8 @@ import pytest
 from surgedec.graph import (DecodingGraph, Layout, Seam, build_patch_graph,
                             carve_blocks, merge_patches, pack_vid)
 from surgedec.fusion import FusionPlan, fuse
+from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
+                            random_merge_schedule)
 from surgedec.uf import decode_block, decode_region
 
 
@@ -175,10 +177,9 @@ def test_fuse_and_absorb_keep_live_exact():
                   for bid, blk in plan.blocks.items()}
         # absorb every open face of one block, one at a time
         st = states[(1, 1)]
-        for lab in plan.blocks[(1, 1)].faces.values():
-            if lab != "real":
-                st.absorb_face(lab[1])
-                assert live_is_exact(st)
+        for f in plan.blocks[(1, 1)].faces:
+            st.absorb_face(f)
+            assert live_is_exact(st)
         assert st.defects == set()
         # fuse the rest along the plan's order
         states.pop((1, 1))
@@ -195,6 +196,51 @@ def test_fuse_and_absorb_keep_live_exact():
                 del states[rb]
 
 
+def grown_edges_outside(graph, st, blocks):
+    """Grown edges that leave the given blocks other than over an open face."""
+    open_faces = {f for f, status in st.face_status.items() if status == "open"}
+    out = []
+    for ekey, grown in st.growth.items():
+        if not grown:
+            continue
+        if all(graph.block_of(x) in blocks for x in ekey if x >= 0):
+            continue
+        if graph.face_of(ekey) not in open_faces:
+            out.append(ekey)
+    return out
+
+
+def test_faces_bound_block_growth():
+    # a decode holds no vertex set: its faces alone must keep growth inside
+    # the block, with or without walls, and inside two blocks after a fuse
+    on_faces = 0
+    for d, seed in ((3, 1), (3, 2), (5, 3), (5, 4)):
+        lay = Layout(d, {i: (i // 2, i % 2) for i in range(4)})
+        g = apply_merge_schedule(DecodingGraph(lay, 3 * d),
+                                 random_merge_schedule(lay, 3, 0.6, seed))
+        plan = FusionPlan(g)
+        defects = EdgeTable(g).sample(0.05, derived_rng(seed)).defects
+        by_block = {}
+        for v in sorted(defects):
+            by_block.setdefault(g.block_of(v), []).append(v)
+        rng = random.Random(seed)
+        for walled in (False, True):
+            states = {}
+            for bid, blk in plan.blocks.items():
+                walls = tuple(f for f in blk.faces if walled and rng.random() < 0.5)
+                st = decode_block(g, blk, by_block.get(bid, ()), walls)
+                assert grown_edges_outside(g, st, {bid}) == []
+                on_faces += sum(1 for k, grown in st.growth.items()
+                                if grown and g.face_of(k) is not None)
+                states[bid] = st
+            face, (ba, bb) = next(
+                (f, pair) for f, pair in plan.fuse_order
+                if all(states[b].face_status[f] == "open" for b in pair))
+            st = fuse(states[ba], states[bb], face)
+            assert grown_edges_outside(g, st, {ba, bb}) == []
+    assert on_faces > 0
+
+
 def test_fuse_errors():
     g = build_patch_graph(3, 6)
     blocks = blocks_by_id(g)
@@ -206,8 +252,3 @@ def test_fuse_errors():
     s2 = decode_block(g2, blocks_by_id(g2)[(0, 1)], [])
     with pytest.raises(ValueError):
         fuse(sa, s2, ("t", 0, 1))
-    glob = decode_region(g, [])
-    glob.face_status[("t", 0, 1)] = "open"
-    sb2 = decode_block(g, blocks[(0, 1)], [])
-    with pytest.raises(ValueError):
-        fuse(glob, sb2, ("t", 0, 1))

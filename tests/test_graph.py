@@ -14,7 +14,6 @@ from surgedec.graph import (
     carve_blocks,
     face_edges,
     merge_patches,
-    split_patches,
     unpack_vid,
 )
 
@@ -159,7 +158,7 @@ def test_merge_split_round_trip():
     es = sorted(g.edges())
     merge_patches(g, seam, (5, 10))
     assert sorted(g.edges()) != es
-    split_patches(g, seam, 5)
+    g.split(seam, 5)
     assert sorted(g.vertices()) == vs
     assert sorted(g.edges()) == es
 
@@ -167,14 +166,14 @@ def test_merge_split_round_trip():
 def test_split_not_merged_error():
     lay, g = two_patch_graph(5, 10)
     with pytest.raises(ValueError):
-        split_patches(g, lay.seams[0], 5)
+        g.split(lay.seams[0], 5)
 
 
 def test_remerge_after_split_counts():
     lay, g = two_patch_graph(5, 15)
     seam = lay.seams[0]
     merge_patches(g, seam, (0, 5))
-    split_patches(g, seam, 3)
+    g.split(seam, 3)
     merge_patches(g, seam, (10, 15))
     seam_vertices = [v for v in g.vertices() if unpack_vid(v)[0] >= 2]
     assert len(seam_vertices) == (3 + 5) * 5
@@ -248,24 +247,22 @@ def test_carve_single_patch_two_epochs():
     blocks = carve_blocks(g)
     assert len(blocks) == 2
     b0, b1 = blocks
-    assert b0.faces["future"] == ("artificial", ("t", 0, 1))
-    assert b1.faces["past"] == ("artificial", ("t", 0, 1))
-    assert b0.faces["past"] == "real"
-    assert b1.faces["future"] == "real"
+    assert b0.faces == (("t", 0, 1),)
+    assert b1.faces == (("t", 0, 1),)
 
 
 def test_carve_merge_middle_epoch():
     lay, g = two_patch_graph(5, 15)
     seam = lay.seams[0]
     merge_patches(g, seam, (5, 10))
-    blocks = carve_blocks(g, lay)
+    blocks = carve_blocks(g)
     assert len(blocks) == 6
     by_id = {b.block_id: b for b in blocks}
-    assert by_id[(0, 1)].faces["e"] == ("artificial", ("s", 0, 1))
-    assert by_id[(1, 1)].faces["w"] == ("artificial", ("s", 0, 1))
-    for e in (0, 2):
-        assert by_id[(0, e)].faces["e"] == "real"
-        assert by_id[(1, e)].faces["w"] == "real"
+    assert by_id[(0, 1)].faces == (("s", 0, 1), ("t", 0, 1), ("t", 0, 2))
+    assert by_id[(1, 1)].faces == (("s", 0, 1), ("t", 1, 1), ("t", 1, 2))
+    for p in (0, 1):
+        assert by_id[(p, 0)].faces == (("t", p, 1),)
+        assert by_id[(p, 2)].faces == (("t", p, 2),)
 
 
 def test_carve_many_patches():
@@ -274,7 +271,7 @@ def test_carve_many_patches():
     g = DecodingGraph(lay, 3)
     blocks = carve_blocks(g)
     assert len(blocks) == 100
-    assert all(f == "real" for b in blocks for f in b.faces.values())
+    assert all(b.faces == () for b in blocks)
 
 
 def test_carve_errors():

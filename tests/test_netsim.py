@@ -163,7 +163,7 @@ def test_cond_merge_instruction_arrives_with_slack():
     g = merge_patches(g, lay.seams[0], (3 * d, 4 * d))  # the taken branch
     top = build_topology(2, 25, (1, 2))
     ins = [Instruction("cond_merge", patch=0, epoch=0, seam=lay.seams[0],
-                       merge_epoch=3, taken=True)]
+                       merge_epoch=3)]
     pipe = Pipeline(g)
     repl = Replayer(pipe, top, ZERO_COST, instructions=ins)
     tr = repl.trace(pipe.run(set()))

@@ -12,7 +12,8 @@ import pytest
 from surgedec.fusion import FusionPlan
 from surgedec.graph import (DecodingGraph, Layout, Seam, build_patch_graph,
                             merge_patches, pack_vid)
-from surgedec.noise import apply_merge_schedule, random_merge_schedule
+from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
+                            random_merge_schedule)
 from surgedec.uf import decode_region
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
@@ -168,16 +169,25 @@ def test_stall_surfaces_as_error():
 
 
 def test_pipeline_plan_and_global_valid_under_random_schedules():
+    cases = []
     lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
     for seed in (1, 2, 3, 4):
         g = apply_merge_schedule(DecodingGraph(lay, 9),
                                  random_merge_schedule(lay, 3, 0.5, seed))
-        pipe = Pipeline(g)
-        plan = FusionPlan(g)
         ekeys = list(g.edges())
         rng = random.Random(seed)
-        for _ in range(5):
-            defects = toggled_defects({k for k in ekeys if rng.random() < 0.03})
+        cases.append((g, [toggled_defects({k for k in ekeys if rng.random() < 0.03})
+                          for _ in range(5)]))
+    # a cluster that merges into one already peeled through an absorbed
+    # seam face must not sink through that face once it is a wall
+    pair = Layout(5, {0: (0, 0), 1: (0, 1)})
+    g = apply_merge_schedule(DecodingGraph(pair, 15),
+                             random_merge_schedule(pair, 3, 1.0, 4))
+    cases.append((g, [EdgeTable(g).sample(0.05, derived_rng(4, 0)).defects]))
+    for g, samples in cases:
+        pipe = Pipeline(g)
+        plan = FusionPlan(g)
+        for defects in samples:
             assert toggled_defects(pipe.run(sorted(defects)).correction) == defects
             assert toggled_defects(plan.decode(sorted(defects))) == defects
             assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects

@@ -40,15 +40,6 @@ def test_round_trip_random_words():
         assert decode_message(encode_message(msg)) == msg
 
 
-def test_extended_format_round_trip():
-    msg = Message(dest=300, header=0x42, payload=(1 << 40) - 1)
-    word = encode_message(msg, extended=True)
-    assert word >> 48 == 300
-    assert decode_message(word, extended=True) == msg
-    with pytest.raises(ValueError):
-        encode_message(msg, extended=False)
-
-
 def test_out_of_range_fields_rejected():
     with pytest.raises(ValueError):
         encode_message(Message(256, 0, 0))
