@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # virtual endpoints of boundary edges
 WEST = -1
 EAST = -2
@@ -162,6 +164,8 @@ class DecodingGraph:
         # seam -> sorted disjoint merge intervals [start, stop)
         self._merged: dict[Seam, list[list[int]]] = {s: [] for s in layout.seams}
         self._adj: dict[int, tuple] = {}
+        # face id -> [edge tuple, edge -> position map or None until read]
+        self._faces: dict[tuple, list] = {}
 
     # --- seam state ---------------------------------------------------
 
@@ -199,6 +203,7 @@ class DecodingGraph:
                 out.append(iv)
         self._merged[s] = out
         self._evict_near(s, max(0, start - 1), stop)
+        self._faces.clear()
 
     def split(self, s: Seam, rnd: int) -> None:
         if s not in self._merged:
@@ -215,6 +220,7 @@ class DecodingGraph:
                 kept.append([a, rnd])
         self._merged[s] = kept
         self._evict_near(s, max(0, rnd - 1), self.rounds)
+        self._faces.clear()
 
     def _evict_near(self, s: Seam, lo: int, hi: int) -> None:
         """Drop cached adjacency of vertices whose edges a merge/split changes."""
@@ -413,6 +419,23 @@ class DecodingGraph:
                 return s.patch_b
         return None
 
+    def cut_patches(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """cut_patch over arrays of edge endpoints, -1 where it gives None."""
+        lay = self.layout
+        cut = np.full(len(u), -1, dtype=np.int64)
+        west = np.flatnonzero(v == WEST)
+        cut[west] = u[west] >> _PATCH_SHIFT
+        # an edge from a col-0 patch vertex into an ew seam crosses the cut
+        # of the seam's east patch, which the merge moved onto the seam
+        seam_base = lay.n_patches << _PATCH_SHIFT
+        into = np.flatnonzero(v >= seam_base)
+        cu = u[into]
+        into = into[(cu < seam_base) & ((cu & 0xFF) == 0)]
+        east_of = np.array([s.patch_b if s.orient == "ew" else -1 for s in lay.seams],
+                           dtype=np.int64)
+        cut[into] = east_of[(v[into] >> _PATCH_SHIFT) - lay.n_patches]
+        return cut
+
     def face_of(self, ekey: tuple[int, int]):
         u, v = ekey
         if v < 0:
@@ -428,11 +451,6 @@ class DecodingGraph:
         if p >= self.layout.n_patches:
             p = self.layout.seams[p - self.layout.n_patches].patch_a
         return (p, rnd // self.d)
-
-
-def build_patch_graph(d: int, rounds: int) -> DecodingGraph:
-    """Decoding graph of a single isolated patch."""
-    return DecodingGraph(Layout(d, {0: (0, 0)}), rounds)
 
 
 def merge_patches(graph: DecodingGraph, seam: Seam, round_range: tuple[int, int]) -> DecodingGraph:
@@ -473,8 +491,32 @@ def carve_blocks(graph: DecodingGraph) -> list[DecodingBlock]:
     return blocks
 
 
-def face_edges(graph: DecodingGraph, face_id: tuple) -> list:
-    """Edge keys of a shared face, deterministic order."""
+def face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
+    """Edge keys of a shared face, deterministic order.
+
+    The table is built once per graph and face, dropped when a merge or
+    split changes the graph, and returned as the same tuple on every call.
+    A temporal face outside the graph raises ValueError.
+    """
+    return _face_entry(graph, face_id)[0]
+
+
+def face_index(graph: DecodingGraph, face_id: tuple) -> dict:
+    """Edge key -> position in face_edges(graph, face_id), built once."""
+    entry = _face_entry(graph, face_id)
+    if entry[1] is None:
+        entry[1] = {ek: i for i, ek in enumerate(entry[0])}
+    return entry[1]
+
+
+def _face_entry(graph: DecodingGraph, face_id: tuple) -> list:
+    entry = graph._faces.get(face_id)
+    if entry is None:
+        entry = graph._faces[face_id] = [_build_face_edges(graph, face_id), None]
+    return entry
+
+
+def _build_face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
     lay = graph.layout
     d = graph.d
     out = []
@@ -510,4 +552,4 @@ def face_edges(graph: DecodingGraph, face_id: tuple) -> list:
                     out.append(
                         (pack_vid(spid, rnd - 1, row, _SEAM_COL), pack_vid(spid, rnd, row, _SEAM_COL))
                     )
-    return out
+    return tuple(out)

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import wire
-from .graph import DecodingGraph, face_edges
+from .graph import DecodingGraph, face_index
 from .noise import EdgeTable, derived_rng
 from .topology import Topology, tree_path
 from .uf import cut_parities
@@ -168,13 +168,6 @@ class Replayer:
         self.units = units
         self.slot_ns = pipe.graph.d * latency.t_round_ns
 
-        # wire index of every edge of each face a commit sends across
-        self._face_index = {}
-        for sends in pipe.sends.values():
-            for f, _ in sends:
-                edges = face_edges(pipe.graph, f)
-                self._face_index[f] = {ek: i for i, ek in enumerate(edges)}
-
         self._depth_of = {n: topology.depth(n) for n in topology.children}
         self._hops = {}
 
@@ -208,7 +201,7 @@ class Replayer:
         return got
 
     def _message_count(self, info) -> int:
-        index = self._face_index[info.face]
+        index = face_index(self.pipe.graph, info.face)
         vals = sorted(index[ek] for ek in info.committed_crossings)
         return len(wire.pack_boundary_indices(vals))
 

@@ -10,6 +10,7 @@ a patch is the flip parity across its west cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,26 +38,19 @@ class EdgeTable:
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
+        # the walk also fills the graph's adjacency cache in vertex order,
+        # which the decodes that follow read
         self.ekeys = list(graph.edges())
-        vids = sorted(graph.vertices())
-        self._vid_arr = np.asarray(vids, dtype=np.int64)
-        index = {v: i for i, v in enumerate(vids)}
-        n = len(vids)
-        self._n = n
-        u_idx = np.empty(len(self.ekeys), dtype=np.int64)
-        v_idx = np.empty(len(self.ekeys), dtype=np.int64)
-        cut = np.full(len(self.ekeys), -1, dtype=np.int64)
-        for i, ek in enumerate(self.ekeys):
-            u, v = ek
-            u_idx[i] = index[u]
-            v_idx[i] = index.get(v, n) if v >= 0 else n
-            cp = graph.cut_patch(ek)
-            if cp is not None:
-                cut[i] = cp
-        self._u = u_idx
-        self._v = v_idx
-        self._cut = cut
-        self.n_edges = len(self.ekeys)
+        m = self.n_edges = len(self.ekeys)
+        ends = np.fromiter(chain.from_iterable(self.ekeys), dtype=np.int64, count=2 * m)
+        u, v = ends[0::2], ends[1::2]
+        self._vid_arr = np.sort(np.fromiter(graph.vertices(), dtype=np.int64))
+        n = self._n = len(self._vid_arr)
+        self._u = np.searchsorted(self._vid_arr, u)
+        self._v = np.searchsorted(self._vid_arr, v)
+        # boundary endpoints (WEST/EAST) map to the extra slot n
+        self._v[v < 0] = n
+        self._cut = graph.cut_patches(u, v)
 
     def sample_flips(self, p: float, rng: np.random.Generator) -> np.ndarray:
         return np.flatnonzero(rng.random(self.n_edges) < p)

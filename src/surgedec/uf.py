@@ -17,7 +17,7 @@ A face absent from the map is an ordinary interior interface.
 
 from __future__ import annotations
 
-from .graph import DecodingGraph, face_edges
+from .graph import DecodingGraph, face_index
 
 
 class UfState:
@@ -274,14 +274,14 @@ class UfState:
         self.settle()
         emitted = self.peel_resolved()
         self.face_status[face] = 'wall'
-        fset = set(face_edges(self.graph, face))
+        on_face = face_index(self.graph, face)
         for root, (_, ekey) in list(self.bnd.items()):
-            if ekey in fset:
+            if ekey in on_face:
                 if root in self.real:
                     self.bnd[root] = self.real[root]
                 else:
                     del self.bnd[root]
-        return {k for k in emitted if k in fset}
+        return {k for k in emitted if k in on_face}
 
 
 def region_vids(graph: DecodingGraph) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DecodingGraph, face_edges
+from .graph import DecodingGraph, face_edges, face_index
 
 OP_BOUNDARY = 0x3
 OP_RESULT = 0x4
@@ -92,10 +92,9 @@ def encode_boundary_info(info, graph: DecodingGraph, dest: int) -> list:
     Edges are named by their position in the face's canonical edge list,
     so both sides only need the shared graph to agree on the meaning.
     """
-    edges = face_edges(graph, info.face)
-    if len(edges) > (1 << 16):
+    index = face_index(graph, info.face)
+    if len(index) > (1 << 16):
         raise ValueError(f"face {info.face} has too many edges to index")
-    index = {ek: i for i, ek in enumerate(edges)}
     try:
         vals = sorted(index[ek] for ek in info.committed_crossings)
     except KeyError:

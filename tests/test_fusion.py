@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from surgedec.graph import (DecodingGraph, Layout, Seam, build_patch_graph,
+from surgedec.graph import (DecodingGraph, Layout, Seam,
                             carve_blocks, merge_patches, pack_vid)
 from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
@@ -27,7 +27,7 @@ def blocks_by_id(graph):
 
 
 def test_temporal_pair_resolved_by_fusion():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blocks = blocks_by_id(g)
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
@@ -40,7 +40,7 @@ def test_temporal_pair_resolved_by_fusion():
 
 
 def test_fusion_leaves_settled_clusters_alone():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blocks = blocks_by_id(g)
     va = pack_vid(0, 0, 2, 0)
     vb = pack_vid(0, 9, 2, 0)
@@ -89,7 +89,7 @@ def test_plan_decode_valid_on_grid():
 
 
 def test_plan_matches_global_weight_often():
-    g = build_patch_graph(3, 6)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
     plan = FusionPlan(g)
     ekeys = list(g.edges())
     rng = random.Random(5150)
@@ -109,7 +109,7 @@ def test_plan_matches_global_weight_often():
 
 
 def test_fuse_order_does_not_break_validity():
-    g = build_patch_graph(3, 9)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 9)
     blocks = blocks_by_id(g)
     ekeys = list(g.edges())
     rng = random.Random(88)
@@ -242,13 +242,13 @@ def test_faces_bound_block_growth():
 
 
 def test_fuse_errors():
-    g = build_patch_graph(3, 6)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
     blocks = blocks_by_id(g)
     sa = decode_block(g, blocks[(0, 0)], [])
     sb = decode_block(g, blocks[(0, 1)], [])
     with pytest.raises(ValueError):
         fuse(sa, sb, ("t", 0, 9))
-    g2 = build_patch_graph(3, 6)
+    g2 = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
     s2 = decode_block(g2, blocks_by_id(g2)[(0, 1)], [])
     with pytest.raises(ValueError):
         fuse(sa, s2, ("t", 0, 1))

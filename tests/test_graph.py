@@ -10,9 +10,9 @@ from surgedec.graph import (
     DecodingGraph,
     Layout,
     Seam,
-    build_patch_graph,
     carve_blocks,
     face_edges,
+    face_index,
     merge_patches,
     unpack_vid,
 )
@@ -75,7 +75,7 @@ def kind_counts(graph, rnd=None):
 
 
 def test_patch_counts_d5():
-    g = build_patch_graph(5, 5)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     assert len(list(g.vertices())) == 100
     assert g.n_vertices() == 100
     for r in range(5):
@@ -87,14 +87,14 @@ def test_patch_counts_d5():
 
 
 def test_patch_counts_d3_single_round():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     assert g.n_vertices() == 6
     c = kind_counts(g)
     assert c == {"space-h": 3, "boundary": 6, "space-v": 4}
 
 
 def test_patch_edges_match_reference():
-    g = build_patch_graph(5, 3)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 3)
     got = {desc(g, e) for e in g.edges()}
     assert got == ref_single_patch(5, 3)
 
@@ -102,7 +102,7 @@ def test_patch_edges_match_reference():
 @pytest.mark.parametrize("d,rounds", [(4, 5), (2, 5), (1, 5), (5, 0), (5, -1)])
 def test_graph_param_errors(d, rounds):
     with pytest.raises(ValueError):
-        build_patch_graph(d, rounds)
+        DecodingGraph(Layout(d, {0: (0, 0)}), rounds)
 
 
 def two_patch_graph(d, rounds):
@@ -243,7 +243,7 @@ def test_deterministic_enumeration():
 
 
 def test_carve_single_patch_two_epochs():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blocks = carve_blocks(g)
     assert len(blocks) == 2
     b0, b1 = blocks
@@ -275,7 +275,7 @@ def test_carve_many_patches():
 
 
 def test_carve_errors():
-    g = build_patch_graph(3, 4)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 4)
     with pytest.raises(ValueError):
         carve_blocks(g)
     lay, g2 = two_patch_graph(3, 6)
@@ -307,6 +307,50 @@ def test_face_edges_consistency():
     assert sorted(tagged_s) == sorted(face_edges(g, sface))
     tagged_t = [e for e in g.edges() if g.face_of(e) == tface]
     assert sorted(tagged_t) == sorted(face_edges(g, tface))
+
+
+def all_faces(g):
+    """Every seam face and every in-range temporal face id of a graph."""
+    epochs = g.rounds // g.d
+    seams = [("s", si, e) for si in range(len(g.layout.seams)) for e in range(epochs)]
+    times = [("t", p, e) for p in range(g.layout.n_patches) for e in range(1, epochs)]
+    return seams + times
+
+
+def test_face_tables_follow_merge_and_split():
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    ew, ns = Seam(0, 1, "ew"), Seam(0, 2, "ns")
+    g = DecodingGraph(lay, 12)
+    steps = [
+        lambda: g.merge(ew, 0, 6),   # ('t', 0, 1) gains seam time edges
+        lambda: g.merge(ew, 6, 9),   # coalesces; ('t', 0, 2) gains them too
+        lambda: g.split(ew, 6),      # ('t', 0, 2) loses them again
+        lambda: g.merge(ns, 4, 11),  # not epoch aligned: partial seam faces
+        lambda: g.split(ns, 8),
+    ]
+    for step in [lambda: None, *steps]:
+        # read every face first, so a table left stale by the step shows
+        for f in all_faces(g):
+            face_edges(g, f)
+        step()
+        fresh = DecodingGraph(lay, 12)
+        for s in lay.seams:
+            for a, b in g.merge_intervals(s):
+                fresh.merge(s, a, b)
+        for f in all_faces(g):
+            edges = face_edges(g, f)
+            assert edges == face_edges(fresh, f)
+            assert type(edges) is tuple and face_edges(g, f) is edges
+            assert face_index(g, f) == {ek: i for i, ek in enumerate(edges)}
+            assert face_index(g, f) is face_index(g, f)
+    # ew merged over rounds 2-3, ns over rounds 5-6
+    assert len(face_edges(g, ("t", 0, 1))) == 6 + 3
+    assert len(face_edges(g, ("t", 0, 2))) == 6 + 2
+    # a temporal face outside the graph raises on every call
+    for f in [("t", 0, 0), ("t", 0, 4)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                face_edges(g, f)
 
 
 def test_cut_patch_membership():

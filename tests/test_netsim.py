@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import surgedec.graph as graph_mod
 from surgedec.graph import DecodingGraph, Layout, merge_patches
 from surgedec.netsim import (
     Instruction,
@@ -193,3 +194,22 @@ def test_tiled_placement_keeps_neighbours_on_adjacent_nodes():
         na, nb = node_of[a], node_of[b]
         assert na == nb or frozenset({na, nb}) in top.grid_links
     assert len(set(node_of.values())) == 4
+
+
+def test_repeat_runs_build_no_face_table(monkeypatch):
+    g = grid_graph()
+    pipe = Pipeline(g)
+    rep = Replayer(pipe, build_topology(4, 25, (2, 2)), LatencyModel())
+    table = EdgeTable(g)
+    built = []
+    build = graph_mod._build_face_edges
+    monkeypatch.setattr(graph_mod, "_build_face_edges",
+                        lambda graph, face: built.append(face) or build(graph, face))
+    counts = []
+    for trial in range(2):
+        sample = table.sample(0.02, derived_rng(5, trial))
+        rep.trace(pipe.run(sample.defects))
+        counts.append(len(built))
+    # the first run builds each face it fuses or commits once, the second none
+    assert counts[0] == len(set(built)) > 0
+    assert counts[1] == counts[0]

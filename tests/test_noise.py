@@ -6,7 +6,6 @@ from surgedec.graph import (
     DecodingGraph,
     Layout,
     Seam,
-    build_patch_graph,
     merge_patches,
     unpack_vid,
 )
@@ -30,7 +29,7 @@ def brute_defects(edges):
 
 
 def test_p0_empty():
-    g = build_patch_graph(5, 5)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     s = EdgeTable(g).sample(0.0, derived_rng(1))
     assert s.flipped_edges == set()
     assert s.defects == set()
@@ -38,7 +37,7 @@ def test_p0_empty():
 
 
 def test_p1_single_round_d3():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     s = EdgeTable(g).sample(1.0, derived_rng(1))
     all_edges = set(g.edges())
     assert len(all_edges) == 13
@@ -49,7 +48,7 @@ def test_p1_single_round_d3():
 
 
 def test_defect_density_matches_analytic():
-    g = build_patch_graph(5, 5)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     p = 0.03
     # exact expected defect count: odd-flip probability per vertex degree
     expect = sum((1 - (1 - 2 * p) ** len(g.neighbors(v))) / 2 for v in g.vertices())
@@ -64,7 +63,7 @@ def test_defect_density_matches_analytic():
 
 
 def test_reproducible_given_seed():
-    g = build_patch_graph(3, 3)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 3)
     a = EdgeTable(g).sample(0.1, derived_rng(7))
     b = EdgeTable(g).sample(0.1, derived_rng(7))
     assert a.flipped_edges == b.flipped_edges
@@ -106,7 +105,7 @@ def test_edge_slices_partition_graph():
 
 
 def test_noise_params_validation():
-    table = EdgeTable(build_patch_graph(3, 1))
+    table = EdgeTable(DecodingGraph(Layout(3, {0: (0, 0)}), 1))
     for p in (1.5, -0.2):
         with pytest.raises(ValueError):
             table.sample(p, derived_rng(1))
@@ -155,3 +154,31 @@ def test_apply_schedule_merges_epochs():
     apply_merge_schedule(g, [frozenset({s01}), frozenset(), frozenset({s01, s12})])
     assert g.merge_intervals(s01) == [(0, 3), (6, 9)]
     assert g.merge_intervals(s12) == [(6, 9)]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_edge_table_matches_per_edge_reference(d):
+    # the per-edge loop the vectorised table replaced
+    lay = grid_layout(3, 3, d)
+    g = apply_merge_schedule(DecodingGraph(lay, 4 * d),
+                             random_merge_schedule(lay, 4, 0.5, seed=d))
+    table = EdgeTable(g)
+    index = {v: i for i, v in enumerate(sorted(g.vertices()))}
+    n = len(index)
+    ref_u, ref_v, ref_cut = [], [], []
+    for ekey in g.edges():
+        u, v = ekey
+        ref_u.append(index[u])
+        ref_v.append(index[v] if v >= 0 else n)
+        cp = g.cut_patch(ekey)
+        ref_cut.append(-1 if cp is None else cp)
+    assert table.ekeys == list(g.edges())
+    assert table._vid_arr.tolist() == sorted(index)
+    assert table._u.tolist() == ref_u
+    assert table._v.tolist() == ref_v
+    assert table._cut.tolist() == ref_cut
+    # both seam orientations were merged, and some seam edge cuts a patch
+    kinds = {s.orient for s in lay.seams if g.merge_intervals(s)}
+    assert kinds == {"ew", "ns"}
+    assert any(c >= 0 and g.kind_of(ek) == "seam-space"
+               for c, ek in zip(ref_cut, table.ekeys))

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from surgedec.graph import build_patch_graph, carve_blocks, pack_vid
+from surgedec.graph import DecodingGraph, Layout, carve_blocks, pack_vid
 from surgedec.oracle import oracle_mwpm
 
 
@@ -35,12 +35,12 @@ def exhaustive_min_weight(graph, defects):
 
 
 def test_empty():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     assert oracle_mwpm(g, []) == (0, set())
 
 
 def test_single_defect_next_to_boundary():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     v = pack_vid(0, 0, 1, 0)
     w, corr = oracle_mwpm(g, [v])
     assert w == 1
@@ -48,7 +48,7 @@ def test_single_defect_next_to_boundary():
 
 
 def test_adjacent_pair():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     a = pack_vid(0, 0, 1, 0)
     b = pack_vid(0, 0, 1, 1)
     w, corr = oracle_mwpm(g, [a, b])
@@ -58,7 +58,7 @@ def test_adjacent_pair():
 
 
 def test_matches_exhaustive_search():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     ekeys = list(g.edges())
     rng = random.Random(1234)
     for _ in range(40):
@@ -73,7 +73,7 @@ def test_matches_exhaustive_search():
 
 
 def test_correction_valid_on_deep_graph():
-    g = build_patch_graph(5, 5)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     ekeys = list(g.edges())
     rng = random.Random(99)
     checked = 0
@@ -89,7 +89,7 @@ def test_correction_valid_on_deep_graph():
 
 
 def test_region_wall_vs_absorb():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     carve_blocks(g)
     v = pack_vid(0, 4, 2, 1)
     # walled at the epoch boundary: must run to the spatial boundary
@@ -105,7 +105,7 @@ def test_region_wall_vs_absorb():
 
 
 def test_limits():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     vs = [pack_vid(0, 0, r, c) for r in range(3) for c in range(2)]
     with pytest.raises(ValueError):
         oracle_mwpm(g, vs, max_defects=4)

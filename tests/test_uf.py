@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from surgedec.graph import (EAST, WEST, DecodingGraph, Layout, build_patch_graph,
+from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
                             carve_blocks, face_edges, merge_patches, pack_vid)
 from surgedec.oracle import oracle_mwpm
 from surgedec.uf import UfState, cut_parities, decode_block, decode_region
@@ -24,7 +24,7 @@ def toggled_defects(edges):
 
 
 def test_adjacent_pair_gives_single_edge():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     a = pack_vid(0, 0, 1, 0)
     b = pack_vid(0, 0, 1, 1)
     st = decode_region(g, [a, b])
@@ -33,14 +33,14 @@ def test_adjacent_pair_gives_single_edge():
 
 
 def test_boundary_defect_gives_boundary_edge():
-    g = build_patch_graph(3, 1)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     v = pack_vid(0, 0, 1, 0)
     st = decode_region(g, [v])
     assert st.correction == {(v, WEST)}
 
 
 def test_time_pair_gives_time_edge():
-    g = build_patch_graph(3, 2)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 2)
     a = pack_vid(0, 0, 1, 0)
     b = pack_vid(0, 1, 1, 0)
     st = decode_region(g, [a, b])
@@ -48,7 +48,7 @@ def test_time_pair_gives_time_edge():
 
 
 def test_isolated_defect_growth_shape():
-    g = build_patch_graph(5, 3)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 3)
     v = pack_vid(0, 1, 2, 1)
     st = UfState(g, [v])
     st.grow_round()
@@ -62,7 +62,7 @@ def test_isolated_defect_growth_shape():
 
 
 def test_validity_on_random_errors():
-    g = build_patch_graph(5, 5)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     ekeys = list(g.edges())
     rng = random.Random(4242)
     for _ in range(40):
@@ -75,7 +75,7 @@ def test_validity_on_random_errors():
 
 
 def test_weight_never_beats_oracle():
-    g = build_patch_graph(3, 3)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 3)
     ekeys = list(g.edges())
     rng = random.Random(7)
     done = 0
@@ -92,7 +92,7 @@ def test_weight_never_beats_oracle():
 
 
 def test_block_decode_suspends_at_future_face():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
@@ -108,7 +108,7 @@ def test_block_decode_suspends_at_future_face():
 
 
 def test_absorb_face_drains_suspended_cluster():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
@@ -143,14 +143,14 @@ def test_wall_face_is_never_grown_or_suspended_on():
 
 
 def test_defect_outside_region_rejected():
-    g = build_patch_graph(5, 10)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
     with pytest.raises(ValueError):
         decode_block(g, blk, [pack_vid(0, 7, 0, 0)])
 
 
 def test_repeat_decode_is_deterministic():
-    g = build_patch_graph(5, 5)
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     ekeys = list(g.edges())
     rng = random.Random(11)
     flipped = {k for k in ekeys if rng.random() < 0.05}
@@ -161,7 +161,7 @@ def test_repeat_decode_is_deterministic():
 
 
 def test_cut_parities():
-    g = build_patch_graph(3, 2)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 2)
     v = pack_vid(0, 0, 1, 0)
     u = pack_vid(0, 0, 1, 1)
     t = pack_vid(0, 1, 1, 1)

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from surgedec.fusion import FusionPlan
-from surgedec.graph import (DecodingGraph, Layout, Seam, build_patch_graph,
+from surgedec.graph import (DecodingGraph, Layout, Seam,
                             merge_patches, pack_vid)
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
@@ -63,7 +63,7 @@ def test_assign_groups_row_and_grid():
 
 
 def test_single_patch_pipeline_matches_fusion_plan():
-    g = build_patch_graph(3, 9)
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 9)
     plan = FusionPlan(g)
     pipe = Pipeline(g)
     ekeys = list(g.edges())
