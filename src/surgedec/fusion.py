@@ -32,8 +32,6 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
         a.size.update(b.size)
         a.parity.update(b.parity)
         a.bnd.update(b.bnd)
-        a.real.update(b.real)
-        a.art.update(b.art)
         a.contacts.update(b.contacts)
         a.frontier.update(b.frontier)
         a.grown_adj.update(b.grown_adj)
@@ -55,7 +53,7 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
             adj.setdefault(u, []).append((w, ekey))
             adj.setdefault(w, []).append((u, ekey))
             a._union(u, w)
-    a.release_face(face, absorb=False)
+    a.release_face(face)
     a.settle()
     a.peel_resolved()
     return a

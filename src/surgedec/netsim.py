@@ -30,9 +30,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import wire
-from .graph import DecodingGraph, face_index
+from .graph import DecodingGraph
 from .noise import EdgeTable, derived_rng
-from .topology import Topology, tree_path
+from .topology import Topology, route
 from .uf import cut_parities
 from .windows import Pipeline
 
@@ -181,6 +181,17 @@ class Replayer:
             else:
                 raise ValueError(f"unknown instruction op {ins.op!r}")
 
+        leaves = set(topology.leaves)
+        for u in units:
+            if u not in self.node_of:
+                raise ValueError(f"unit {u} has no node in node_of")
+            if self.node_of[u] not in leaves:
+                raise ValueError(f"unit {u} is placed on {self.node_of[u]}, not a leaf")
+        for ns in self._meas.values():
+            for n in ns:
+                if n not in topology.children:
+                    raise ValueError(f"forward node {n} is not in the topology")
+
         dests = [*self.node_of.values(), *(n for ns in self._meas.values() for n in ns)]
         bad = sorted({n for n in dests if not wire.dest_fits(n)})
         if bad:
@@ -190,20 +201,9 @@ class Replayer:
         key = (src_unit, dst_unit)
         got = self._hops.get(key)
         if got is None:
-            a, b = self.node_of[src_unit], self.node_of[dst_unit]
-            if a == b:
-                got = 0
-            elif frozenset({a, b}) in self.top.grid_links:
-                got = 1
-            else:
-                got = len(tree_path(self.top, a, b))
-            self._hops[key] = got
+            msg = wire.Message(self.node_of[dst_unit], wire.boundary_header(0), 0)
+            got = self._hops[key] = len(route(self.top, msg, self.node_of[src_unit]))
         return got
-
-    def _message_count(self, info) -> int:
-        index = face_index(self.pipe.graph, info.face)
-        vals = sorted(index[ek] for ek in info.committed_crossings)
-        return len(wire.pack_boundary_indices(vals))
 
     def trace(self, result) -> TraceResult:
         """Time every slot of the run in the pipeline's cascade order.
@@ -261,8 +261,9 @@ class Replayer:
                 commit_ns[(u, e_com)] = done
                 sends = send_map.get((u, e_com), ())
                 for dst, info in sends:
+                    words = wire.encode_boundary_info(info, pipe.graph, self.node_of[dst])
                     arrival[info.face] = (done + self._hop_count(u, dst) * link
-                                          + (self._message_count(info) - 1) * lat.t_cycle_ns)
+                                          + (len(words) - 1) * lat.t_cycle_ns)
                 at_root = done + depth_of[self.node_of[u]] * link
                 forwards = self._meas.get((u, e_com), ())
                 if forwards:

@@ -8,6 +8,13 @@ committed.  Peeling a spanning forest of the grown edges turns resolved
 clusters into correction edges; defects are consumed on peel, so repeated
 peel passes over a long-lived state stay consistent under XOR accounting.
 
+A cluster's entry in the boundary map (bnd) is its contact with the real
+boundary; its entry in the suspension map (contacts) holds its contact on
+each open face it reached.  Committing a face drains the clusters suspended
+on it: each is peeled through its contact on that face, which never enters
+bnd, so a later merge cannot sink through a crossing that was never
+committed.
+
 Face statuses understood by a state:
   'open':  shared face whose far side is not decoded yet; clusters
            reaching it suspend.
@@ -35,10 +42,8 @@ class UfState:
         self.parent = {}
         self.size = {}
         self.parity = {}
-        self.bnd = {}        # root -> min (vertex, edge key) absorbing contact
-        self.real = {}       # root -> min (vertex, edge key) real-boundary contact
-        self.art = {}        # root -> set of open faces the cluster reached
-        self.contacts = {}   # root -> {face: min (vertex, edge key)}
+        self.bnd = {}        # root -> min (vertex, edge key) real-boundary contact
+        self.contacts = {}   # root -> {open face: min (vertex, edge key)}, never empty
         self.frontier = {}   # root -> set of vertices with ungrown edges
         self.growth = {}     # edge key -> 0..2 (absent means 0)
         self.grown_adj = {}  # vertex -> [(other, edge key)] fully grown internal
@@ -61,7 +66,7 @@ class UfState:
         return v
 
     def _alive(self, root: int) -> bool:
-        return bool(self.parity[root]) and root not in self.bnd and root not in self.art
+        return bool(self.parity[root]) and root not in self.bnd and root not in self.contacts
 
     def _union(self, a: int, b: int) -> int:
         ra, rb = self._find(a), self._find(b)
@@ -73,14 +78,10 @@ class UfState:
         self.parent[rb] = ra
         self.size[ra] += self.size.pop(rb)
         self.parity[ra] ^= self.parity.pop(rb)
-        for contact in (self.bnd, self.real):
-            cb = contact.pop(rb, None)
-            if cb is not None:
-                ca = contact.get(ra)
-                contact[ra] = cb if ca is None or cb < ca else ca
-        ab = self.art.pop(rb, None)
-        if ab:
-            self.art.setdefault(ra, set()).update(ab)
+        cb = self.bnd.pop(rb, None)
+        if cb is not None:
+            ca = self.bnd.get(ra)
+            self.bnd[ra] = cb if ca is None or cb < ca else ca
         kb = self.contacts.pop(rb, None)
         if kb:
             ka = self.contacts.setdefault(ra, {})
@@ -109,7 +110,6 @@ class UfState:
 
     def _suspend(self, v: int, ekey, face):
         root = self._find(v)
-        self.art.setdefault(root, set()).add(face)
         cm = self.contacts.setdefault(root, {})
         c = (v, ekey)
         if face not in cm or c < cm[face]:
@@ -129,31 +129,24 @@ class UfState:
             drop = []
             for v in fr:
                 pending = 0
+                # boundary entries never carry a face
                 for ekey, other, face in graph.neighbors(v):
-                    if other >= 0:
-                        if face is not None:
-                            st = fs.get(face)
-                            if st is not None:
-                                if st == 'wall':
-                                    continue
-                                g = growth.get(ekey, 0)
-                                if g >= 2:
-                                    continue
-                                growth[ekey] = g + 1
-                                # suspend on first touch: growing any further
-                                # here would outrun the undecoded far side
-                                full.append((ekey, v, other, face))
-                                if not g:
-                                    pending += 1
-                                continue
+                    if face is not None:
+                        status = fs.get(face)
+                        if status == 'wall':
+                            continue
+                        if status is None:
+                            face = None
                     g = growth.get(ekey, 0)
                     if g >= 2:
                         continue
                     growth[ekey] = g + 1
-                    if g:
-                        full.append((ekey, v, other, None))
-                    else:
+                    if not g:
                         pending += 1
+                    # an open face suspends on first touch: growing any
+                    # further would outrun the undecoded far side
+                    if g or face is not None:
+                        full.append((ekey, v, other, face))
                 if not pending:
                     drop.append(v)
             fr.difference_update(drop)
@@ -162,15 +155,14 @@ class UfState:
         for ekey, v, other, face in full:
             if face is not None:
                 self._suspend(v, ekey, face)
-                if other >= 0 and other in self.parent:
+                if other in self.parent:
                     self._suspend(other, ekey, face)
             elif other < 0:
                 root = self._find(v)
                 c = (v, ekey)
-                for contact in (self.bnd, self.real):
-                    cur = contact.get(root)
-                    if cur is None or c < cur:
-                        contact[root] = c
+                cur = self.bnd.get(root)
+                if cur is None or c < cur:
+                    self.bnd[root] = c
                 self.live.discard(root)
             else:
                 self._adopt(other)
@@ -185,9 +177,11 @@ class UfState:
             rounds += 1
         return rounds
 
-    def _peel(self, root: int, defs: set) -> set:
-        """Peel one resolved cluster; returns the emitted edge set."""
-        contact = self.bnd.get(root)
+    def _peel(self, root: int, defs: set, contact) -> set:
+        """Peel one resolved cluster through contact; returns the emitted edges.
+
+        contact is a (vertex, edge key) sink, or None for an even cluster.
+        """
         if contact is None:
             if self.parity[root]:
                 raise ValueError("odd cluster has no absorbing contact")
@@ -220,67 +214,65 @@ class UfState:
         self.correction ^= emitted
         return emitted
 
-    def peel_resolved(self) -> set:
-        """Peel every cluster that is even or touches an absorbing boundary.
-
-        Odd clusters suspended on open faces keep their defects for later.
-        Returns the union of edges emitted by this pass.
-        """
+    def _defects_by_root(self) -> dict:
         by_root = {}
         for v in self.defects:
             by_root.setdefault(self._find(v), set()).add(v)
-        out = set()
-        for root in sorted(by_root):
-            if self.parity[root] and root not in self.bnd:
-                continue
-            out |= self._peel(root, by_root[root])
+        return by_root
+
+    def peel_resolved(self):
+        """Peel every cluster that is even or touches the real boundary.
+
+        Odd clusters suspended on open faces keep their defects for later.
+        """
+        for root, defs in sorted(self._defects_by_root().items()):
+            if not self.parity[root] or root in self.bnd:
+                self._peel(root, defs, self.bnd.get(root))
+
+    def _drop_face(self, face) -> dict:
+        """Remove face from every cluster's contacts; returns root -> contact."""
+        out = {}
+        contacts = self.contacts
+        for root, cm in list(contacts.items()):
+            c = cm.pop(face, None)
+            if c is not None:
+                out[root] = c
+                if not cm:
+                    del contacts[root]
         return out
 
-    def release_face(self, face, absorb: bool):
+    def release_face(self, face):
         """Wake the clusters suspended on a face.
 
-        With absorb, each cluster's recorded contact edge on the face
-        becomes its absorbing boundary contact.  A cluster whose last
-        suspending face this was rejoins live if it is still alive.
+        A cluster whose last suspending face this was rejoins live if it is
+        still alive.
         """
-        for root, faces in list(self.art.items()):
-            if face not in faces:
-                continue
-            c = self.contacts[root].pop(face)
-            if absorb:
-                cur = self.bnd.get(root)
-                if cur is None or c < cur:
-                    self.bnd[root] = c
-            faces.discard(face)
-            if not faces:
-                del self.art[root]
-                if not self.contacts[root]:
-                    del self.contacts[root]
-                if self._alive(root):
-                    self.live.add(root)
+        for root in self._drop_face(face):
+            if self._alive(root):
+                self.live.add(root)
 
     def absorb_face(self, face) -> set:
-        """Seal an open face as an absorbing sink and drain clusters into it.
+        """Seal an open face and drain the clusters suspended on it.
 
-        Suspended clusters touching the face are matched through their
-        recorded contact edge; the face becomes a wall afterwards, so no
-        cluster keeps a contact on it: a later merge would otherwise sink
-        through a crossing that was never committed.  Returns the emitted
-        edges that cross the face (the committed crossings).
+        The state must be settled and peeled, as decode_block and fuse
+        leave it; a state with live clusters raises ValueError.  Each
+        cluster suspended on the face with defects left is peeled through
+        its recorded contact edge there, and the face becomes a wall, so no
+        cluster keeps a contact on it.  Returns the emitted edges that cross
+        the face (the committed crossings).
         """
         if self.face_status.get(face) != 'open':
             raise ValueError(f"face {face} is not open")
-        self.release_face(face, absorb=True)
-        self.settle()
-        emitted = self.peel_resolved()
+        if self.live:
+            raise ValueError("absorb_face needs a settled state")
         self.face_status[face] = 'wall'
+        held = self._drop_face(face)
+        emitted = set()
+        if held:
+            for root, defs in self._defects_by_root().items():
+                if root in held:
+                    emitted |= self._peel(root, defs, held[root])
         on_face = face_index(self.graph, face)
-        for root, (_, ekey) in list(self.bnd.items()):
-            if ekey in on_face:
-                if root in self.real:
-                    self.bnd[root] = self.real[root]
-                else:
-                    del self.bnd[root]
         return {k for k in emitted if k in on_face}
 
 

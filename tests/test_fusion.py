@@ -12,14 +12,7 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import decode_block, decode_region
 
-
-def toggled_defects(edges):
-    cnt = {}
-    for a, b in edges:
-        cnt[a] = cnt.get(a, 0) + 1
-        if b >= 0:
-            cnt[b] = cnt.get(b, 0) + 1
-    return {v for v, c in cnt.items() if c % 2}
+from .helpers import toggled_defects
 
 
 def blocks_by_id(graph):
@@ -154,8 +147,13 @@ def test_intra_state_fuse_closes_loop():
     assert st.defects == set()
 
 
-def live_is_exact(st):
-    return st.live == {r for r in st.parity if st._alive(r)}
+def check_maps(st):
+    """live holds exactly the alive roots, bnd only real-boundary contacts,
+    and contacts only non-empty maps of open faces."""
+    assert st.live == {r for r in st.parity if st._alive(r)}
+    assert all(ekey[1] < 0 for _, ekey in st.bnd.values())
+    assert all(cm for cm in st.contacts.values())
+    assert all(st.face_status.get(f) == "open" for cm in st.contacts.values() for f in cm)
 
 
 def test_fuse_and_absorb_keep_live_exact():
@@ -179,7 +177,7 @@ def test_fuse_and_absorb_keep_live_exact():
         st = states[(1, 1)]
         for f in plan.blocks[(1, 1)].faces:
             st.absorb_face(f)
-            assert live_is_exact(st)
+            check_maps(st)
         assert st.defects == set()
         # fuse the rest along the plan's order
         states.pop((1, 1))
@@ -189,7 +187,7 @@ def test_fuse_and_absorb_keep_live_exact():
                 continue
             ra, rb = rep[ba], rep[bb]
             merged = fuse(states[ra], states[rb], face)
-            assert live_is_exact(merged)
+            check_maps(merged)
             if ra != rb:
                 rep = {k: ra if r == rb else r for k, r in rep.items()}
                 states[ra] = merged

@@ -103,6 +103,24 @@ def test_destinations_beyond_the_wire_are_rejected():
         Replayer(pipe, top, lat, instructions=far)
 
 
+def test_placements_the_network_cannot_host_are_rejected():
+    g = row_graph(2, epochs=1)
+    pipe = Pipeline(g)
+    top = build_topology(4, 25, (2, 2))
+    lat = LatencyModel()
+    with pytest.raises(ValueError, match="unit 1"):
+        Replayer(pipe, top, lat, node_of={0: top.leaves[0]})
+    with pytest.raises(ValueError, match="unit 0"):
+        Replayer(pipe, top, lat, node_of={0: top.root, 1: top.leaves[1]})
+    with pytest.raises(ValueError, match="unit 1"):
+        Replayer(pipe, top, lat, node_of={0: top.leaves[0], 1: 99})
+    stray = [Instruction("measure", patch=0, epoch=0, forward_node=99)]
+    with pytest.raises(ValueError, match="99"):
+        Replayer(pipe, top, lat, instructions=stray)
+    root = [Instruction("measure", patch=0, epoch=0, forward_node=top.root)]
+    assert Replayer(pipe, top, lat, instructions=root).trace(pipe.run(set())).rows
+
+
 def test_single_unit_latency_is_pure_decode_time():
     g = row_graph(1, epochs=3, merge_all=False)
     top = build_topology(2, 25, (1, 2))

@@ -17,15 +17,7 @@ from surgedec.noise import (
     raw_merge_draws,
 )
 
-
-def brute_defects(edges):
-    """Recount defects from an edge set by toggling endpoints."""
-    par = {}
-    for u, v in edges:
-        par[u] = par.get(u, 0) ^ 1
-        if v >= 0:
-            par[v] = par.get(v, 0) ^ 1
-    return {v for v, x in par.items() if x}
+from .helpers import toggled_defects
 
 
 def test_p0_empty():
@@ -42,7 +34,7 @@ def test_p1_single_round_d3():
     all_edges = set(g.edges())
     assert len(all_edges) == 13
     assert s.flipped_edges == all_edges
-    assert s.defects == brute_defects(all_edges)
+    assert s.defects == toggled_defects(all_edges)
     # d west-boundary flips -> odd cut parity for odd d
     assert s.true_logical == {0: 1}
 
@@ -78,7 +70,7 @@ def test_sample_self_consistent_and_parity():
     merge_patches(g, Seam(0, 2, "ns"), (3, 6))
     for seed in range(5):
         s = EdgeTable(g).sample(0.08, derived_rng(seed))
-        assert brute_defects(s.flipped_edges) == s.defects
+        assert toggled_defects(s.flipped_edges) == s.defects
         # components: 0-1 and 0-2 merged at some rounds -> {0,1,2} + {3}
         comp = {0: 0, 1: 0, 2: 0, 3: 1}
         defects = {0: 0, 1: 0}

@@ -13,14 +13,7 @@ import pytest
 from surgedec.graph import DecodingGraph, Layout, carve_blocks, pack_vid
 from surgedec.oracle import oracle_mwpm
 
-
-def toggled_defects(edges):
-    cnt = {}
-    for a, b in edges:
-        cnt[a] = cnt.get(a, 0) + 1
-        if b >= 0:
-            cnt[b] = cnt.get(b, 0) + 1
-    return {v for v, c in cnt.items() if c % 2}
+from .helpers import toggled_defects
 
 
 def exhaustive_min_weight(graph, defects):

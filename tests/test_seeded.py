@@ -1,0 +1,68 @@
+"""Seeded decodes stay bit-identical across refactors.
+
+Each case hashes a decoder's corrections and growth counts on a fixed
+seeded input and compares the hash with the value the decoders gave when
+it was recorded.  A refactor that changes any correction edge or any
+window's growth rounds fails here; a deliberate change must say so and
+record the new value.
+"""
+
+import hashlib
+
+import pytest
+
+from surgedec.fusion import FusionPlan
+from surgedec.graph import DecodingGraph, Layout, merge_patches
+from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
+                            random_merge_schedule)
+from surgedec.uf import decode_region
+from surgedec.windows import Pipeline
+
+from .helpers import toggled_defects
+
+
+def digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def run_pipeline(g, p, seed):
+    defects = EdgeTable(g).sample(p, derived_rng(seed)).defects
+    assert defects
+    res = Pipeline(g).run(sorted(defects))
+    assert toggled_defects(res.correction) == defects
+    return digest(sorted(res.correction), sorted(res.iters.items()))
+
+
+def grid_pipeline():
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    g = apply_merge_schedule(DecodingGraph(lay, 4 * 3),
+                             random_merge_schedule(lay, 4, 0.5, seed=5))
+    return run_pipeline(g, 0.03, 5)
+
+
+def stream_pipeline():
+    return run_pipeline(DecodingGraph(Layout(3, {0: (0, 0)}), 40 * 3), 0.02, 6)
+
+
+def merged_pair():
+    lay = Layout(5, {0: (0, 0), 1: (0, 1)})
+    g = merge_patches(DecodingGraph(lay, 3 * 5), lay.seams[0], (5, 10))
+    defects = EdgeTable(g).sample(0.03, derived_rng(7)).defects
+    assert defects
+    plan = FusionPlan(g).decode(sorted(defects))
+    glob = decode_region(g, sorted(defects))
+    assert toggled_defects(plan) == defects
+    assert toggled_defects(glob.correction) == defects
+    return digest(sorted(plan), sorted(glob.correction), glob.grow_iterations)
+
+
+RECORDED = {
+    grid_pipeline: "c37276d4c6d9f69f",
+    stream_pipeline: "9a2f83aef5f12153",
+    merged_pair: "5773a10e5f008acf",
+}
+
+
+@pytest.mark.parametrize("case", list(RECORDED), ids=lambda f: f.__name__)
+def test_seeded_decodes_are_unchanged(case):
+    assert case() == RECORDED[case]

@@ -13,14 +13,7 @@ from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
 from surgedec.oracle import oracle_mwpm
 from surgedec.uf import UfState, cut_parities, decode_block, decode_region
 
-
-def toggled_defects(edges):
-    cnt = {}
-    for a, b in edges:
-        cnt[a] = cnt.get(a, 0) + 1
-        if b >= 0:
-            cnt[b] = cnt.get(b, 0) + 1
-    return {v for v, c in cnt.items() if c % 2}
+from .helpers import toggled_defects
 
 
 def test_adjacent_pair_gives_single_edge():
@@ -103,7 +96,7 @@ def test_block_decode_suspends_at_future_face():
     assert st.grow_iterations == 1
     assert st.growth[(v, w)] == 1
     root = st._find(v)
-    assert st.art[root] == {("t", 0, 1)}
+    assert set(st.contacts[root]) == {("t", 0, 1)}
     assert st.contacts[root][("t", 0, 1)] == (v, (v, w))
 
 
@@ -122,6 +115,17 @@ def test_absorb_face_drains_suspended_cluster():
         st.absorb_face(("t", 0, 1))
 
 
+def test_absorb_face_requires_a_settled_state():
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
+    blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
+    v = pack_vid(0, 4, 2, 1)
+    st = UfState(g, [v], {f: "open" for f in blk.faces})
+    assert st.live
+    with pytest.raises(ValueError, match="settled"):
+        st.absorb_face(("t", 0, 1))
+    assert st.face_status[("t", 0, 1)] == "open"
+
+
 def test_wall_face_is_never_grown_or_suspended_on():
     lay = Layout(5, {0: (0, 0), 1: (0, 1)})
     g = merge_patches(DecodingGraph(lay, 10), lay.seams[0], (0, 10))
@@ -136,7 +140,6 @@ def test_wall_face_is_never_grown_or_suspended_on():
         assert st.face_status[wall] == "wall"
         assert all(st.face_status[f] == "open" for f in blk.faces if f != wall)
         assert not any(st.growth.get(k, 0) for k in face_edges(g, wall))
-        assert all(wall not in faces for faces in st.art.values())
         assert all(wall not in faces for faces in st.contacts.values())
         open_st = decode_block(g, blk, [v])
         assert any(open_st.growth.get(k, 0) for k in face_edges(g, wall))

@@ -18,14 +18,7 @@ from surgedec.uf import decode_region
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
-
-def toggled_defects(edges):
-    cnt = {}
-    for a, b in edges:
-        cnt[a] = cnt.get(a, 0) + 1
-        if b >= 0:
-            cnt[b] = cnt.get(b, 0) + 1
-    return {v for v, c in cnt.items() if c % 2}
+from .helpers import toggled_defects
 
 
 def row_layout(n, d=3):
