@@ -1,15 +1,17 @@
 """Fusion of independently decoded blocks.
 
 Two decoder states that share an open face are merged by concatenating
-their bookkeeping, summing the per-side growth of the face edges (capped
-at a full edge), unioning clusters across the fully grown ones, waking the
-clusters that were suspended on the face, and growing to quiescence again.
-Work is proportional to the activity near the face, not to block size.
+their bookkeeping and their touch lists, summing the per-side growth of
+the edges they grew (capped at a full edge), and joining the face: the
+clusters are unioned across the touched face edges that are now fully
+grown, the clusters suspended on the face wake, and the state grows to
+quiescence again.  Work is proportional to the activity near the face, not
+to block or face size.
 """
 
 from __future__ import annotations
 
-from .graph import DecodingGraph, carve_blocks, face_edges
+from .graph import DecodingGraph, carve_blocks
 from .uf import UfState, decode_block
 
 
@@ -25,9 +27,6 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
     if a.face_status.get(face) != 'open' or b.face_status.get(face) != 'open':
         raise ValueError(f"face {face} is not open on both sides")
     if a is not b:
-        for f, st in b.face_status.items():
-            if a.face_status.setdefault(f, st) != st:
-                raise ValueError(f"face {f} has conflicting statuses")
         a.parent.update(b.parent)
         a.size.update(b.size)
         a.parity.update(b.parity)
@@ -43,19 +42,9 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
         for ekey, g in b.growth.items():
             cur = growth.get(ekey)
             growth[ekey] = g if cur is None else min(2, cur + g)
-    del a.face_status[face]
-    adj = a.grown_adj
-    for ekey in face_edges(a.graph, face):
-        if a.growth.get(ekey, 0) >= 2:
-            u, w = ekey
-            a._adopt(u)
-            a._adopt(w)
-            adj.setdefault(u, []).append((w, ekey))
-            adj.setdefault(w, []).append((u, ekey))
-            a._union(u, w)
-    a.release_face(face)
-    a.settle()
-    a.peel_resolved()
+        for f, keys in b.touched.items():
+            a.touched.setdefault(f, []).extend(keys)
+    a.join_face(face, b.face_status)
     return a
 
 

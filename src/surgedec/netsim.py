@@ -302,6 +302,8 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     for CSV export.  A trial counts as a logical failure when any
     patch's corrected observable disagrees with the sampled truth.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     pipe = Pipeline(graph)
     rep = Replayer(pipe, topology, latency, node_of, instructions)
     table = EdgeTable(graph)

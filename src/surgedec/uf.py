@@ -15,6 +15,16 @@ on it: each is peeled through its contact on that face, which never enters
 bnd, so a later merge cannot sink through a crossing that was never
 committed.
 
+Each open face the state grew onto has a touch list (touched): the edge
+keys grown onto it, appended by grow_round as it suspends the cluster.
+Every face edge with growth 1 or 2 is on the list, so joining a face
+(join_face, which fuse calls) unions only the listed edges that reached a
+full edge, in face_edges order, and never reads the face's edge table;
+absorbing a face reads its committed crossings from the list too.  A face
+with no list was never reached: joining it only merges face statuses, and
+absorbing it only seals it, so an empty block costs nothing beyond its
+faces.
+
 Face statuses understood by a state:
   'open':  shared face whose far side is not decoded yet; clusters
            reaching it suspend.
@@ -47,6 +57,7 @@ class UfState:
         self.frontier = {}   # root -> set of vertices with ungrown edges
         self.growth = {}     # edge key -> 0..2 (absent means 0)
         self.grown_adj = {}  # vertex -> [(other, edge key)] fully grown internal
+        self.touched = {}    # open face -> [edge keys grown onto it]
         self.live = set()
         self.defects = set()
         self.correction = set()
@@ -152,8 +163,10 @@ class UfState:
             fr.difference_update(drop)
         self.grow_iterations += 1
         adj = self.grown_adj
+        touched = self.touched
         for ekey, v, other, face in full:
             if face is not None:
+                touched.setdefault(face, []).append(ekey)
                 self._suspend(v, ekey, face)
                 if other in self.parent:
                     self._suspend(other, ekey, face)
@@ -241,15 +254,43 @@ class UfState:
                     del contacts[root]
         return out
 
-    def release_face(self, face):
-        """Wake the clusters suspended on a face.
+    def join_face(self, face, face_status):
+        """Make an open face interior once its far side is in this state.
 
-        A cluster whose last suspending face this was rejoins live if it is
-        still alive.
+        face_status, the far side's face statuses, is merged in.  The
+        edges on the face's touch list that reached a full edge are unioned
+        in face_edges order, the clusters suspended on the face wake, and
+        the state settles and peels if anything was unioned or woke.  A
+        face the state never grew onto costs only the status merge.
         """
-        for root in self._drop_face(face):
-            if self._alive(root):
-                self.live.add(root)
+        fs = self.face_status
+        if fs.get(face) != 'open' or face_status.get(face) != 'open':
+            raise ValueError(f"face {face} is not open on both sides")
+        for f, st in face_status.items():
+            if fs.setdefault(f, st) != st:
+                raise ValueError(f"face {f} has conflicting statuses")
+        del fs[face]
+        keys = self.touched.pop(face, None)
+        grown = ()
+        if keys:
+            growth = self.growth
+            grown = {k for k in keys if growth[k] >= 2}
+            if len(grown) > 1:
+                grown = sorted(grown, key=face_index(self.graph, face).__getitem__)
+            adj = self.grown_adj
+            for ekey in grown:
+                u, w = ekey
+                self._adopt(u)
+                self._adopt(w)
+                adj.setdefault(u, []).append((w, ekey))
+                adj.setdefault(w, []).append((u, ekey))
+                self._union(u, w)
+            for root in self._drop_face(face):
+                if self._alive(root):
+                    self.live.add(root)
+        if grown or self.live:
+            self.settle()
+            self.peel_resolved()
 
     def absorb_face(self, face) -> set:
         """Seal an open face and drain the clusters suspended on it.
@@ -266,14 +307,17 @@ class UfState:
         if self.live:
             raise ValueError("absorb_face needs a settled state")
         self.face_status[face] = 'wall'
+        keys = self.touched.pop(face, None)
+        if keys is None:
+            return set()
         held = self._drop_face(face)
         emitted = set()
         if held:
             for root, defs in self._defects_by_root().items():
                 if root in held:
                     emitted |= self._peel(root, defs, held[root])
-        on_face = face_index(self.graph, face)
-        return {k for k in emitted if k in on_face}
+        # a crossing is a contact on the face, so it is on the touch list
+        return emitted.intersection(keys)
 
 
 def region_vids(graph: DecodingGraph) -> dict:
@@ -295,11 +339,16 @@ def decode_block(graph: DecodingGraph, block, defects, walls=()) -> UfState:
     for v in defects:
         if graph.block_of(v) != block.block_id:
             raise ValueError(f"defect {v} outside block {block.block_id}")
-    fs = {f: 'wall' if f in walls else 'open' for f in block.faces}
-    state = UfState(graph, defects, face_status=fs)
-    state.settle()
-    state.peel_resolved()
+    state = UfState(graph, defects, face_status=face_statuses(block, walls))
+    if state.defects:
+        state.settle()
+        state.peel_resolved()
     return state
+
+
+def face_statuses(block, walls) -> dict:
+    """A block's face statuses: faces in walls are sealed, the rest open."""
+    return {f: 'wall' if f in walls else 'open' for f in block.faces}
 
 
 def decode_region(graph: DecodingGraph, defects) -> UfState:

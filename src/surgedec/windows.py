@@ -7,7 +7,11 @@ epoch k-g; within a slot the groups act in order 1, 2, 3.  Temporal
 interfaces between a unit's consecutive epochs are fused in place; spatial
 interfaces between units are resolved once, by the upstream (lower-group)
 side committing its crossing edges, which the downstream side absorbs as
-flipped defects before decoding.  The dataflow is deterministic and
+flipped defects before decoding.  A window left with no defects after
+those flips builds no decoder state: its face statuses join the unit's
+rolling state and the temporal face to the previous epoch is joined in
+place, which wakes, grows and peels only the clusters suspended on it, so
+an idle window costs its faces.  The dataflow is deterministic and
 independent of wall-clock timing, so the network simulator walks the same
 cascade to replay a run under any latency model.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from .graph import DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import decode_block, region_vids
+from .uf import decode_block, face_statuses, region_vids
 
 
 class PipelineStallError(RuntimeError):
@@ -127,17 +131,22 @@ class Pipeline:
             for u, w in info.committed_crossings:
                 flips.symmetric_difference_update((u if u in reg else w,))
         defects = self._block_defects.get(bid, set()) ^ flips
-        st = decode_block(self.graph, self.blocks[bid], sorted(defects), walls)
-        iters = st.grow_iterations
+        blk = self.blocks[bid]
         rolling = self._states.get(unit)
         if rolling is None:
-            self._states[unit] = st
+            st = self._states[unit] = decode_block(self.graph, blk, sorted(defects), walls)
+            self._result.iters[bid] = st.grow_iterations
+            return
+        pre = rolling.grow_iterations
+        face = ('t', unit, epoch)
+        if defects:
+            st = decode_block(self.graph, blk, sorted(defects), walls)
+            pre -= st.grow_iterations
+            fuse(rolling, st, face)
         else:
-            pre = rolling.grow_iterations
-            rolling = fuse(rolling, st, ('t', unit, epoch))
-            iters += rolling.grow_iterations - pre
-            self._states[unit] = rolling
-        self._result.iters[bid] = iters
+            # an empty window builds no state: its faces join the rolling one
+            rolling.join_face(face, face_statuses(blk, walls))
+        self._result.iters[bid] = rolling.grow_iterations - pre
 
     def _commit_window(self, unit: int, epoch: int, cascade: int):
         st = self._states.get(unit)

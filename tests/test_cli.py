@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from surgedec.cli import main
 
 
@@ -49,3 +51,12 @@ def test_microbench_single_name(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["qubits"] == "2"
     assert rows[0]["epochs"] == "3"
+
+
+def test_zero_trials_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="trials"):
+        main(["microbench", "--name", "merge_split", "--d", "3", "--trials", "0"])
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"d": 3, "epochs": 2, "qubit_grid": [1, 2]}))
+    with pytest.raises(ValueError, match="trials"):
+        main(["scalability", "--config", str(cfg), "--trials", "0"])

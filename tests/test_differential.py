@@ -1,0 +1,211 @@
+"""Differential tests: the window pipeline against a full-scan reference.
+
+The reference below is the window path without touch lists: every window
+runs a full block decode (grow, settle, peel) even when it has no defects,
+fuse scans every edge of the fused face for fully grown ones and always
+settles and peels, and a commit filters its crossings through the face's
+edge table.  It reads no touch list, so the pipeline and the fusion plan
+must reproduce it exactly, edge for edge and round for round, down to the
+cluster roots and the order of each vertex's grown edges, on random
+layouts, merge schedules and noise draws.
+"""
+
+import contextlib
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surgedec.fusion import FusionPlan
+from surgedec.graph import DecodingGraph, Layout, face_edges, face_index
+from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
+                            random_merge_schedule)
+from surgedec.uf import UfState
+from surgedec.windows import BoundaryInfo, Pipeline, PipelineStallError
+
+from .helpers import toggled_defects
+
+RATES = (0.0, 0.001, 0.05, 0.08)
+
+
+def ref_decode_block(graph, block, defects, walls=()):
+    fs = {f: "wall" if f in walls else "open" for f in block.faces}
+    state = UfState(graph, defects, face_status=fs)
+    state.settle()
+    state.peel_resolved()
+    return state
+
+
+def ref_fuse(a, b, face):
+    if a is not b:
+        for f, status in b.face_status.items():
+            assert a.face_status.setdefault(f, status) == status
+        a.parent.update(b.parent)
+        a.size.update(b.size)
+        a.parity.update(b.parity)
+        a.bnd.update(b.bnd)
+        a.contacts.update(b.contacts)
+        a.frontier.update(b.frontier)
+        a.grown_adj.update(b.grown_adj)
+        a.defects |= b.defects
+        a.correction ^= b.correction
+        a.live |= b.live
+        for ekey, g in b.growth.items():
+            cur = a.growth.get(ekey)
+            a.growth[ekey] = g if cur is None else min(2, cur + g)
+    del a.face_status[face]
+    adj = a.grown_adj
+    for ekey in face_edges(a.graph, face):
+        if a.growth.get(ekey, 0) >= 2:
+            u, w = ekey
+            a._adopt(u)
+            a._adopt(w)
+            adj.setdefault(u, []).append((w, ekey))
+            adj.setdefault(w, []).append((u, ekey))
+            a._union(u, w)
+    for root in a._drop_face(face):
+        if a._alive(root):
+            a.live.add(root)
+    a.settle()
+    a.peel_resolved()
+    return a
+
+
+def ref_absorb_face(state, face):
+    assert state.face_status[face] == "open" and not state.live
+    state.face_status[face] = "wall"
+    held = state._drop_face(face)
+    emitted = set()
+    if held:
+        for root, defs in state._defects_by_root().items():
+            if root in held:
+                emitted |= state._peel(root, defs, held[root])
+    on_face = face_index(state.graph, face)
+    return {k for k in emitted if k in on_face}
+
+
+class ReferencePipeline(Pipeline):
+    """Pipeline whose windows always decode and fuse by full face scan."""
+
+    def _decode_window(self, unit, epoch):
+        bid = (unit, epoch)
+        reg = self.regions[bid]
+        walls = self.walls[bid]
+        flips = set()
+        for face in walls:
+            info = self._inbox.pop(face, None)
+            if info is None:
+                raise PipelineStallError(f"window {bid} lacks {face}")
+            for u, w in info.committed_crossings:
+                flips.symmetric_difference_update((u if u in reg else w,))
+        defects = self._block_defects.get(bid, set()) ^ flips
+        state = ref_decode_block(self.graph, self.blocks[bid], sorted(defects), walls)
+        iters = state.grow_iterations
+        rolling = self._states.get(unit)
+        if rolling is None:
+            self._states[unit] = state
+        else:
+            pre = rolling.grow_iterations
+            ref_fuse(rolling, state, ("t", unit, epoch))
+            iters += rolling.grow_iterations - pre
+        self._result.iters[bid] = iters
+
+    def _commit_window(self, unit, epoch, cascade):
+        state = self._states[unit]
+        out = []
+        for face, dst in self.sends[(unit, epoch)]:
+            crossings = ref_absorb_face(state, face)
+            out.append((cascade, unit, dst, BoundaryInfo(face, frozenset(crossings))))
+        self._result.commits[(unit, epoch)] = cascade
+        return out
+
+
+def ref_plan_decode(plan, defects):
+    graph = plan.graph
+    by_block = {}
+    for v in defects:
+        by_block.setdefault(graph.block_of(v), []).append(v)
+    states = {bid: ref_decode_block(graph, blk, by_block.get(bid, ()))
+              for bid, blk in plan.blocks.items()}
+    rep = {bid: bid for bid in plan.blocks}
+    for face, (ba, bb) in plan.fuse_order:
+        ra, rb = rep[ba], rep[bb]
+        ref_fuse(states[ra], states[rb], face)
+        if ra != rb:
+            rep = {k: ra if r == rb else r for k, r in rep.items()}
+            del states[rb]
+    correction = set()
+    for state in states.values():
+        correction ^= state.correction
+    return correction
+
+
+def check_touch_lists(state):
+    """Each open face's touch list names exactly its edges with growth."""
+    open_faces = {f for f, status in state.face_status.items() if status == "open"}
+    assert set(state.touched) <= open_faces
+    for f in open_faces:
+        grown = {k for k in face_edges(state.graph, f) if state.growth.get(k, 0)}
+        assert set(state.touched.get(f, ())) == grown, f
+
+
+@contextlib.contextmanager
+def touch_lists_checked():
+    """Check every state's touch lists after each face it joins."""
+    join = UfState.join_face
+    calls = []
+
+    def checked(self, face, face_status):
+        join(self, face, face_status)
+        check_touch_lists(self)
+        calls.append(face)
+
+    with mock.patch.object(UfState, "join_face", checked):
+        yield calls
+
+
+def state_view(state):
+    """Everything a decoder state holds but its touch lists; lists in
+    grown_adj compare in order, so a different union order shows."""
+    return ({v: state._find(v) for v in state.parent}, state.size, state.parity,
+            state.bnd, state.contacts, state.frontier, state.growth,
+            state.grown_adj, state.live, state.defects, state.correction,
+            state.face_status, state.grow_iterations)
+
+
+def assert_same_runs(g, p, seed, trials=2):
+    table = EdgeTable(g)
+    pipe, ref = Pipeline(g), ReferencePipeline(g)
+    plan = FusionPlan(g)
+    for trial in range(trials):
+        defects = table.sample(p, derived_rng(seed, trial)).defects
+        with touch_lists_checked() as joins:
+            got = pipe.run(sorted(defects))
+            fused = plan.decode(sorted(defects))
+        want = ref.run(sorted(defects))
+        assert got.correction == want.correction
+        assert got.iters == want.iters
+        assert got.commits == want.commits
+        assert got.sends == want.sends
+        for unit, state in pipe._states.items():
+            assert state_view(state) == state_view(ref._states[unit])
+        assert toggled_defects(got.correction) == defects
+        assert fused == ref_plan_decode(plan, sorted(defects))
+        assert len(joins) >= len(plan.fuse_order)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.sampled_from((2, 3)), d=st.sampled_from((3, 5)), epochs=st.integers(2, 4),
+       merge_prob=st.sampled_from((0.3, 0.6, 1.0)), p=st.sampled_from(RATES),
+       seed=st.integers(0, 2**16))
+def test_pipeline_matches_full_scan_reference_on_grids(n, d, epochs, merge_prob, p, seed):
+    lay = Layout(d, {i: (i // n, i % n) for i in range(n * n)})
+    g = apply_merge_schedule(DecodingGraph(lay, epochs * d),
+                             random_merge_schedule(lay, epochs, merge_prob, seed))
+    assert_same_runs(g, p, seed)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(p=st.sampled_from(RATES), seed=st.integers(0, 2**16))
+def test_pipeline_matches_full_scan_reference_on_a_stream(p, seed):
+    assert_same_runs(DecodingGraph(Layout(3, {0: (0, 0)}), 40 * 3), p, seed, trials=1)

@@ -231,3 +231,13 @@ def test_repeat_runs_build_no_face_table(monkeypatch):
     # the first run builds each face it fuses or commits once, the second none
     assert counts[0] == len(set(built)) > 0
     assert counts[1] == counts[0]
+
+
+def test_simulate_rejects_no_trials_before_set_up(monkeypatch):
+    import surgedec.netsim as netsim_mod
+    monkeypatch.setattr(netsim_mod, "Pipeline",
+                        lambda graph: pytest.fail("pipeline built before the check"))
+    top = build_topology(4, 25, (2, 2))
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="trials"):
+            simulate(row_graph(2), top, LatencyModel(), p=0.01, trials=trials)

@@ -10,6 +10,7 @@ import pytest
 
 from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
                             carve_blocks, face_edges, merge_patches, pack_vid)
+from surgedec.fusion import fuse
 from surgedec.oracle import oracle_mwpm
 from surgedec.uf import UfState, cut_parities, decode_block, decode_region
 
@@ -124,6 +125,44 @@ def test_absorb_face_requires_a_settled_state():
     with pytest.raises(ValueError, match="settled"):
         st.absorb_face(("t", 0, 1))
     assert st.face_status[("t", 0, 1)] == "open"
+
+
+def test_absorb_face_never_grown_onto_only_seals_it():
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 15)
+    blk = next(b for b in carve_blocks(g) if b.block_id == (0, 1))
+    b = pack_vid(0, 7, 2, 0)   # reaches the west boundary and is peeled
+    v = pack_vid(0, 9, 2, 2)   # suspends on the future face
+    st = decode_block(g, blk, [b, v])
+    assert st.bnd and st.correction == {(b, WEST)}
+    assert st.defects == {v}
+    assert set(st.touched) == {("t", 0, 2)}
+    before = (dict(st.bnd), {r: dict(cm) for r, cm in st.contacts.items()},
+              set(st.defects), set(st.correction), dict(st.growth))
+    assert st.absorb_face(("t", 0, 1)) == set()
+    assert st.face_status[("t", 0, 1)] == "wall"
+    assert (st.bnd, st.contacts, st.defects, st.correction, st.growth) == before
+    # the face it did grow onto still drains through its contact
+    assert st.absorb_face(("t", 0, 2)) == {(v, pack_vid(0, 10, 2, 2))}
+    assert st.defects == set() and not st.touched
+
+
+def test_fuse_of_an_empty_block_adds_only_face_statuses(monkeypatch):
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 15)
+    blocks = {b.block_id: b for b in carve_blocks(g)}
+    b = pack_vid(0, 2, 2, 0)
+    a = decode_block(g, blocks[(0, 0)], [b])
+    assert a.correction == {(b, WEST)} and not a.touched
+    maps = ("parent", "size", "parity", "bnd", "contacts", "frontier", "growth",
+            "grown_adj", "live", "defects", "correction", "touched",
+            "grow_iterations")
+    before = {m: repr(getattr(a, m)) for m in maps}
+    empty = decode_block(g, blocks[(0, 1)], [])
+    settles = []
+    monkeypatch.setattr(UfState, "settle", lambda st: settles.append(st))
+    assert fuse(a, empty, ("t", 0, 1)) is a
+    assert {m: repr(getattr(a, m)) for m in maps} == before
+    assert a.face_status == {("t", 0, 2): "open"}
+    assert settles == []
 
 
 def test_wall_face_is_never_grown_or_suspended_on():

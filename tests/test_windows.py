@@ -103,6 +103,26 @@ def test_empty_run_still_sends_boundary_info():
     assert all(n == 0 for n in res.iters.values())
 
 
+def test_empty_windows_build_no_state(monkeypatch):
+    import surgedec.windows as windows_mod
+    g = merged_graph(grid_layout(d=5), 15)
+    pipe = Pipeline(g)
+    calls = []
+    for name in ("decode_block", "fuse"):
+        real = getattr(windows_mod, name)
+        monkeypatch.setattr(windows_mod, name,
+                            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    # only each unit's first window builds its rolling state
+    assert pipe.run([]).correction == set()
+    assert calls == ["decode_block"] * 4
+    # one defect in the middle epoch: one more decode, fused into its unit
+    calls.clear()
+    v = pack_vid(2, 7, 2, 1)
+    res = pipe.run([v])
+    assert toggled_defects(res.correction) == {v}
+    assert calls.count("decode_block") == 5 and calls.count("fuse") == 1
+
+
 def test_commit_cascade_schedule_on_grid():
     g = merged_graph(grid_layout(), 9)
     pipe = Pipeline(g)
