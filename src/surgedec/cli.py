@@ -30,6 +30,8 @@ from . import wire
 
 def _accuracy_point(d: int, p: float, trials: int, seed: int) -> dict:
     """Two patches merged for one epoch: fused vs global decoding."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     lay = Layout(d, {0: (0, 0), 1: (0, 1)})
     graph = merge_patches(DecodingGraph(lay, rounds=d), lay.seams[0], (0, d))
     plan = FusionPlan(graph)

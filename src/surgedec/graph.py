@@ -6,6 +6,14 @@ patches sit on a 2D grid; merging two patches inserts a line of seam vertices
 per merged round and rewires the facing boundary edges, splitting restores
 them.  Vertex ids pack (patch, round, row, col) so that sorting ids gives the
 lexicographic order with seam vertices after all patches.
+
+Adjacency is built a slab at a time: the d(d-1) vertices of one (patch,
+round), or the vertices of one merged (seam, round).  A slab's edges follow
+from its shape (which sides are merged seams, which temporal faces it
+touches), so the builder looks those up once and gives an edge with both
+ends in the slab one key tuple.  The edge walk fills every slab in vertex
+order and yields its forward keys, so a graph's first edge walk also warms
+its per-vertex adjacency cache.
 """
 
 from __future__ import annotations
@@ -150,9 +158,11 @@ class DecodingGraph:
     """Dynamic decoding graph of a layout over a number of rounds.
 
     Adjacency is computed arithmetically from the lattice plus the current
-    seam merge intervals, so large graphs never have to be materialised.
-    Mutation (merge/split) requires exclusive access and invalidates cached
-    adjacency near the touched rounds.
+    seam merge intervals and cached per vertex.  edges() fills the cache
+    slab by slab in vertex order; a vertex missing from it (never read, or
+    evicted) is filled with the rest of its slab on first read.  Mutation
+    (merge/split) requires exclusive access and evicts the cached adjacency
+    of the vertices whose edges it changes.
     """
 
     def __init__(self, layout: Layout, rounds: int):
@@ -250,92 +260,171 @@ class DecodingGraph:
 
         other is a vertex id, or WEST/EAST for boundary edges.  face_id is
         None for intra-block edges, else the ('s'|'t', ...) face the edge
-        belongs to.
+        belongs to.  Patch entries run west, east, north, south, past,
+        future; seam entries a-side, b-side, past, future.  A miss fills the
+        vertex's whole slab; a vertex id the graph does not hold raises
+        ValueError.
         """
         cached = self._adj.get(vid)
         if cached is not None:
             return cached
-        entries = self._build_adj(vid)
-        self._adj[vid] = entries
-        return entries
-
-    def _build_adj(self, vid: int) -> tuple:
         p, rnd, row, col = unpack_vid(vid)
         lay = self.layout
         d = self.d
-        entries = []
+        if vid < 0 or rnd >= self.rounds or p >= lay.n_patches + len(lay.seams):
+            raise ValueError(f"vertex {vid:#x} not in the graph")
         if p < lay.n_patches:
-            # west
-            if col > 0:
-                u = pack_vid(p, rnd, row, col - 1)
-                entries.append(((u, vid), u, None))
-            else:
-                s = lay.side_seam(p, "w")
-                if s is not None and self.is_merged(s, rnd):
-                    u = pack_vid(self.seam_pid(s), rnd, row, _SEAM_COL)
-                    entries.append(((vid, u), u, _face_seam(lay.seam_index(s), rnd // d)))
-                else:
-                    entries.append(((vid, WEST), WEST, None))
-            # east
-            if col < d - 2:
-                u = pack_vid(p, rnd, row, col + 1)
-                entries.append(((vid, u), u, None))
-            else:
-                s = lay.side_seam(p, "e")
-                if s is not None and self.is_merged(s, rnd):
-                    u = pack_vid(self.seam_pid(s), rnd, row, _SEAM_COL)
-                    entries.append(((vid, u), u, None))
-                else:
-                    entries.append(((vid, EAST), EAST, None))
-            # north
-            if row > 0:
-                u = pack_vid(p, rnd, row - 1, col)
-                entries.append(((u, vid), u, None))
-            else:
-                s = lay.side_seam(p, "n")
-                if s is not None and self.is_merged(s, rnd):
-                    u = pack_vid(self.seam_pid(s), rnd, col, _SEAM_COL)
-                    entries.append(((vid, u), u, _face_seam(lay.seam_index(s), rnd // d)))
-            # south
-            if row < d - 1:
-                u = pack_vid(p, rnd, row + 1, col)
-                entries.append(((vid, u), u, None))
-            else:
-                s = lay.side_seam(p, "s")
-                if s is not None and self.is_merged(s, rnd):
-                    u = pack_vid(self.seam_pid(s), rnd, col, _SEAM_COL)
-                    entries.append(((vid, u), u, None))
-            # time
-            if rnd > 0:
-                u = pack_vid(p, rnd - 1, row, col)
-                face = _face_time(p, rnd // d) if rnd % d == 0 else None
-                entries.append(((u, vid), u, face))
-            if rnd < self.rounds - 1:
-                u = pack_vid(p, rnd + 1, row, col)
-                face = _face_time(p, (rnd + 1) // d) if (rnd + 1) % d == 0 else None
-                entries.append(((vid, u), u, face))
+            if row >= d or col >= d - 1:
+                raise ValueError(f"vertex {vid:#x} outside the lattice")
+            self._fill_patch_slab(p, rnd, [])
         else:
             s = lay.seams[p - lay.n_patches]
-            si = lay.seam_index(s)
+            if col != _SEAM_COL or row >= (d if s.orient == "ew" else d - 1):
+                raise ValueError(f"vertex {vid:#x} outside seam {s}")
             if not self.is_merged(s, rnd):
                 raise ValueError(f"seam vertex at inactive round {rnd}: {s}")
-            if s.orient == "ew":
-                ua = pack_vid(s.patch_a, rnd, row, d - 2)
-                ub = pack_vid(s.patch_b, rnd, row, 0)
-            else:
-                ua = pack_vid(s.patch_a, rnd, d - 1, row)
-                ub = pack_vid(s.patch_b, rnd, 0, row)
-            entries.append(((ua, vid), ua, None))
-            entries.append(((ub, vid), ub, _face_seam(si, rnd // d)))
-            if rnd > 0 and self.is_merged(s, rnd - 1):
-                u = pack_vid(p, rnd - 1, row, _SEAM_COL)
-                face = _face_time(s.patch_a, rnd // d) if rnd % d == 0 else None
-                entries.append(((u, vid), u, face))
-            if rnd < self.rounds - 1 and self.is_merged(s, rnd + 1):
-                u = pack_vid(p, rnd + 1, row, _SEAM_COL)
-                face = _face_time(s.patch_a, (rnd + 1) // d) if (rnd + 1) % d == 0 else None
-                entries.append(((vid, u), u, face))
-        return tuple(entries)
+            self._fill_seam_slab(s, rnd, [])
+        return self._adj[vid]
+
+    def _seam_row0(self, p: int, side: str, rnd: int):
+        """(row-0 vertex, seam) of the seam on a side of patch p if it is
+        merged at rnd, else (None, None)."""
+        s = self.layout.side_seam(p, side)
+        if s is None or not self.is_merged(s, rnd):
+            return None, None
+        return pack_vid(self.seam_pid(s), rnd, 0, _SEAM_COL), s
+
+    def _fill_patch_slab(self, p: int, rnd: int, out: list) -> None:
+        """Cache the entries of all d(d-1) vertices of patch p at round rnd.
+
+        Appends the slab's forward edge keys to out in vertex order, so
+        each edge is yielded once: at its lower endpoint within a round, at
+        its earlier endpoint across rounds.  An edge with both ends in the
+        slab gets one key tuple, and a past edge reuses the future key
+        cached at the vertex below.
+        """
+        lay = self.layout
+        d = self.d
+        adj = self._adj
+        epoch = rnd // d
+        step = 1 << _ROUND_SHIFT
+        west, sw = self._seam_row0(p, "w", rnd)
+        east, _ = self._seam_row0(p, "e", rnd)
+        north, sn = self._seam_row0(p, "n", rnd)
+        south, _ = self._seam_row0(p, "s", rnd)
+        fw = _face_seam(lay.seam_index(sw), epoch) if sw else None
+        fn = _face_seam(lay.seam_index(sn), epoch) if sn else None
+        fpast = _face_time(p, epoch) if rnd and rnd % d == 0 else None
+        ffut = _face_time(p, epoch + 1) if (rnd + 1) % d == 0 else None
+        has_future = rnd < self.rounds - 1
+        n = d - 1
+        base = (p << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT)
+        vids = [base | (row << _ROW_SHIFT) | col for row in range(d) for col in range(n)]
+        past = None
+        if rnd:
+            # a cached vertex below holds the time edge's key last; sharing
+            # it, and the vid inside it, keeps one copy of each
+            past = []
+            for v in vids:
+                below = adj.get(v - step)
+                past.append(below[-1][0] if below is not None else (v - step, v))
+            vids = [k[1] for k in past]
+        ups = [None] * n  # south keys of the row above, per col
+        i = 0
+        for row in range(d):
+            for col in range(n):
+                v = vids[i]
+                if col:
+                    ent = [(wkey, vids[i - 1], None)]
+                elif west is not None:
+                    u = west | (row << _ROW_SHIFT)
+                    wkey = (v, u)
+                    out.append(wkey)
+                    ent = [(wkey, u, fw)]
+                else:
+                    wkey = (v, WEST)
+                    out.append(wkey)
+                    ent = [(wkey, WEST, None)]
+                if col < n - 1:
+                    u = vids[i + 1]
+                    wkey = (v, u)
+                    ent.append((wkey, u, None))
+                elif east is not None:
+                    u = east | (row << _ROW_SHIFT)
+                    wkey = (v, u)
+                    ent.append((wkey, u, None))
+                else:
+                    wkey = (v, EAST)
+                    ent.append((wkey, EAST, None))
+                out.append(wkey)
+                if row:
+                    ukey = ups[col]
+                    ent.append((ukey, ukey[0], None))
+                elif north is not None:
+                    u = north | (col << _ROW_SHIFT)
+                    ukey = (v, u)
+                    out.append(ukey)
+                    ent.append((ukey, u, fn))
+                if row < n:
+                    u = vids[i + n]
+                    ukey = ups[col] = (v, u)
+                    out.append(ukey)
+                    ent.append((ukey, u, None))
+                elif south is not None:
+                    u = south | (col << _ROW_SHIFT)
+                    ukey = (v, u)
+                    out.append(ukey)
+                    ent.append((ukey, u, None))
+                if past is not None:
+                    tkey = past[i]
+                    ent.append((tkey, tkey[0], fpast))
+                if has_future:
+                    u = v + step
+                    tkey = (v, u)
+                    out.append(tkey)
+                    ent.append((tkey, u, ffut))
+                adj[v] = tuple(ent)
+                i += 1
+
+    def _fill_seam_slab(self, s: Seam, rnd: int, out: list) -> None:
+        """Cache the entries of the vertices of seam s at a merged round rnd.
+
+        Appends the slab's forward edge keys, its future time edges, to out.
+        """
+        lay = self.layout
+        d = self.d
+        adj = self._adj
+        epoch = rnd // d
+        step = 1 << _ROUND_SHIFT
+        fseam = _face_seam(lay.seam_index(s), epoch)
+        has_past = rnd > 0 and self.is_merged(s, rnd - 1)
+        has_future = rnd < self.rounds - 1 and self.is_merged(s, rnd + 1)
+        fpast = _face_time(s.patch_a, epoch) if has_past and rnd % d == 0 else None
+        ffut = _face_time(s.patch_a, epoch + 1) if (rnd + 1) % d == 0 else None
+        base = (self.seam_pid(s) << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT) | _SEAM_COL
+        a = (s.patch_a << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT)
+        b = (s.patch_b << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT)
+        # an ew seam row meets the patches' rows, an ns seam row their columns
+        if s.orient == "ew":
+            nrows, shift = d, _ROW_SHIFT
+            a |= d - 2
+        else:
+            nrows, shift = d - 1, 0
+            a |= (d - 1) << _ROW_SHIFT
+        for row in range(nrows):
+            v = base | (row << _ROW_SHIFT)
+            ua = a | (row << shift)
+            ub = b | (row << shift)
+            ent = [((ua, v), ua, None), ((ub, v), ub, fseam)]
+            if has_past:
+                u = v - step
+                ent.append(((u, v), u, fpast))
+            if has_future:
+                u = v + step
+                tkey = (v, u)
+                out.append(tkey)
+                ent.append((tkey, u, ffut))
+            adj[v] = tuple(ent)
 
     # --- enumeration --------------------------------------------------
 
@@ -367,20 +456,20 @@ class DecodingGraph:
 
         Same-round edges belong to their round; a time edge (r, r+1) belongs
         to round r, so the slices partition the full edge set and a slice is
-        complete once the seam schedule up to round r1 is fixed.
+        complete once the seam schedule up to round r1 is fixed.  The walk
+        fills the adjacency cache slab by slab in vertex order.
         """
-        for vid in self.vertices_in_rounds(r0, r1):
-            rnd = unpack_vid(vid)[1]
-            for ekey, other, _ in self.neighbors(vid):
-                if other < 0:
-                    yield ekey
-                    continue
-                ornd = unpack_vid(other)[1]
-                if ornd == rnd:
-                    if other > vid:
-                        yield ekey
-                elif ornd > rnd:
-                    yield ekey
+        for p in range(self.layout.n_patches):
+            for rnd in range(r0, r1):
+                out = []
+                self._fill_patch_slab(p, rnd, out)
+                yield from out
+        for s in self.layout.seams:
+            for rnd in range(r0, r1):
+                if self.is_merged(s, rnd):
+                    out = []
+                    self._fill_seam_slab(s, rnd, out)
+                    yield from out
 
     def n_vertices(self) -> int:
         n = self.layout.n_patches * self.rounds * self.d * (self.d - 1)

@@ -38,8 +38,9 @@ class EdgeTable:
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        # the walk also fills the graph's adjacency cache in vertex order,
-        # which the decodes that follow read
+        # one walk over the graph's slabs fills its adjacency cache in
+        # vertex order, which the decodes that follow read, and yields
+        # each edge key once
         self.ekeys = list(graph.edges())
         m = self.n_edges = len(self.ekeys)
         ends = np.fromiter(chain.from_iterable(self.ekeys), dtype=np.int64, count=2 * m)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from surgedec import cli
 from surgedec.cli import main
 
 
@@ -53,7 +54,12 @@ def test_microbench_single_name(tmp_path, capsys):
     assert rows[0]["epochs"] == "3"
 
 
-def test_zero_trials_is_rejected(tmp_path):
+def test_zero_trials_is_rejected(tmp_path, monkeypatch):
+    # accuracy rejects the count before it builds a graph
+    monkeypatch.setattr(cli, "DecodingGraph", None)
+    with pytest.raises(ValueError, match="trials"):
+        main(["accuracy", "--d", "3", "--p", "0.02", "--trials", "0"])
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="trials"):
         main(["microbench", "--name", "merge_split", "--d", "3", "--trials", "0"])
     cfg = tmp_path / "run.json"

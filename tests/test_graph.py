@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgedec.graph import (
+    _SEAM_COL,
     EAST,
     WEST,
     DecodingGraph,
@@ -14,8 +17,13 @@ from surgedec.graph import (
     face_edges,
     face_index,
     merge_patches,
+    pack_vid,
     unpack_vid,
 )
+from surgedec.noise import EdgeTable, apply_merge_schedule, random_merge_schedule
+from surgedec.uf import decode_region
+
+from .helpers import ref_adjacency, ref_edges
 
 
 def desc(graph, ekey):
@@ -369,3 +377,105 @@ def test_cut_patch_membership():
             assert g.kind_of(e) == "seam-space"
         if cp == 0:
             assert g.kind_of(e) == "boundary"
+
+
+# --- the slab-filled adjacency cache against the per-vertex reference ---
+
+
+def test_neighbors_rejects_vertices_outside_the_graph():
+    lay, g = two_patch_graph(3, 3)
+    merge_patches(g, lay.seams[0], (1, 2))
+    spid = g.seam_pid(lay.seams[0])
+    bad = [
+        pack_vid(0, 3, 0, 0),                 # round at rounds
+        pack_vid(0, 7, 0, 0),
+        pack_vid(0, 0, 3, 0),                 # row past the lattice
+        pack_vid(1, 0, 0, 2),                 # col past the lattice
+        pack_vid(0, 0, 0, _SEAM_COL),         # patch vertex on the seam col
+        pack_vid(spid + 1, 1, 0, _SEAM_COL),  # patch id past patches + seams
+        pack_vid(spid, 1, 3, _SEAM_COL),      # seam row past its length
+        pack_vid(spid, 1, 0, 0),              # seam vertex off the seam col
+        pack_vid(spid, 0, 0, _SEAM_COL),      # seam round not merged
+        WEST,
+    ]
+    for vid in bad:
+        with pytest.raises(ValueError):
+            g.neighbors(vid)
+        assert vid not in g._adj
+    with pytest.raises(ValueError):
+        decode_region(g, [pack_vid(0, 7, 0, 0)])
+    assert g.neighbors(pack_vid(spid, 1, 2, _SEAM_COL))
+
+
+def test_edge_table_fills_the_cache_in_vertex_order():
+    lay = Layout(3, {r * 3 + c: (r, c) for r in range(3) for c in range(3)})
+    g = apply_merge_schedule(DecodingGraph(lay, 9),
+                             random_merge_schedule(lay, 3, 0.6, seed=2))
+    assert {s.orient for s in lay.seams if g.merge_intervals(s)} == {"ew", "ns"}
+    EdgeTable(g)
+    assert list(g._adj) == sorted(g._adj)
+    assert len(g._adj) == g.n_vertices()
+
+
+def _fresh_copy(g):
+    fresh = DecodingGraph(g.layout, g.rounds)
+    for s in g.layout.seams:
+        for a, b in g.merge_intervals(s):
+            fresh.merge(s, a, b)
+    return fresh
+
+
+def _draw_step(data, g):
+    """A valid merge or split of a drawn seam, or None if there is none."""
+    d, rounds = g.d, g.rounds
+    # "ns" first: derandomized draws lean to the first choice, and ns seams
+    # are the rarer orientation
+    orient = data.draw(st.sampled_from(sorted({s.orient for s in g.layout.seams},
+                                              reverse=True)))
+    s = data.draw(st.sampled_from([s for s in g.layout.seams if s.orient == orient]))
+    kind = data.draw(st.sampled_from(("aligned", "unaligned", "adjacent", "split")))
+    ivs = g.merge_intervals(s)
+    free = [r for r in range(rounds) if not g.is_merged(s, r)]
+    if kind == "split":
+        cuts = [r for r in range(rounds + 1)
+                if (r > 0 and g.is_merged(s, r - 1)) or any(b > r for _, b in ivs)]
+        options = [("split", s, r) for r in cuts]
+    elif kind == "aligned":
+        options = [("merge", s, e * d, (e + 1) * d) for e in range(rounds // d)
+                   if all(r in free for r in range(e * d, (e + 1) * d))]
+    elif kind == "adjacent":
+        # one round back to back with a merged interval, so the two coalesce
+        options = [("merge", s, b, b + 1) for _, b in ivs if b in free]
+        options += [("merge", s, a - 1, a) for a, _ in ivs if a - 1 in free]
+    else:
+        options = []
+        if free:
+            start = data.draw(st.sampled_from(free))
+            stop = start + 1
+            while stop in free and data.draw(st.booleans()):
+                stop += 1
+            options = [("merge", s, start, stop)]
+    return data.draw(st.sampled_from(options)) if options else None
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(((1, 2), (1, 3), (2, 2), (2, 3))),
+       d=st.sampled_from((3, 5)), epochs=st.integers(1, 3), data=st.data())
+def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, data):
+    rows, cols = shape
+    lay = Layout(d, {r * cols + c: (r, c) for r in range(rows) for c in range(cols)})
+    g = DecodingGraph(lay, epochs * d)
+    for _ in range(data.draw(st.integers(1, 6))):
+        for v in g.vertices():
+            g.neighbors(v)
+        step = _draw_step(data, g)
+        if step is None:
+            continue
+        op, *args = step
+        getattr(g, op)(*args)
+        fresh = _fresh_copy(g)
+        for v in g.vertices():
+            want = ref_adjacency(g, v)
+            assert g.neighbors(v) == want
+            assert fresh.neighbors(v) == want
+        assert list(g.edges()) == ref_edges(g)

@@ -17,7 +17,7 @@ from surgedec.noise import (
     raw_merge_draws,
 )
 
-from .helpers import toggled_defects
+from .helpers import ref_edges, toggled_defects
 
 
 def test_p0_empty():
@@ -150,21 +150,23 @@ def test_apply_schedule_merges_epochs():
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_edge_table_matches_per_edge_reference(d):
-    # the per-edge loop the vectorised table replaced
+    # the per-edge loop the vectorised table replaced, over the reference
+    # edge walk rather than the graph's own
     lay = grid_layout(3, 3, d)
     g = apply_merge_schedule(DecodingGraph(lay, 4 * d),
                              random_merge_schedule(lay, 4, 0.5, seed=d))
+    ekeys = ref_edges(g)
     table = EdgeTable(g)
     index = {v: i for i, v in enumerate(sorted(g.vertices()))}
     n = len(index)
     ref_u, ref_v, ref_cut = [], [], []
-    for ekey in g.edges():
+    for ekey in ekeys:
         u, v = ekey
         ref_u.append(index[u])
         ref_v.append(index[v] if v >= 0 else n)
         cp = g.cut_patch(ekey)
         ref_cut.append(-1 if cp is None else cp)
-    assert table.ekeys == list(g.edges())
+    assert table.ekeys == ekeys
     assert table._vid_arr.tolist() == sorted(index)
     assert table._u.tolist() == ref_u
     assert table._v.tolist() == ref_v
