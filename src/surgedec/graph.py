@@ -13,7 +13,13 @@ from its shape (which sides are merged seams, which temporal faces it
 touches), so the builder looks those up once and gives an edge with both
 ends in the slab one key tuple.  The edge walk fills every slab in vertex
 order and yields its forward keys, so a graph's first edge walk also warms
-its per-vertex adjacency cache.
+its per-vertex adjacency cache.  A vertex's cached adjacency is one flat
+tuple (edge key, other, face, edge key, other, face, ...), so a vertex
+costs one tuple object beside its keys; readers take it three at a time.
+
+The vertex set needs no walk at all: vertex_array() builds it by
+broadcasting patches x rounds x rows x cols, plus each merged seam
+interval, into a sorted numpy array.
 """
 
 from __future__ import annotations
@@ -158,7 +164,8 @@ class DecodingGraph:
     """Dynamic decoding graph of a layout over a number of rounds.
 
     Adjacency is computed arithmetically from the lattice plus the current
-    seam merge intervals and cached per vertex.  edges() fills the cache
+    seam merge intervals and cached per vertex as one flat tuple, and the
+    vertex set is computed by vertex_array() alone.  edges() fills the cache
     slab by slab in vertex order; a vertex missing from it (never read, or
     evicted) is filled with the rest of its slab on first read.  Mutation
     (merge/split) requires exclusive access and evicts the cached adjacency
@@ -192,11 +199,19 @@ class DecodingGraph:
         return [tuple(iv) for iv in self._merged[s]]
 
     def merge(self, s: Seam, start: int, stop: int) -> None:
+        """Activate seam s for rounds [start, stop); start == stop is a no-op.
+
+        A range outside [0, rounds], one that stops before it starts, or
+        one that overlaps a merged interval raises ValueError.
+        """
         if s not in self._merged:
             raise ValueError(f"seam not in layout: {s}")
         if start < 0 or stop > self.rounds:
-            raise ValueError(f"merge range [{start}, {stop}) outside graph rounds")
-        if stop <= start:
+            raise ValueError(f"merge range [{start}, {stop}) outside graph rounds "
+                             f"[0, {self.rounds}]")
+        if stop < start:
+            raise ValueError(f"merge range [{start}, {stop}) stops before it starts")
+        if stop == start:
             return
         ivs = self._merged[s]
         for a, b in ivs:
@@ -216,8 +231,15 @@ class DecodingGraph:
         self._faces.clear()
 
     def split(self, s: Seam, rnd: int) -> None:
+        """Deactivate seam s from round rnd on.
+
+        rnd outside [0, rounds], or a seam with no merged round at rnd - 1
+        or later, raises ValueError.
+        """
         if s not in self._merged:
             raise ValueError(f"seam not in layout: {s}")
+        if not 0 <= rnd <= self.rounds:
+            raise ValueError(f"split round {rnd} outside graph rounds [0, {self.rounds}]")
         covered = self.is_merged(s, rnd - 1) if rnd > 0 else False
         covered = covered or any(b > rnd for _, b in self._merged[s])
         if not covered:
@@ -256,14 +278,15 @@ class DecodingGraph:
     # --- adjacency ----------------------------------------------------
 
     def neighbors(self, vid: int) -> tuple:
-        """Edges at a vertex as (edge_key, other, face_id) entries.
+        """Edges at a vertex as one flat tuple of (edge_key, other, face_id)
+        entries: (edge_key, other, face_id, edge_key, other, face_id, ...).
 
-        other is a vertex id, or WEST/EAST for boundary edges.  face_id is
-        None for intra-block edges, else the ('s'|'t', ...) face the edge
-        belongs to.  Patch entries run west, east, north, south, past,
-        future; seam entries a-side, b-side, past, future.  A miss fills the
-        vertex's whole slab; a vertex id the graph does not hold raises
-        ValueError.
+        Read it three at a time: it = iter(nb); zip(it, it, it).  other is
+        a vertex id, or WEST/EAST for boundary edges.  face_id is None for
+        intra-block edges, else the ('s'|'t', ...) face the edge belongs
+        to.  Patch entries run west, east, north, south, past, future; seam
+        entries a-side, b-side, past, future.  A miss fills the vertex's
+        whole slab; a vertex id the graph does not hold raises ValueError.
         """
         cached = self._adj.get(vid)
         if cached is not None:
@@ -322,12 +345,12 @@ class DecodingGraph:
         vids = [base | (row << _ROW_SHIFT) | col for row in range(d) for col in range(n)]
         past = None
         if rnd:
-            # a cached vertex below holds the time edge's key last; sharing
-            # it, and the vid inside it, keeps one copy of each
+            # a cached vertex below holds the time edge's key in its last
+            # entry; sharing it, and the vid inside it, keeps one copy of each
             past = []
             for v in vids:
                 below = adj.get(v - step)
-                past.append(below[-1][0] if below is not None else (v - step, v))
+                past.append(below[-3] if below is not None else (v - step, v))
             vids = [k[1] for k in past]
         ups = [None] * n  # south keys of the row above, per col
         i = 0
@@ -335,54 +358,54 @@ class DecodingGraph:
             for col in range(n):
                 v = vids[i]
                 if col:
-                    ent = [(wkey, vids[i - 1], None)]
+                    ent = [wkey, vids[i - 1], None]
                 elif west is not None:
                     u = west | (row << _ROW_SHIFT)
                     wkey = (v, u)
                     out.append(wkey)
-                    ent = [(wkey, u, fw)]
+                    ent = [wkey, u, fw]
                 else:
                     wkey = (v, WEST)
                     out.append(wkey)
-                    ent = [(wkey, WEST, None)]
+                    ent = [wkey, WEST, None]
                 if col < n - 1:
                     u = vids[i + 1]
                     wkey = (v, u)
-                    ent.append((wkey, u, None))
+                    ent += wkey, u, None
                 elif east is not None:
                     u = east | (row << _ROW_SHIFT)
                     wkey = (v, u)
-                    ent.append((wkey, u, None))
+                    ent += wkey, u, None
                 else:
                     wkey = (v, EAST)
-                    ent.append((wkey, EAST, None))
+                    ent += wkey, EAST, None
                 out.append(wkey)
                 if row:
                     ukey = ups[col]
-                    ent.append((ukey, ukey[0], None))
+                    ent += ukey, ukey[0], None
                 elif north is not None:
                     u = north | (col << _ROW_SHIFT)
                     ukey = (v, u)
                     out.append(ukey)
-                    ent.append((ukey, u, fn))
+                    ent += ukey, u, fn
                 if row < n:
                     u = vids[i + n]
                     ukey = ups[col] = (v, u)
                     out.append(ukey)
-                    ent.append((ukey, u, None))
+                    ent += ukey, u, None
                 elif south is not None:
                     u = south | (col << _ROW_SHIFT)
                     ukey = (v, u)
                     out.append(ukey)
-                    ent.append((ukey, u, None))
+                    ent += ukey, u, None
                 if past is not None:
                     tkey = past[i]
-                    ent.append((tkey, tkey[0], fpast))
+                    ent += tkey, tkey[0], fpast
                 if has_future:
                     u = v + step
                     tkey = (v, u)
                     out.append(tkey)
-                    ent.append((tkey, u, ffut))
+                    ent += tkey, u, ffut
                 adj[v] = tuple(ent)
                 i += 1
 
@@ -415,41 +438,50 @@ class DecodingGraph:
             v = base | (row << _ROW_SHIFT)
             ua = a | (row << shift)
             ub = b | (row << shift)
-            ent = [((ua, v), ua, None), ((ub, v), ub, fseam)]
+            ent = [(ua, v), ua, None, (ub, v), ub, fseam]
             if has_past:
                 u = v - step
-                ent.append(((u, v), u, fpast))
+                ent += (u, v), u, fpast
             if has_future:
                 u = v + step
                 tkey = (v, u)
                 out.append(tkey)
-                ent.append((tkey, u, ffut))
+                ent += tkey, u, ffut
             adj[v] = tuple(ent)
 
     # --- enumeration --------------------------------------------------
 
-    def vertices(self):
+    def vertex_array(self) -> np.ndarray:
+        """All vertex ids as a sorted int64 array, computed by arithmetic.
+
+        Patch vertices broadcast patches x rounds x rows x cols; each seam
+        then adds rows x rounds for each of its merged intervals.  Patch
+        ids precede seam ids and seams are in index order, so the pieces
+        concatenate in packed-id order.
+        """
+        d = self.d
+        lay = self.layout
+        i64 = np.int64
+        cells = ((np.arange(d, dtype=i64) << _ROW_SHIFT)[:, None]
+                 | np.arange(d - 1, dtype=i64)).ravel()
+        rounds = np.arange(self.rounds, dtype=i64) << _ROUND_SHIFT
+        pids = np.arange(lay.n_patches, dtype=i64) << _PATCH_SHIFT
+        parts = [(pids[:, None, None] | rounds[:, None] | cells).ravel()]
+        for s in lay.seams:
+            rows = np.arange(d if s.orient == "ew" else d - 1, dtype=i64) << _ROW_SHIFT
+            base = (self.seam_pid(s) << _PATCH_SHIFT) | _SEAM_COL
+            for a, b in self._merged[s]:
+                rounds = np.arange(a, b, dtype=i64) << _ROUND_SHIFT
+                parts.append((base | rounds[:, None] | rows).ravel())
+        return np.concatenate(parts)
+
+    def vertices(self) -> list:
         """All vertex ids, sorted by packed id (patch, round, row, col)."""
-        return self.vertices_in_rounds(0, self.rounds)
+        return self.vertex_array().tolist()
 
     def edges(self):
         """All edge keys, deduplicated, in deterministic order."""
         return self.edges_in_rounds(0, self.rounds)
-
-    def vertices_in_rounds(self, r0: int, r1: int):
-        d = self.d
-        for p in range(self.layout.n_patches):
-            for rnd in range(r0, r1):
-                for row in range(d):
-                    for col in range(d - 1):
-                        yield pack_vid(p, rnd, row, col)
-        for s in self.layout.seams:
-            spid = self.seam_pid(s)
-            nrows = d if s.orient == "ew" else d - 1
-            for rnd in range(r0, r1):
-                if self.is_merged(s, rnd):
-                    for row in range(nrows):
-                        yield pack_vid(spid, rnd, row, _SEAM_COL)
 
     def edges_in_rounds(self, r0: int, r1: int):
         """Edges attributed to rounds [r0, r1).
@@ -529,17 +561,26 @@ class DecodingGraph:
         u, v = ekey
         if v < 0:
             return None
-        for k, other, face in self.neighbors(u):
+        it = iter(self.neighbors(u))
+        for k, other, face in zip(it, it, it):
             if k == ekey:
                 return face
         raise ValueError(f"unknown edge {ekey}")
 
     def block_of(self, vid: int) -> tuple[int, int]:
         """(patch, epoch) owning a vertex; seam vertices go with patch_a."""
-        p, rnd, _, _ = unpack_vid(vid)
-        if p >= self.layout.n_patches:
-            p = self.layout.seams[p - self.layout.n_patches].patch_a
-        return (p, rnd // self.d)
+        p = vid >> _PATCH_SHIFT
+        n = self.layout.n_patches
+        if p >= n:
+            p = self.layout.seams[p - n].patch_a
+        return (p, ((vid >> _ROUND_SHIFT) & 0xFFFFFF) // self.d)
+
+    def blocks_of(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """block_of over an array of vertex ids: (patch, epoch) arrays."""
+        lay = self.layout
+        owner = np.array([*range(lay.n_patches), *(s.patch_a for s in lay.seams)],
+                         dtype=np.int64)
+        return owner[vids >> _PATCH_SHIFT], ((vids >> _ROUND_SHIFT) & 0xFFFFFF) // self.d
 
 
 def merge_patches(graph: DecodingGraph, seam: Seam, round_range: tuple[int, int]) -> DecodingGraph:

@@ -45,7 +45,7 @@ class EdgeTable:
         m = self.n_edges = len(self.ekeys)
         ends = np.fromiter(chain.from_iterable(self.ekeys), dtype=np.int64, count=2 * m)
         u, v = ends[0::2], ends[1::2]
-        self._vid_arr = np.sort(np.fromiter(graph.vertices(), dtype=np.int64))
+        self._vid_arr = graph.vertex_array()
         n = self._n = len(self._vid_arr)
         self._u = np.searchsorted(self._vid_arr, u)
         self._v = np.searchsorted(self._vid_arr, v)

@@ -29,7 +29,8 @@ def _bfs(graph: DecodingGraph, src: int, in_region, absorb: frozenset):
         nxt = []
         for v in frontier:
             dv = dist[v]
-            for ekey, other, face in graph.neighbors(v):
+            it = iter(graph.neighbors(v))
+            for ekey, other, face in zip(it, it, it):
                 if other < 0:
                     if dv + 1 < best[0]:
                         best = (dv + 1, v, ekey)

@@ -34,6 +34,8 @@ A face absent from the map is an ordinary interior interface.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graph import DecodingGraph, face_index
 
 
@@ -141,7 +143,8 @@ class UfState:
             for v in fr:
                 pending = 0
                 # boundary entries never carry a face
-                for ekey, other, face in graph.neighbors(v):
+                it = iter(graph.neighbors(v))
+                for ekey, other, face in zip(it, it, it):
                     if face is not None:
                         status = fs.get(face)
                         if status == 'wall':
@@ -321,12 +324,19 @@ class UfState:
 
 
 def region_vids(graph: DecodingGraph) -> dict:
-    """Vertex ids of every (patch, epoch) block, from one pass over the graph."""
-    block_of = graph.block_of
-    out = {}
-    for v in graph.vertices():
-        out.setdefault(block_of(v), []).append(v)
-    return {bid: frozenset(vids) for bid, vids in out.items()}
+    """Vertex ids of every (patch, epoch) block, in block order.
+
+    The graph's vertex array is grouped by block in numpy: a stable sort
+    on the block key, then one frozenset per run of equal keys.
+    """
+    vids = graph.vertex_array()
+    patch, epoch = graph.blocks_of(vids)
+    order = np.argsort(patch * -(-graph.rounds // graph.d) + epoch, kind="stable")
+    patch, epoch, vids = patch[order], epoch[order], vids[order].tolist()
+    starts = np.flatnonzero(np.diff(patch, prepend=-1) | np.diff(epoch, prepend=-1))
+    bids = zip(patch[starts].tolist(), epoch[starts].tolist())
+    ends = [*starts[1:].tolist(), len(vids)]
+    return {bid: frozenset(vids[a:b]) for bid, a, b in zip(bids, starts.tolist(), ends)}
 
 
 def decode_block(graph: DecodingGraph, block, defects, walls=()) -> UfState:

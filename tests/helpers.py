@@ -13,8 +13,54 @@ def toggled_defects(edges):
     return {v for v, c in cnt.items() if c % 2}
 
 
+def ref_vertices(graph):
+    """Every vertex id in packed-id order, enumerated one vertex at a time.
+
+    The generator vertex_array() replaced, kept as the slow reference: it
+    reads only the layout and the merge intervals.
+    """
+    d = graph.d
+    for p in range(graph.layout.n_patches):
+        for rnd in range(graph.rounds):
+            for row in range(d):
+                for col in range(d - 1):
+                    yield pack_vid(p, rnd, row, col)
+    for s in graph.layout.seams:
+        spid = graph.seam_pid(s)
+        nrows = d if s.orient == "ew" else d - 1
+        for rnd in range(graph.rounds):
+            if graph.is_merged(s, rnd):
+                for row in range(nrows):
+                    yield pack_vid(spid, rnd, row, _SEAM_COL)
+
+
+def ref_block_of(graph, vid):
+    """(patch, epoch) of a vertex from its unpacked fields; a seam vertex
+    belongs to its seam's patch_a."""
+    p, rnd, _, _ = unpack_vid(vid)
+    n = graph.layout.n_patches
+    if p >= n:
+        p = graph.layout.seams[p - n].patch_a
+    return (p, rnd // graph.d)
+
+
+def ref_region_vids(graph):
+    """(patch, epoch) -> frozenset of vertex ids, one vertex at a time."""
+    out = {}
+    for v in ref_vertices(graph):
+        out.setdefault(ref_block_of(graph, v), set()).add(v)
+    return {bid: frozenset(vids) for bid, vids in out.items()}
+
+
+def triples(nb):
+    """A flat neighbors() tuple as its list of (edge key, other, face)."""
+    it = iter(nb)
+    return list(zip(it, it, it))
+
+
 def ref_adjacency(graph, vid):
-    """A vertex's (edge key, other, face) entries, built one vertex at a time.
+    """A vertex's (edge key, other, face) entries, built one vertex at a time,
+    flattened into the graph's one-tuple format.
 
     The per-vertex builder the graph's slab fill replaced, kept as the slow
     reference: it reads only the layout and the merge intervals, never the
@@ -95,7 +141,7 @@ def ref_adjacency(graph, vid):
             u = pack_vid(p, rnd + 1, row, _SEAM_COL)
             face = ("t", s.patch_a, (rnd + 1) // d) if (rnd + 1) % d == 0 else None
             entries.append(((vid, u), u, face))
-    return tuple(entries)
+    return tuple(x for entry in entries for x in entry)
 
 
 def ref_edges(graph):
@@ -103,9 +149,9 @@ def ref_edges(graph):
     reference adjacency: a vertex keeps its boundary edges, its same-round
     edges to higher ids and its edges into later rounds."""
     out = []
-    for vid in graph.vertices():
+    for vid in ref_vertices(graph):
         rnd = unpack_vid(vid)[1]
-        for ekey, other, _ in ref_adjacency(graph, vid):
+        for ekey, other, _ in triples(ref_adjacency(graph, vid)):
             if other < 0:
                 out.append(ekey)
                 continue

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,16 @@ from surgedec.graph import (
     unpack_vid,
 )
 from surgedec.noise import EdgeTable, apply_merge_schedule, random_merge_schedule
-from surgedec.uf import decode_region
+from surgedec.uf import decode_region, region_vids
 
-from .helpers import ref_adjacency, ref_edges
+from .helpers import (
+    ref_adjacency,
+    ref_block_of,
+    ref_edges,
+    ref_region_vids,
+    ref_vertices,
+    triples,
+)
 
 
 def desc(graph, ekey):
@@ -139,6 +147,23 @@ def test_merge_empty_range_is_noop():
     assert sorted(g.edges()) == before
 
 
+def test_merge_and_split_reject_rounds_outside_the_graph():
+    lay, g = two_patch_graph(3, 9)
+    seam = lay.seams[0]
+    g.merge(seam, 3, 6)
+    with pytest.raises(ValueError, match=r"\[7, 3\)"):
+        g.merge(seam, 7, 3)
+    for rnd in (-5, -1, 10):
+        with pytest.raises(ValueError, match=r"\[0, 9\]"):
+            g.split(seam, rnd)
+    assert g.merge_intervals(seam) == [(3, 6)]
+    g.merge(seam, 7, 7)
+    g.split(seam, 6)
+    assert g.merge_intervals(seam) == [(3, 6)]
+    g.split(seam, 0)
+    assert g.merge_intervals(seam) == []
+
+
 def test_merge_errors():
     lay, g = two_patch_graph(5, 10)
     merge_patches(g, lay.seams[0], (0, 5))
@@ -185,13 +210,13 @@ def test_remerge_after_split_counts():
     merge_patches(g, seam, (10, 15))
     seam_vertices = [v for v in g.vertices() if unpack_vid(v)[0] >= 2]
     assert len(seam_vertices) == (3 + 5) * 5
-    # the full enumerators are the round-slice ones over every round
+    # the full enumerators match the reference and the round-slice walk
     vs = list(g.vertices())
     es = list(g.edges())
-    assert vs == sorted(vs) == list(g.vertices_in_rounds(0, g.rounds))
+    assert vs == sorted(vs) == list(ref_vertices(g))
     assert es == list(g.edges_in_rounds(0, g.rounds))
     assert len(set(es)) == len(es)
-    assert set(es) == {k for v in vs for k, _, _ in g.neighbors(v)}
+    assert set(es) == {k for v in vs for k in g.neighbors(v)[0::3]}
 
 
 def test_ns_merge_counts():
@@ -232,14 +257,14 @@ def test_degree_bound_property():
     for _ in range(10):
         lay, g = random_layout_and_schedule(rng, 3)
         for v in g.vertices():
-            nbrs = g.neighbors(v)
+            nbrs = triples(g.neighbors(v))
             assert len(nbrs) <= 6
             if unpack_vid(v)[0] >= lay.n_patches:
                 assert len(nbrs) <= 4
             # edge keys must agree from both endpoints
             for ekey, other, _ in nbrs:
                 if other >= 0:
-                    assert ekey in [k for k, _, _ in g.neighbors(other)]
+                    assert ekey in g.neighbors(other)[0::3]
 
 
 def test_deterministic_enumeration():
@@ -300,6 +325,7 @@ def test_block_of_totality():
         p, e = g.block_of(v)
         assert (p, e) in blocks
         assert e == unpack_vid(v)[1] // 3
+        assert (p, e) == ref_block_of(g, v)
 
 
 def test_face_edges_consistency():
@@ -479,3 +505,24 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
             assert g.neighbors(v) == want
             assert fresh.neighbors(v) == want
         assert list(g.edges()) == ref_edges(g)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))),
+       d=st.sampled_from((3, 5)), epochs=st.integers(1, 3), extra=st.integers(0, 2),
+       data=st.data())
+def test_vertex_array_and_regions_match_reference(shape, d, epochs, extra, data):
+    rows, cols = shape
+    lay = Layout(d, {r * cols + c: (r, c) for r in range(rows) for c in range(cols)})
+    g = DecodingGraph(lay, epochs * d + extra)
+    for _ in range(data.draw(st.integers(0, 6)) if lay.seams else 0):
+        step = _draw_step(data, g)
+        if step is not None:
+            op, *args = step
+            getattr(g, op)(*args)
+    arr = g.vertex_array()
+    assert arr.dtype == np.int64
+    assert arr.tolist() == list(ref_vertices(g)) == g.vertices()
+    assert len(arr) == g.n_vertices()
+    assert region_vids(g) == ref_region_vids(g)
+    assert list(region_vids(g)) == sorted(ref_region_vids(g))
