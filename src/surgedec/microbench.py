@@ -138,16 +138,14 @@ def build(name: str, d: int) -> Benchmark:
     return bench
 
 
-def run(name: str, d: int, p: float, trials: int, seed: int = 0,
-        latency: LatencyModel | None = None, fanout: int = 25) -> MetricsReport:
+def run(name: str, d: int, p: float, trials: int, seed: int = 0) -> MetricsReport:
     """Build, decode and time one benchmark on a matching topology.
 
     The leaf grid mirrors the patch bounding box, so each patch gets its
-    own leaf node and boundary information never climbs the tree.
+    own leaf node and boundary information never climbs the tree; the tree
+    has fanout 25 and the timing is the default LatencyModel.
     """
     bench = build(name, d)
-    if latency is None:
-        latency = LatencyModel()
     graph = DecodingGraph(bench.layout, rounds=bench.epochs * d)
     for seam, rng in bench.merges:
         graph = merge_patches(graph, seam, rng)
@@ -155,7 +153,7 @@ def run(name: str, d: int, p: float, trials: int, seed: int = 0,
     cols = 1 + max(c for _, c in bench.layout.positions.values())
     if rows * cols == 1:
         rows, cols = 1, 2  # a feedback target needs somewhere to live
-    top = build_topology(rows * cols, fanout, (rows, cols))
+    top = build_topology(rows * cols, 25, (rows, cols))
     node_of = {p: top.leaves[r * cols + c]
                for p, (r, c) in bench.layout.positions.items()}
     used = set(node_of.values())
@@ -165,5 +163,5 @@ def run(name: str, d: int, p: float, trials: int, seed: int = 0,
                     forward_node=spare[0] if spare else top.root)
         for p, e in bench.measures
     ]
-    return simulate(graph, top, latency, p, trials=trials, seed=seed,
+    return simulate(graph, top, LatencyModel(), p, trials=trials, seed=seed,
                     node_of=node_of, instructions=instructions)

@@ -4,7 +4,9 @@ Every edge flips independently with probability p: space edges are data
 errors, time edges are measurement errors.  The final round of a graph is
 implicitly perfect (no time edges extend past it).  Defects are the vertices
 with an odd number of flipped incident edges; the true logical observable of
-a patch is the flip parity across its west cut.
+a patch is the flip parity across its west cut.  EdgeTable holds the edges
+as int32 endpoint-slot and cut arrays, not as a list of edge keys, and a
+sample rebuilds the keys of only the edges it flips.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import DecodingGraph, Layout
+from .graph import EAST, WEST, DecodingGraph, Layout
 
 
 @dataclass
@@ -32,7 +34,11 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
 class EdgeTable:
     """Materialised edges of a graph, for vectorised sampling.
 
-    Sampling returns sparse results, so per-trial cost scales with the
+    The table holds numpy arrays only, no edge keys.  Per edge, int32 _u
+    and _v are slots into _vid_arr, the n sorted vertex ids followed by
+    WEST at slot n and EAST at n + 1, and int32 _cut is the patch whose
+    cut the edge crosses, -1 for none.  A sample rebuilds the keys of the
+    edges it flips from their slots, so per-trial cost scales with the
     flip count.
     """
 
@@ -41,32 +47,32 @@ class EdgeTable:
         # one walk over the graph's slabs fills its adjacency cache in
         # vertex order, which the decodes that follow read, and yields
         # each edge key once
-        self.ekeys = list(graph.edges())
-        m = self.n_edges = len(self.ekeys)
-        ends = np.fromiter(chain.from_iterable(self.ekeys), dtype=np.int64, count=2 * m)
+        ends = np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64)
         u, v = ends[0::2], ends[1::2]
-        self._vid_arr = graph.vertex_array()
-        n = self._n = len(self._vid_arr)
-        self._u = np.searchsorted(self._vid_arr, u)
-        self._v = np.searchsorted(self._vid_arr, v)
-        # boundary endpoints (WEST/EAST) map to the extra slot n
-        self._v[v < 0] = n
-        self._cut = graph.cut_patches(u, v)
+        self.n_edges = len(u)
+        vids = graph.vertex_array()
+        n = self._n = len(vids)
+        self._vid_arr = np.concatenate((vids, (WEST, EAST)))
+        self._u = np.searchsorted(vids, u).astype(np.int32)
+        self._v = np.searchsorted(vids, v).astype(np.int32)
+        self._v[v == WEST] = n
+        self._v[v == EAST] = n + 1
+        self._cut = graph.cut_patches(u, v).astype(np.int32)
 
     def sample_flips(self, p: float, rng: np.random.Generator) -> np.ndarray:
         return np.flatnonzero(rng.random(self.n_edges) < p)
 
     def defects_of(self, flips: np.ndarray) -> list:
-        counts = np.bincount(self._u[flips], minlength=self._n + 1)
-        counts += np.bincount(self._v[flips], minlength=self._n + 1)
+        counts = np.bincount(self._u[flips], minlength=self._n + 2)
+        counts += np.bincount(self._v[flips], minlength=self._n + 2)
         return self._vid_arr[(counts[: self._n] & 1).nonzero()[0]].tolist()
 
     def logical_of(self, flips: np.ndarray) -> dict:
-        out = {}
+        """Cut parity per patch with a flipped cut edge, in patch order."""
         cuts = self._cut[flips]
-        for pid in np.unique(cuts[cuts >= 0]):
-            out[int(pid)] = int(np.count_nonzero(cuts == pid) & 1)
-        return out
+        counts = np.bincount(cuts[cuts >= 0])
+        pids = counts.nonzero()[0]
+        return dict(zip(pids.tolist(), (counts[pids] & 1).tolist()))
 
     def sample(self, p: float, rng: np.random.Generator) -> ErrorSample:
         if not 0.0 <= p <= 1.0:
@@ -74,8 +80,10 @@ class EdgeTable:
         flips = self.sample_flips(p, rng)
         truth = {pid: 0 for pid in self.graph.layout.positions}
         truth.update(self.logical_of(flips))
+        ids = self._vid_arr
         return ErrorSample(
-            flipped_edges={self.ekeys[i] for i in flips},
+            flipped_edges=set(zip(ids[self._u[flips]].tolist(),
+                                  ids[self._v[flips]].tolist())),
             defects=set(self.defects_of(flips)),
             true_logical=truth,
         )

@@ -327,7 +327,8 @@ def region_vids(graph: DecodingGraph) -> dict:
     """Vertex ids of every (patch, epoch) block, in block order.
 
     The graph's vertex array is grouped by block in numpy: a stable sort
-    on the block key, then one frozenset per run of equal keys.
+    on the block key, then one frozenset per run of equal keys.  Decoding
+    does not need it: a vertex's block is graph.block_of arithmetic.
     """
     vids = graph.vertex_array()
     patch, epoch = graph.blocks_of(vids)

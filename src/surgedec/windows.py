@@ -7,18 +7,21 @@ epoch k-g; within a slot the groups act in order 1, 2, 3.  Temporal
 interfaces between a unit's consecutive epochs are fused in place; spatial
 interfaces between units are resolved once, by the upstream (lower-group)
 side committing its crossing edges, which the downstream side absorbs as
-flipped defects before decoding.  A window left with no defects after
-those flips builds no decoder state: its face statuses join the unit's
-rolling state and the temporal face to the previous epoch is joined in
-place, which wakes, grows and peels only the clusters suspended on it, so
-an idle window costs its faces.  The dataflow is deterministic and
-independent of wall-clock timing, so the network simulator walks the same
-cascade to replay a run under any latency model.
+flipped defects before decoding; the endpoint that flips is the one whose
+block_of is the receiving window, so the pipeline keeps no vertex sets.  A
+window left with no defects after those flips builds no decoder state: its
+face statuses join the unit's rolling state and the temporal face to the
+previous epoch is joined in place, which wakes, grows and peels only the
+clusters suspended on it, so an idle window costs its faces.  The
+dataflow is deterministic and independent of wall-clock timing, so the
+network simulator walks the same cascade to replay a run under any latency
+model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import DecodingGraph, carve_blocks
 from .fusion import fuse
@@ -71,8 +74,6 @@ class Pipeline:
         self._by_group = {g: sorted(u for u, gu in self.groups.items() if gu == g)
                           for g in (1, 2, 3)}
         self.blocks = {b.block_id: b for b in carve_blocks(graph)}
-        # vertex sets only orient the crossings an inbound commit flips
-        self.regions = region_vids(graph)
         # seam faces of each block by role: walls are inbound faces, sealed
         # by the upstream (lower-group) unit's commit; sends pair each
         # outbound face with the downstream unit its commit goes to
@@ -93,6 +94,13 @@ class Pipeline:
             self.walls[bid] = tuple(sorted(walls))
             self.sends[bid] = tuple(sorted(sends))
         self._reset([])
+
+    @cached_property
+    def regions(self) -> dict:
+        """(patch, epoch) -> frozenset of the block's vertex ids, built on
+        first read.  Set-up and run never read it: they orient crossings
+        by graph.block_of, which tests check against these sets."""
+        return region_vids(self.graph)
 
     def cascade(self, k: int):
         """Units active in slot k, in cascade order.
@@ -119,9 +127,10 @@ class Pipeline:
 
     def _decode_window(self, unit: int, epoch: int):
         bid = (unit, epoch)
-        reg = self.regions[bid]
+        block_of = self.graph.block_of
         walls = self.walls[bid]
-        # upstream commits toggle the defects their crossings end on here
+        # upstream commits toggle the defects their crossings end on here;
+        # a seam vertex goes with patch_a in both block_of and carving
         flips = set()
         for face in walls:
             info = self._inbox.pop(face, None)
@@ -129,7 +138,7 @@ class Pipeline:
                 raise PipelineStallError(
                     f"window ({unit}, {epoch}) lacks boundary info for {face}")
             for u, w in info.committed_crossings:
-                flips.symmetric_difference_update((u if u in reg else w,))
+                flips.symmetric_difference_update((u if block_of(u) == bid else w,))
         defects = self._block_defects.get(bid, set()) ^ flips
         blk = self.blocks[bid]
         rolling = self._states.get(unit)

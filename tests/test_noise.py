@@ -2,9 +2,12 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from surgedec.graph import (
+    EAST,
+    WEST,
     DecodingGraph,
     Layout,
     Seam,
@@ -99,11 +102,12 @@ def test_edge_slices_partition_graph():
 
 
 def test_noise_params_validation():
-    table = EdgeTable(DecodingGraph(Layout(3, {0: (0, 0)}), 1))
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
+    table = EdgeTable(g)
     for p in (1.5, -0.2):
         with pytest.raises(ValueError):
             table.sample(p, derived_rng(1))
-    assert table.sample(1.0, derived_rng(1)).flipped_edges == set(table.ekeys)
+    assert table.sample(1.0, derived_rng(1)).flipped_edges == set(g.edges())
 
 
 def grid_layout(rows, cols, d=3):
@@ -165,11 +169,11 @@ def test_edge_table_matches_per_edge_reference(d):
     for ekey in ekeys:
         u, v = ekey
         ref_u.append(index[u])
-        ref_v.append(index[v] if v >= 0 else n)
+        ref_v.append(index[v] if v >= 0 else n if v == WEST else n + 1)
         cp = g.cut_patch(ekey)
         ref_cut.append(-1 if cp is None else cp)
-    assert table.ekeys == ekeys
-    assert table._vid_arr.tolist() == sorted(index)
+    assert list(g.edges()) == ekeys
+    assert table._vid_arr.tolist() == [*sorted(index), WEST, EAST]
     assert table._u.tolist() == ref_u
     assert table._v.tolist() == ref_v
     assert table._cut.tolist() == ref_cut
@@ -177,7 +181,24 @@ def test_edge_table_matches_per_edge_reference(d):
     kinds = {s.orient for s in lay.seams if g.merge_intervals(s)}
     assert kinds == {"ew", "ns"}
     assert any(c >= 0 and g.kind_of(ek) == "seam-space"
-               for c, ek in zip(ref_cut, table.ekeys))
+               for c, ek in zip(ref_cut, g.edges()))
+
+
+def test_full_flip_sample_rebuilds_every_edge_key():
+    # a 2x2 grid with both seam orientations merged has boundary edges to
+    # WEST and to EAST, seam-space edges of both kinds and seam-time edges
+    lay = grid_layout(2, 2)
+    g = DecodingGraph(lay, 6)
+    for s in lay.seams:
+        merge_patches(g, s, (0, 3))
+    table = EdgeTable(g)
+    keys = set(g.edges())
+    assert {v for _, v in keys if v < 0} == {WEST, EAST}
+    assert {g.kind_of(k) for k in keys} >= {"seam-space", "seam-time"}
+    assert table.sample(1.0, derived_rng(3)).flipped_edges == keys
+    # the table keeps int32 arrays per edge and no list of edge keys
+    assert not [x for x in vars(table).values() if isinstance(x, (list, tuple))]
+    assert {table._u.dtype, table._v.dtype, table._cut.dtype} == {np.dtype(np.int32)}
 
 
 def test_edge_table_memory_per_vertex():

@@ -6,6 +6,7 @@ recounted defect sets, mirroring the fusion tests.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from surgedec.graph import (DecodingGraph, Layout, Seam,
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import decode_region
+from surgedec import windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
@@ -204,3 +206,43 @@ def test_pipeline_plan_and_global_valid_under_random_schedules():
             assert toggled_defects(pipe.run(sorted(defects)).correction) == defects
             assert toggled_defects(plan.decode(sorted(defects))) == defects
             assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects
+
+
+def test_crossings_are_oriented_without_vertex_sets(monkeypatch):
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    g = apply_merge_schedule(DecodingGraph(lay, 9),
+                             random_merge_schedule(lay, 3, 0.5, 5))
+    table = EdgeTable(g)
+    samples = [table.sample(0.03, derived_rng(5, t)).defects for t in range(6)]
+    want = [Pipeline(g).run(sorted(defects)) for defects in samples]
+
+    def no_vertex_sets(graph):
+        raise AssertionError("region_vids called")
+
+    monkeypatch.setattr(windows, "region_vids", no_vertex_sets)
+    pipe = Pipeline(g)
+    crossed = 0
+    for defects, ref in zip(samples, want):
+        res = pipe.run(sorted(defects))
+        assert toggled_defects(res.correction) == defects
+        assert res.correction == ref.correction and res.sends == ref.sends
+        crossed += sum(len(info.committed_crossings) for *_, info in res.sends)
+    # some inbound commit flipped a defect, so orientation was exercised
+    assert crossed
+
+
+def test_pipeline_set_up_holds_no_per_vertex_state():
+    # one d=5 patch over 200 epochs (20,000 vertices): what Pipeline keeps
+    # grows with its blocks, not its vertices.  A frozenset of every
+    # block's vertices held about 120 B per vertex; blocks, walls and
+    # sends alone hold under 5.
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5 * 200)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pipe = Pipeline(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pipe.epochs == 200
+    assert held / g.n_vertices() < 20
