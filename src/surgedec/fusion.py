@@ -12,7 +12,7 @@ to block or face size.
 from __future__ import annotations
 
 from .graph import DecodingGraph, carve_blocks
-from .uf import UfState, decode_block
+from .uf import UfState, decode_block, defects_by_block
 
 
 def fuse(a: UfState, b: UfState, face) -> UfState:
@@ -73,9 +73,7 @@ class FusionPlan:
     def decode(self, defects) -> set:
         """Per-block decode, then fuse everything; returns the correction."""
         graph = self.graph
-        by_block = {}
-        for v in defects:
-            by_block.setdefault(graph.block_of(v), []).append(v)
+        by_block = defects_by_block(graph, self.blocks, defects)
         states = {bid: decode_block(graph, blk, by_block.get(bid, ()))
                   for bid, blk in self.blocks.items()}
         rep = {bid: bid for bid in self.blocks}

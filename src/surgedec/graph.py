@@ -20,6 +20,10 @@ costs one tuple object beside its keys; readers take it three at a time.
 The vertex set needs no walk at all: vertex_array() builds it by
 broadcasting patches x rounds x rows x cols, plus each merged seam
 interval, into a sorted numpy array.
+
+A shared face's edges are its sorted edge keys, so an edge's position on
+a face needs no lookup table.  A merge or split drops the adjacency cache
+and the face tables whole; the next read rebuilds what it needs.
 """
 
 from __future__ import annotations
@@ -72,10 +76,11 @@ class Layout:
     Args:
         d: code distance, odd, >= 3.
         positions: patch id -> (grid_row, grid_col); ids must be 0..n-1.
-        seams: optional explicit seam list; defaults to every adjacent pair.
+
+    The seams are every pair of grid-adjacent patches.
     """
 
-    def __init__(self, d: int, positions: dict[int, tuple[int, int]], seams=None):
+    def __init__(self, d: int, positions: dict[int, tuple[int, int]]):
         if d < 3 or d % 2 == 0:
             raise ValueError(f"d must be odd and >= 3, got {d}")
         n = len(positions)
@@ -87,14 +92,11 @@ class Layout:
         self.positions = dict(positions)
         self.n_patches = n
         self._at = {pos: pid for pid, pos in positions.items()}
-        if seams is None:
-            seams = self._adjacent_seams()
-        self.seams = tuple(sorted(seams))
+        self.seams = tuple(sorted(self._adjacent_seams()))
         self._seam_index = {s: i for i, s in enumerate(self.seams)}
         # patch side -> seam, sides named from the patch's own perspective
         self._side: dict[tuple[int, str], Seam] = {}
         for s in self.seams:
-            self._validate_seam(s)
             if s.orient == "ew":
                 self._side[(s.patch_a, "e")] = s
                 self._side[(s.patch_b, "w")] = s
@@ -112,17 +114,6 @@ class Layout:
             if south is not None:
                 seams.append(Seam(pid, south, "ns"))
         return seams
-
-    def _validate_seam(self, s: Seam) -> None:
-        if s.patch_a == s.patch_b:
-            raise ValueError(f"seam joins a patch to itself: {s}")
-        if s.patch_a not in self.positions or s.patch_b not in self.positions:
-            raise ValueError(f"seam references unknown patch: {s}")
-        ra, ca = self.positions[s.patch_a]
-        rb, cb = self.positions[s.patch_b]
-        want = (ra, ca + 1) if s.orient == "ew" else (ra + 1, ca)
-        if (rb, cb) != want:
-            raise ValueError(f"patches of {s} are not adjacent in seam orientation")
 
     def seam_index(self, s: Seam) -> int:
         return self._seam_index[s]
@@ -167,9 +158,9 @@ class DecodingGraph:
     seam merge intervals and cached per vertex as one flat tuple, and the
     vertex set is computed by vertex_array() alone.  edges() fills the cache
     slab by slab in vertex order; a vertex missing from it (never read, or
-    evicted) is filled with the rest of its slab on first read.  Mutation
-    (merge/split) requires exclusive access and evicts the cached adjacency
-    of the vertices whose edges it changes.
+    dropped) is filled with the rest of its slab on first read.  Mutation
+    (merge/split) requires exclusive access and drops the cached adjacency
+    and face tables whole.
     """
 
     def __init__(self, layout: Layout, rounds: int):
@@ -181,8 +172,8 @@ class DecodingGraph:
         # seam -> sorted disjoint merge intervals [start, stop)
         self._merged: dict[Seam, list[list[int]]] = {s: [] for s in layout.seams}
         self._adj: dict[int, tuple] = {}
-        # face id -> [edge tuple, edge -> position map or None until read]
-        self._faces: dict[tuple, list] = {}
+        # face id -> sorted edge tuple
+        self._faces: dict[tuple, tuple] = {}
 
     # --- seam state ---------------------------------------------------
 
@@ -227,7 +218,7 @@ class DecodingGraph:
             else:
                 out.append(iv)
         self._merged[s] = out
-        self._evict_near(s, max(0, start - 1), stop)
+        self._adj.clear()
         self._faces.clear()
 
     def split(self, s: Seam, rnd: int) -> None:
@@ -251,29 +242,8 @@ class DecodingGraph:
             elif a < rnd:
                 kept.append([a, rnd])
         self._merged[s] = kept
-        self._evict_near(s, max(0, rnd - 1), self.rounds)
+        self._adj.clear()
         self._faces.clear()
-
-    def _evict_near(self, s: Seam, lo: int, hi: int) -> None:
-        """Drop cached adjacency of vertices whose edges a merge/split changes."""
-        if not self._adj:
-            return
-        d = self.d
-        spid = self.seam_pid(s)
-        drop = []
-        for rnd in range(lo, min(hi + 1, self.rounds)):
-            if s.orient == "ew":
-                for row in range(d):
-                    drop.append(pack_vid(s.patch_a, rnd, row, d - 2))
-                    drop.append(pack_vid(s.patch_b, rnd, row, 0))
-                    drop.append(pack_vid(spid, rnd, row, _SEAM_COL))
-            else:
-                for c in range(d - 1):
-                    drop.append(pack_vid(s.patch_a, rnd, d - 1, c))
-                    drop.append(pack_vid(s.patch_b, rnd, 0, c))
-                    drop.append(pack_vid(spid, rnd, c, _SEAM_COL))
-        for vid in drop:
-            self._adj.pop(vid, None)
 
     # --- adjacency ----------------------------------------------------
 
@@ -475,10 +445,6 @@ class DecodingGraph:
                 parts.append((base | rounds[:, None] | rows).ravel())
         return np.concatenate(parts)
 
-    def vertices(self) -> list:
-        """All vertex ids, sorted by packed id (patch, round, row, col)."""
-        return self.vertex_array().tolist()
-
     def edges(self):
         """All edge keys, deduplicated, in deterministic order."""
         return self.edges_in_rounds(0, self.rounds)
@@ -502,14 +468,6 @@ class DecodingGraph:
                     out = []
                     self._fill_seam_slab(s, rnd, out)
                     yield from out
-
-    def n_vertices(self) -> int:
-        n = self.layout.n_patches * self.rounds * self.d * (self.d - 1)
-        for s in self.layout.seams:
-            nrows = self.d if s.orient == "ew" else self.d - 1
-            for a, b in self._merged[s]:
-                n += (b - a) * nrows
-        return n
 
     # --- edge metadata ------------------------------------------------
 
@@ -622,31 +580,21 @@ def carve_blocks(graph: DecodingGraph) -> list[DecodingBlock]:
 
 
 def face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
-    """Edge keys of a shared face, deterministic order.
+    """Edge keys of a shared face, in sorted order.
 
-    The table is built once per graph and face, dropped when a merge or
-    split changes the graph, and returned as the same tuple on every call.
-    A temporal face outside the graph raises ValueError.
+    An edge's position in this tuple is its index on the face, so both
+    sides of a face name an edge alike without a lookup table.  The tuple is
+    built once per graph and face, dropped when a merge or split changes
+    the graph, and returned as the same object on every call.  A temporal
+    face outside the graph raises ValueError.
     """
-    return _face_entry(graph, face_id)[0]
+    edges = graph._faces.get(face_id)
+    if edges is None:
+        edges = graph._faces[face_id] = tuple(sorted(_build_face_edges(graph, face_id)))
+    return edges
 
 
-def face_index(graph: DecodingGraph, face_id: tuple) -> dict:
-    """Edge key -> position in face_edges(graph, face_id), built once."""
-    entry = _face_entry(graph, face_id)
-    if entry[1] is None:
-        entry[1] = {ek: i for i, ek in enumerate(entry[0])}
-    return entry[1]
-
-
-def _face_entry(graph: DecodingGraph, face_id: tuple) -> list:
-    entry = graph._faces.get(face_id)
-    if entry is None:
-        entry = graph._faces[face_id] = [_build_face_edges(graph, face_id), None]
-    return entry
-
-
-def _build_face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
+def _build_face_edges(graph: DecodingGraph, face_id: tuple) -> list:
     lay = graph.layout
     d = graph.d
     out = []
@@ -682,4 +630,4 @@ def _build_face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
                     out.append(
                         (pack_vid(spid, rnd - 1, row, _SEAM_COL), pack_vid(spid, rnd, row, _SEAM_COL))
                     )
-    return tuple(out)
+    return out

@@ -49,6 +49,8 @@ def build_topology(n_leaves: int, fanout: int, grid_dims: tuple) -> Topology:
     with a minimum of one level so the root is never itself a leaf.
     """
     rows, cols = grid_dims
+    if rows < 1 or cols < 1:
+        raise ValueError(f"grid {rows}x{cols} needs at least one row and column")
     if rows * cols != n_leaves:
         raise ValueError(f"grid {rows}x{cols} cannot hold {n_leaves} leaves")
     if fanout < 2:

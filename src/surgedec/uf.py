@@ -19,7 +19,7 @@ Each open face the state grew onto has a touch list (touched): the edge
 keys grown onto it, appended by grow_round as it suspends the cluster.
 Every face edge with growth 1 or 2 is on the list, so joining a face
 (join_face, which fuse calls) unions only the listed edges that reached a
-full edge, in face_edges order, and never reads the face's edge table;
+full edge, in sorted key order, and never reads the face's edge table;
 absorbing a face reads its committed crossings from the list too.  A face
 with no list was never reached: joining it only merges face statuses, and
 absorbing it only seals it, so an empty block costs nothing beyond its
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import DecodingGraph, face_index
+from .graph import DecodingGraph
 
 
 class UfState:
@@ -262,7 +262,7 @@ class UfState:
 
         face_status, the far side's face statuses, is merged in.  The
         edges on the face's touch list that reached a full edge are unioned
-        in face_edges order, the clusters suspended on the face wake, and
+        in sorted key order, the clusters suspended on the face wake, and
         the state settles and peels if anything was unioned or woke.  A
         face the state never grew onto costs only the status merge.
         """
@@ -277,9 +277,7 @@ class UfState:
         grown = ()
         if keys:
             growth = self.growth
-            grown = {k for k in keys if growth[k] >= 2}
-            if len(grown) > 1:
-                grown = sorted(grown, key=face_index(self.graph, face).__getitem__)
+            grown = sorted({k for k in keys if growth[k] >= 2})
             adj = self.grown_adj
             for ekey in grown:
                 u, w = ekey
@@ -338,6 +336,25 @@ def region_vids(graph: DecodingGraph) -> dict:
     bids = zip(patch[starts].tolist(), epoch[starts].tolist())
     ends = [*starts[1:].tolist(), len(vids)]
     return {bid: frozenset(vids[a:b]) for bid, a, b in zip(bids, starts.tolist(), ends)}
+
+
+def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
+    """Block id -> the defects in that block, each list in input order.
+
+    blocks holds the carved block ids; a defect whose block is not one of
+    them, such as one at a round past the graph or with a patch id past the
+    layout's patches and seams, raises ValueError.
+    """
+    out = {}
+    for v in defects:
+        try:
+            bid = graph.block_of(v)
+        except IndexError:  # patch id past every seam
+            bid = None
+        if bid not in blocks:
+            raise ValueError(f"defect {v:#x} outside the carved blocks")
+        out.setdefault(bid, []).append(v)
+    return out
 
 
 def decode_block(graph: DecodingGraph, block, defects, walls=()) -> UfState:

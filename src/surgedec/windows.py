@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .graph import DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import decode_block, face_statuses, region_vids
+from .uf import decode_block, defects_by_block, face_statuses, region_vids
 
 
 class PipelineStallError(RuntimeError):
@@ -117,10 +117,7 @@ class Pipeline:
                     yield unit, e_dec, e_com
 
     def _reset(self, defects):
-        by_block = {}
-        for v in defects:
-            by_block.setdefault(self.graph.block_of(v), set()).add(v)
-        self._block_defects = by_block
+        self._block_defects = defects_by_block(self.graph, self.blocks, defects)
         self._states = {}      # unit -> rolling UfState
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
         self._result = PipelineResult(set(), {}, {}, [])
@@ -139,7 +136,7 @@ class Pipeline:
                     f"window ({unit}, {epoch}) lacks boundary info for {face}")
             for u, w in info.committed_crossings:
                 flips.symmetric_difference_update((u if block_of(u) == bid else w,))
-        defects = self._block_defects.get(bid, set()) ^ flips
+        defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
         blk = self.blocks[bid]
         rolling = self._states.get(unit)
         if rolling is None:

@@ -9,9 +9,10 @@ use the low nibble as the number of edge indices in the payload, three
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graph import DecodingGraph, face_edges, face_index
+from .graph import DecodingGraph, face_edges
 
 OP_BOUNDARY = 0x3
 OP_RESULT = 0x4
@@ -89,17 +90,17 @@ def pack_boundary_indices(vals) -> list:
 def encode_boundary_info(info, graph: DecodingGraph, dest: int) -> list:
     """Committed face crossings as messages of 16-bit edge indices.
 
-    Edges are named by their position in the face's canonical edge list,
-    so both sides only need the shared graph to agree on the meaning.
+    Edges are named by their position in face_edges, the face's sorted
+    edge keys, so both sides only need the shared graph to agree on the
+    meaning.
     """
-    index = face_index(graph, info.face)
-    if len(index) > (1 << 16):
+    edges = face_edges(graph, info.face)
+    if len(edges) > (1 << 16):
         raise ValueError(f"face {info.face} has too many edges to index")
-    try:
-        vals = sorted(index[ek] for ek in info.committed_crossings)
-    except KeyError:
-        bad = set(info.committed_crossings) - set(index)
-        raise ValueError(f"crossings {bad} are not on face {info.face}") from None
+    bad = [ek for ek in info.committed_crossings if ek not in edges]
+    if bad:
+        raise ValueError(f"crossings {bad} are not on face {info.face}")
+    vals = sorted(bisect_left(edges, ek) for ek in info.committed_crossings)
     return [Message(dest, h, p) for h, p in pack_boundary_indices(vals)]
 
 

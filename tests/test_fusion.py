@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from surgedec.graph import (DecodingGraph, Layout, Seam,
-                            carve_blocks, merge_patches, pack_vid)
+from surgedec.graph import (DecodingGraph, Layout, carve_blocks, merge_patches,
+                            pack_vid)
 from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
@@ -48,7 +48,7 @@ def test_fusion_leaves_settled_clusters_alone():
 
 
 def test_spatial_pair_through_seam():
-    lay = Layout(5, {0: (0, 0), 1: (0, 1)}, [Seam(0, 1, "ew")])
+    lay = Layout(5, {0: (0, 0), 1: (0, 1)})
     g = DecodingGraph(lay, 5)
     merge_patches(g, lay.seams[0], (0, 5))
     blocks = blocks_by_id(g)
@@ -64,9 +64,7 @@ def test_spatial_pair_through_seam():
 
 
 def test_plan_decode_valid_on_grid():
-    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
-                 [Seam(0, 1, "ew"), Seam(2, 3, "ew"),
-                  Seam(0, 2, "ns"), Seam(1, 3, "ns")])
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
     g = DecodingGraph(lay, 6)
     for s in lay.seams:
         merge_patches(g, s, (0, 6))
@@ -125,9 +123,7 @@ def test_fuse_order_does_not_break_validity():
 
 
 def test_intra_state_fuse_closes_loop():
-    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
-                 [Seam(0, 1, "ew"), Seam(2, 3, "ew"),
-                  Seam(0, 2, "ns"), Seam(1, 3, "ns")])
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
     g = DecodingGraph(lay, 3)
     for s in lay.seams:
         merge_patches(g, s, (0, 3))
@@ -157,9 +153,7 @@ def check_maps(st):
 
 
 def test_fuse_and_absorb_keep_live_exact():
-    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
-                 [Seam(0, 1, "ew"), Seam(2, 3, "ew"),
-                  Seam(0, 2, "ns"), Seam(1, 3, "ns")])
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
     g = DecodingGraph(lay, 9)
     for s in lay.seams:
         merge_patches(g, s, (0, 9))

@@ -48,7 +48,8 @@ def test_defect_density_matches_analytic():
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     p = 0.03
     # exact expected defect count: odd-flip probability per vertex degree
-    expect = sum((1 - (1 - 2 * p) ** (len(g.neighbors(v)) // 3)) / 2 for v in g.vertices())
+    vids = g.vertex_array().tolist()
+    expect = sum((1 - (1 - 2 * p) ** (len(g.neighbors(v)) // 3)) / 2 for v in vids)
     table = EdgeTable(g)
     rng = derived_rng(42)
     trials = 2000
@@ -216,5 +217,6 @@ def test_edge_table_memory_per_vertex():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(g._adj) == g.n_vertices() == 10_000 and table.n_edges
-    assert held / g.n_vertices() < 620
+    n = len(g.vertex_array())
+    assert len(g._adj) == n == 10_000 and table.n_edges
+    assert held / n < 620

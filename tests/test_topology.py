@@ -81,6 +81,8 @@ def test_bad_builds_are_rejected():
         build_topology(4, 25, (2, 3))
     with pytest.raises(ValueError):
         build_topology(4, 1, (2, 2))
+    with pytest.raises(ValueError):
+        build_topology(1, 25, (-1, -1))
 
 
 def test_route_rejects_unknown_nodes():

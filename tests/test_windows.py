@@ -11,8 +11,7 @@ import tracemalloc
 import pytest
 
 from surgedec.fusion import FusionPlan
-from surgedec.graph import (DecodingGraph, Layout, Seam,
-                            merge_patches, pack_vid)
+from surgedec.graph import DecodingGraph, Layout, merge_patches, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import decode_region
@@ -24,15 +23,11 @@ from .helpers import toggled_defects
 
 
 def row_layout(n, d=3):
-    positions = {p: (0, p) for p in range(n)}
-    seams = [Seam(p, p + 1, "ew") for p in range(n - 1)]
-    return Layout(d, positions, seams)
+    return Layout(d, {p: (0, p) for p in range(n)})
 
 
 def grid_layout(d=3):
-    return Layout(d, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
-                  [Seam(0, 1, "ew"), Seam(2, 3, "ew"),
-                   Seam(0, 2, "ns"), Seam(1, 3, "ns")])
+    return Layout(d, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
 
 
 def merged_graph(lay, rounds):
@@ -183,6 +178,16 @@ def test_stall_surfaces_as_error():
         pipe.run_epoch(1)
 
 
+def test_defects_outside_the_carved_blocks_are_rejected():
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
+    inside = pack_vid(0, 2, 0, 0)
+    for bad in (pack_vid(0, 9, 0, 0), pack_vid(7, 0, 0, 0)):
+        for decode in (Pipeline(g).run, FusionPlan(g).decode,
+                       lambda ds: decode_region(g, ds)):
+            with pytest.raises(ValueError, match=f"{bad:#x}"):
+                decode([inside, bad])
+
+
 def test_pipeline_plan_and_global_valid_under_random_schedules():
     cases = []
     lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
@@ -245,4 +250,4 @@ def test_pipeline_set_up_holds_no_per_vertex_state():
     finally:
         tracemalloc.stop()
     assert pipe.epochs == 200
-    assert held / g.n_vertices() < 20
+    assert held / len(g.vertex_array()) < 20
