@@ -19,7 +19,7 @@ from .config import RunConfig, load_config
 from .fusion import FusionPlan
 from .graph import DecodingGraph, Layout, face_edges, merge_patches
 from .microbench import CATALOG, run as run_bench
-from .netsim import default_placement, simulate, write_rows_csv
+from .netsim import simulate, write_rows_csv
 from .noise import EdgeTable, apply_merge_schedule, derived_rng, random_merge_schedule
 from .stats import wilson_interval
 from .topology import build_topology, max_tree_hops, route, tree_path
@@ -37,20 +37,16 @@ def _accuracy_point(d: int, p: float, trials: int, seed: int) -> dict:
     plan = FusionPlan(graph)
     table = EdgeTable(graph)
     rng = derived_rng(seed, d, int(p * 1e6))
-    fails_fused = fails_global = 0
+    fails = [0, 0]  # fused, global
     for _ in range(trials):
         sample = table.sample(p, rng)
-        for corr, bump in (
-            (plan.decode(sample.defects), "fused"),
-            (decode_region(graph, sample.defects).correction, "global"),
-        ):
+        for i, corr in enumerate((plan.decode(sample.defects),
+                                  decode_region(graph, sample.defects).correction)):
             cp = cut_parities(graph, corr)
             if any(sample.true_logical[pid] ^ cp.get(pid, 0)
                    for pid in sample.true_logical):
-                if bump == "fused":
-                    fails_fused += 1
-                else:
-                    fails_global += 1
+                fails[i] += 1
+    fails_fused, fails_global = fails
     lo_f, hi_f = wilson_interval(fails_fused, trials)
     lo_g, hi_g = wilson_interval(fails_global, trials)
     return {
@@ -91,9 +87,7 @@ def _cmd_scalability(args) -> int:
         graph, random_merge_schedule(lay, cfg.epochs, cfg.merge_prob, cfg.seed))
     top = build_topology(cfg.leaf_grid[0] * cfg.leaf_grid[1], cfg.fanout,
                          cfg.leaf_grid)
-    node_of = default_placement(lay, top)
-    rep = simulate(graph, top, cfg.latency, args.p, trials=cfg.trials,
-                   seed=cfg.seed, node_of=node_of)
+    rep = simulate(graph, top, cfg.latency, args.p, trials=cfg.trials, seed=cfg.seed)
     print(f"qubits={rows * cols} d={cfg.d} epochs={cfg.epochs} trials={cfg.trials}")
     print(f"latency_ns mean={rep.latency_mean_ns:.1f} min={rep.latency_min_ns} "
           f"p95={rep.latency_p95_ns}")

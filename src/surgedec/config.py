@@ -38,6 +38,8 @@ def parse_config(data: dict) -> RunConfig:
             kwargs[key] = data[key]
     if "qubit_grid" in data:
         kwargs["qubit_grid"] = tuple(data["qubit_grid"])
+        if min(kwargs["qubit_grid"]) < 1:
+            raise ValueError(f"qubit_grid dimensions must be at least 1, got {data['qubit_grid']}")
     topo = data.get("topology", {})
     bad = set(topo) - _TOPO_KEYS
     if bad:

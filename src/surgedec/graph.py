@@ -3,8 +3,9 @@
 Z-type (primal) graph of an unrotated planar code: one detector vertex per
 ancilla measurement round, one edge per independent error mechanism.  Logical
 patches sit on a 2D grid; merging two patches inserts a line of seam vertices
-per merged round and rewires the facing boundary edges, splitting restores
-them.  Vertex ids pack (patch, round, row, col) so that sorting ids gives the
+per merged round and rewires the facing boundary edges.  A seam's merge
+intervals are the whole surgery schedule: a split is where an interval
+ends.  Vertex ids pack (patch, round, row, col) so that sorting ids gives the
 lexicographic order with seam vertices after all patches.
 
 Adjacency is built a slab at a time: the d(d-1) vertices of one (patch,
@@ -22,8 +23,8 @@ broadcasting patches x rounds x rows x cols, plus each merged seam
 interval, into a sorted numpy array.
 
 A shared face's edges are its sorted edge keys, so an edge's position on
-a face needs no lookup table.  A merge or split drops the adjacency cache
-and the face tables whole; the next read rebuilds what it needs.
+a face needs no lookup table.  A merge drops the adjacency cache and the
+face tables whole; the next read rebuilds what it needs.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class DecodingGraph:
     vertex set is computed by vertex_array() alone.  edges() fills the cache
     slab by slab in vertex order; a vertex missing from it (never read, or
     dropped) is filled with the rest of its slab on first read.  Mutation
-    (merge/split) requires exclusive access and drops the cached adjacency
-    and face tables whole.
+    (merge) requires exclusive access and drops the cached adjacency and
+    face tables whole.
     """
 
     def __init__(self, layout: Layout, rounds: int):
@@ -218,30 +219,6 @@ class DecodingGraph:
             else:
                 out.append(iv)
         self._merged[s] = out
-        self._adj.clear()
-        self._faces.clear()
-
-    def split(self, s: Seam, rnd: int) -> None:
-        """Deactivate seam s from round rnd on.
-
-        rnd outside [0, rounds], or a seam with no merged round at rnd - 1
-        or later, raises ValueError.
-        """
-        if s not in self._merged:
-            raise ValueError(f"seam not in layout: {s}")
-        if not 0 <= rnd <= self.rounds:
-            raise ValueError(f"split round {rnd} outside graph rounds [0, {self.rounds}]")
-        covered = self.is_merged(s, rnd - 1) if rnd > 0 else False
-        covered = covered or any(b > rnd for _, b in self._merged[s])
-        if not covered:
-            raise ValueError(f"seam has no merged rounds at or after {rnd - 1}")
-        kept = []
-        for a, b in self._merged[s]:
-            if b <= rnd:
-                kept.append([a, b])
-            elif a < rnd:
-                kept.append([a, rnd])
-        self._merged[s] = kept
         self._adj.clear()
         self._faces.clear()
 
@@ -533,13 +510,6 @@ class DecodingGraph:
             p = self.layout.seams[p - n].patch_a
         return (p, ((vid >> _ROUND_SHIFT) & 0xFFFFFF) // self.d)
 
-    def blocks_of(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """block_of over an array of vertex ids: (patch, epoch) arrays."""
-        lay = self.layout
-        owner = np.array([*range(lay.n_patches), *(s.patch_a for s in lay.seams)],
-                         dtype=np.int64)
-        return owner[vids >> _PATCH_SHIFT], ((vids >> _ROUND_SHIFT) & 0xFFFFFF) // self.d
-
 
 def merge_patches(graph: DecodingGraph, seam: Seam, round_range: tuple[int, int]) -> DecodingGraph:
     """Activate a seam for [start, stop); mutates and returns the graph."""
@@ -584,8 +554,8 @@ def face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
 
     An edge's position in this tuple is its index on the face, so both
     sides of a face name an edge alike without a lookup table.  The tuple is
-    built once per graph and face, dropped when a merge or split changes
-    the graph, and returned as the same object on every call.  A temporal
+    built once per graph and face, dropped when a merge changes the
+    graph, and returned as the same object on every call.  A temporal
     face outside the graph raises ValueError.
     """
     edges = graph._faces.get(face_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DecodingGraph, Layout, merge_patches
-from .netsim import Instruction, LatencyModel, MetricsReport, simulate
+from .netsim import Instruction, LatencyModel, MetricsReport, default_placement, simulate
 from .topology import build_topology
 
 
@@ -141,9 +141,10 @@ def build(name: str, d: int) -> Benchmark:
 def run(name: str, d: int, p: float, trials: int, seed: int = 0) -> MetricsReport:
     """Build, decode and time one benchmark on a matching topology.
 
-    The leaf grid mirrors the patch bounding box, so each patch gets its
-    own leaf node and boundary information never climbs the tree; the tree
-    has fanout 25 and the timing is the default LatencyModel.
+    The leaf grid mirrors the patch bounding box, so default_placement
+    gives each patch its own leaf node and boundary information never
+    climbs the tree; the tree has fanout 25 and the timing is the default
+    LatencyModel.
     """
     bench = build(name, d)
     graph = DecodingGraph(bench.layout, rounds=bench.epochs * d)
@@ -154,9 +155,7 @@ def run(name: str, d: int, p: float, trials: int, seed: int = 0) -> MetricsRepor
     if rows * cols == 1:
         rows, cols = 1, 2  # a feedback target needs somewhere to live
     top = build_topology(rows * cols, 25, (rows, cols))
-    node_of = {p: top.leaves[r * cols + c]
-               for p, (r, c) in bench.layout.positions.items()}
-    used = set(node_of.values())
+    used = set(default_placement(bench.layout, top).values())
     spare = [n for n in top.leaves if n not in used]
     instructions = [
         Instruction("measure", patch=p, epoch=e,
@@ -164,4 +163,4 @@ def run(name: str, d: int, p: float, trials: int, seed: int = 0) -> MetricsRepor
         for p, e in bench.measures
     ]
     return simulate(graph, top, LatencyModel(), p, trials=trials, seed=seed,
-                    node_of=node_of, instructions=instructions)
+                    instructions=instructions)

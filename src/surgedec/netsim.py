@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import wire
 from .graph import DecodingGraph
@@ -45,6 +45,13 @@ class LatencyModel:
     t_cycle_ns: int = 10  # one decoder clock cycle (100 MHz)
     decode_base_cycles: int = 30
     decode_per_iter_cycles: int = 10
+
+    def __post_init__(self):
+        if self.t_round_ns < 1:
+            raise ValueError(f"t_round_ns must be at least 1, got {self.t_round_ns}")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must not be negative, got {getattr(self, f.name)}")
 
     def decode_ns(self, iters: int) -> int:
         return (self.decode_base_cycles + self.decode_per_iter_cycles * iters) * self.t_cycle_ns
@@ -152,7 +159,11 @@ def default_placement(layout, topology: Topology) -> dict:
 
 
 class Replayer:
-    """Replays one pipeline run on the network, one cascade slot at a time."""
+    """Replays one pipeline run on the network, one cascade slot at a time.
+
+    node_of maps each unit (a patch) to the leaf node that hosts it; when it
+    is None the units are placed by default_placement.
+    """
 
     def __init__(self, pipe: Pipeline, topology: Topology, latency: LatencyModel,
                  node_of=None, instructions=()):
@@ -161,9 +172,7 @@ class Replayer:
         self.lat = latency
         units = sorted(pipe.groups)
         if node_of is None:
-            if len(units) > len(topology.leaves):
-                raise ValueError("more units than leaf nodes; pass node_of")
-            node_of = {u: topology.leaves[i] for i, u in enumerate(units)}
+            node_of = default_placement(pipe.graph.layout, topology)
         self.node_of = dict(node_of)
         self.units = units
         self.slot_ns = pipe.graph.d * latency.t_round_ns
@@ -301,6 +310,8 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     of every trial; rows holds the per-block records of the first trial
     for CSV export.  A trial counts as a logical failure when any
     patch's corrected observable disagrees with the sampled truth.
+    Units sit on the leaves that node_of names, or on default_placement's
+    leaves when it is None.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

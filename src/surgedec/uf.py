@@ -34,8 +34,6 @@ A face absent from the map is an ordinary interior interface.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graph import DecodingGraph
 
 
@@ -130,7 +128,12 @@ class UfState:
         self.live.discard(root)
 
     def grow_round(self) -> bool:
-        """One synchronized half-edge growth step for all active clusters."""
+        """One synchronized half-edge growth step for all active clusters.
+
+        A round that grows no edge while clusters are live would repeat
+        forever: every live cluster is odd and walled in, with no real
+        boundary or open face left to reach, so it raises ValueError.
+        """
         if not self.live:
             return False
         graph = self.graph
@@ -164,6 +167,9 @@ class UfState:
                 if not pending:
                     drop.append(v)
             fr.difference_update(drop)
+        if not full and not any(self.frontier[r] for r in self.live):
+            raise ValueError(f"odd cluster at {min(self.live):#x} is walled in: "
+                             "no real boundary or open face to reach")
         self.grow_iterations += 1
         adj = self.grown_adj
         touched = self.touched
@@ -324,18 +330,14 @@ class UfState:
 def region_vids(graph: DecodingGraph) -> dict:
     """Vertex ids of every (patch, epoch) block, in block order.
 
-    The graph's vertex array is grouped by block in numpy: a stable sort
-    on the block key, then one frozenset per run of equal keys.  Decoding
-    does not need it: a vertex's block is graph.block_of arithmetic.
+    Decoding does not need it: a vertex's block is graph.block_of
+    arithmetic, which is how the vertex array is grouped here.
     """
-    vids = graph.vertex_array()
-    patch, epoch = graph.blocks_of(vids)
-    order = np.argsort(patch * -(-graph.rounds // graph.d) + epoch, kind="stable")
-    patch, epoch, vids = patch[order], epoch[order], vids[order].tolist()
-    starts = np.flatnonzero(np.diff(patch, prepend=-1) | np.diff(epoch, prepend=-1))
-    bids = zip(patch[starts].tolist(), epoch[starts].tolist())
-    ends = [*starts[1:].tolist(), len(vids)]
-    return {bid: frozenset(vids[a:b]) for bid, a, b in zip(bids, starts.tolist(), ends)}
+    out = {}
+    block_of = graph.block_of
+    for v in graph.vertex_array().tolist():
+        out.setdefault(block_of(v), []).append(v)
+    return {bid: frozenset(out[bid]) for bid in sorted(out)}
 
 
 def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:

@@ -46,3 +46,15 @@ def test_load_from_file(tmp_path):
     cfg = load_config(str(path))
     assert cfg.epochs == 8
     assert cfg.seed == 42
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"latency": {"t_round_ns": 0}}, "t_round_ns"),
+    ({"latency": {"decode_base_cycles": -100}}, "decode_base_cycles"),
+    ({"qubit_grid": [0, 3]}, "qubit_grid"),
+])
+def test_unrepresentable_values_rejected(data, field):
+    # a zero round time divides by zero in the replay, a negative decode
+    # cost commits before the data exists, and an empty grid places nothing
+    with pytest.raises(ValueError, match=field):
+        parse_config(data)

@@ -1,4 +1,4 @@
-"""Decoding-graph construction, merge/split, and block carving."""
+"""Decoding-graph construction, merges, and block carving."""
 
 import random
 
@@ -151,15 +151,9 @@ def test_merge_and_split_reject_rounds_outside_the_graph():
     g.merge(seam, 3, 6)
     with pytest.raises(ValueError, match=r"\[7, 3\)"):
         g.merge(seam, 7, 3)
-    for rnd in (-5, -1, 10):
-        with pytest.raises(ValueError, match=r"\[0, 9\]"):
-            g.split(seam, rnd)
     assert g.merge_intervals(seam) == [(3, 6)]
     g.merge(seam, 7, 7)
-    g.split(seam, 6)
     assert g.merge_intervals(seam) == [(3, 6)]
-    g.split(seam, 0)
-    assert g.merge_intervals(seam) == []
 
 
 def test_merge_errors():
@@ -173,29 +167,10 @@ def test_merge_errors():
         g.merge(Seam(0, 1, "ns"), 5, 10)
 
 
-def test_merge_split_round_trip():
-    lay, g = two_patch_graph(5, 15)
-    seam = lay.seams[0]
-    vs = sorted(g.vertex_array().tolist())
-    es = sorted(g.edges())
-    merge_patches(g, seam, (5, 10))
-    assert sorted(g.edges()) != es
-    g.split(seam, 5)
-    assert sorted(g.vertex_array().tolist()) == vs
-    assert sorted(g.edges()) == es
-
-
-def test_split_not_merged_error():
-    lay, g = two_patch_graph(5, 10)
-    with pytest.raises(ValueError):
-        g.split(lay.seams[0], 5)
-
-
 def test_remerge_after_split_counts():
     lay, g = two_patch_graph(5, 15)
     seam = lay.seams[0]
-    merge_patches(g, seam, (0, 5))
-    g.split(seam, 3)
+    merge_patches(g, seam, (0, 3))
     merge_patches(g, seam, (10, 15))
     seam_vertices = [v for v in g.vertex_array().tolist() if unpack_vid(v)[0] >= 2]
     assert len(seam_vertices) == (3 + 5) * 5
@@ -347,9 +322,8 @@ def test_face_tables_follow_merge_and_split():
     steps = [
         lambda: g.merge(ew, 0, 6),   # ('t', 0, 1) gains seam time edges
         lambda: g.merge(ew, 6, 9),   # coalesces; ('t', 0, 2) gains them too
-        lambda: g.split(ew, 6),      # ('t', 0, 2) loses them again
-        lambda: g.merge(ns, 4, 11),  # not epoch aligned: partial seam faces
-        lambda: g.split(ns, 8),
+        lambda: g.merge(ns, 4, 8),   # not epoch aligned: partial seam faces
+        lambda: g.merge(ns, 9, 11),  # a second interval after a one-round gap
     ]
     for step in [lambda: None, *steps]:
         # read every face first, so a table left stale by the step shows
@@ -364,9 +338,10 @@ def test_face_tables_follow_merge_and_split():
             edges = face_edges(g, f)
             assert edges == face_edges(fresh, f)
             assert type(edges) is tuple and face_edges(g, f) is edges
-    # ew merged over rounds 2-3, ns over rounds 5-6
+    # ew merged over rounds 2-3 and 5-6, ns over rounds 5-6 but not 8-9
     assert len(face_edges(g, ("t", 0, 1))) == 6 + 3
-    assert len(face_edges(g, ("t", 0, 2))) == 6 + 2
+    assert len(face_edges(g, ("t", 0, 2))) == 6 + 3 + 2
+    assert len(face_edges(g, ("t", 0, 3))) == 6
     # a temporal face outside the graph raises on every call
     for f in [("t", 0, 0), ("t", 0, 4)]:
         for _ in range(2):
@@ -453,27 +428,23 @@ def _fresh_copy(g):
 
 
 def _draw_step(data, g):
-    """A valid merge or split of a drawn seam, or None if there is none."""
+    """(seam, start, stop) of a valid merge of a drawn seam, or None."""
     d, rounds = g.d, g.rounds
     # "ns" first: derandomized draws lean to the first choice, and ns seams
     # are the rarer orientation
     orient = data.draw(st.sampled_from(sorted({s.orient for s in g.layout.seams},
                                               reverse=True)))
     s = data.draw(st.sampled_from([s for s in g.layout.seams if s.orient == orient]))
-    kind = data.draw(st.sampled_from(("aligned", "unaligned", "adjacent", "split")))
+    kind = data.draw(st.sampled_from(("aligned", "unaligned", "adjacent")))
     ivs = g.merge_intervals(s)
     free = [r for r in range(rounds) if not g.is_merged(s, r)]
-    if kind == "split":
-        cuts = [r for r in range(rounds + 1)
-                if (r > 0 and g.is_merged(s, r - 1)) or any(b > r for _, b in ivs)]
-        options = [("split", s, r) for r in cuts]
-    elif kind == "aligned":
-        options = [("merge", s, e * d, (e + 1) * d) for e in range(rounds // d)
+    if kind == "aligned":
+        options = [(s, e * d, (e + 1) * d) for e in range(rounds // d)
                    if all(r in free for r in range(e * d, (e + 1) * d))]
     elif kind == "adjacent":
         # one round back to back with a merged interval, so the two coalesce
-        options = [("merge", s, b, b + 1) for _, b in ivs if b in free]
-        options += [("merge", s, a - 1, a) for a, _ in ivs if a - 1 in free]
+        options = [(s, b, b + 1) for _, b in ivs if b in free]
+        options += [(s, a - 1, a) for a, _ in ivs if a - 1 in free]
     else:
         options = []
         if free:
@@ -481,7 +452,7 @@ def _draw_step(data, g):
             stop = start + 1
             while stop in free and data.draw(st.booleans()):
                 stop += 1
-            options = [("merge", s, start, stop)]
+            options = [(s, start, stop)]
     return data.draw(st.sampled_from(options)) if options else None
 
 
@@ -498,8 +469,7 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
         step = _draw_step(data, g)
         if step is None:
             continue
-        op, *args = step
-        getattr(g, op)(*args)
+        g.merge(*step)
         fresh = _fresh_copy(g)
         for v in g.vertex_array().tolist():
             want = ref_adjacency(g, v)
@@ -519,8 +489,7 @@ def test_vertex_array_and_regions_match_reference(shape, d, epochs, extra, data)
     for _ in range(data.draw(st.integers(0, 6)) if lay.seams else 0):
         step = _draw_step(data, g)
         if step is not None:
-            op, *args = step
-            getattr(g, op)(*args)
+            g.merge(*step)
     arr = g.vertex_array()
     assert arr.dtype == np.int64
     assert arr.tolist() == list(ref_vertices(g))

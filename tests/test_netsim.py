@@ -214,6 +214,20 @@ def test_tiled_placement_keeps_neighbours_on_adjacent_nodes():
     assert len(set(node_of.values())) == 4
 
 
+def test_replayer_places_units_by_default_placement():
+    # 16 units on 4 leaves: without node_of the replay tiles the grid
+    lay = Layout(3, {i: (i // 4, i % 4) for i in range(16)})
+    g = apply_merge_schedule(DecodingGraph(lay, rounds=3 * 3),
+                             random_merge_schedule(lay, 3, 0.5, seed=4))
+    top = build_topology(4, 25, (2, 2))
+    pipe = Pipeline(g)
+    res = pipe.run(EdgeTable(g).sample(0.02, derived_rng(4)).defects)
+    rep = Replayer(pipe, top, LatencyModel())
+    assert rep.node_of == default_placement(lay, top)
+    explicit = Replayer(pipe, top, LatencyModel(), node_of=default_placement(lay, top))
+    assert rep.trace(res).rows == explicit.trace(res).rows
+
+
 def test_repeat_runs_build_no_face_table(monkeypatch):
     g = grid_graph()
     pipe = Pipeline(g)

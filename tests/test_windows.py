@@ -5,16 +5,18 @@ on small hand-traced graphs; validity on larger graphs is checked against
 recounted defect sets, mirroring the fusion tests.
 """
 
+import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from surgedec.fusion import FusionPlan
-from surgedec.graph import DecodingGraph, Layout, merge_patches, pack_vid
+from surgedec.graph import DecodingGraph, Layout, face_edges, merge_patches, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import decode_region
+from surgedec.uf import cut_parities, decode_region
 from surgedec import windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
@@ -211,6 +213,51 @@ def test_pipeline_plan_and_global_valid_under_random_schedules():
             assert toggled_defects(pipe.run(sorted(defects)).correction) == defects
             assert toggled_defects(plan.decode(sorted(defects))) == defects
             assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects
+
+
+@pytest.mark.parametrize("d, epochs, weight, errors", [
+    (3, 2, 1, 231),
+    (5, 2, 1, 1225),
+    pytest.param(5, 1, 2, 173755, marks=pytest.mark.slow),
+])
+def test_pipeline_plan_and_global_keep_the_code_distance(d, epochs, weight, errors):
+    # two EW-merged patches, merged in every epoch: each error of weight at
+    # most (d-1)/2 must come back as a valid correction with the true
+    # logical outcome, whichever decoder runs
+    lay = row_layout(2, d)
+    g = merged_graph(lay, epochs * d)
+    table = EdgeTable(g)
+    pipe, plan = Pipeline(g), FusionPlan(g)
+    decoders = (lambda ds: pipe.run(ds).correction, plan.decode,
+                lambda ds: decode_region(g, ds).correction)
+    seen = 0
+    for flips in itertools.combinations(range(table.n_edges), weight):
+        flips = np.array(flips)
+        defects = table.defects_of(flips)
+        truth = table.logical_of(flips)
+        for decode in decoders:
+            corr = decode(defects)
+            assert toggled_defects(corr) == set(defects), flips
+            cp = cut_parities(g, corr)
+            assert all(cp.get(p, 0) == truth.get(p, 0) for p in lay.positions), flips
+        seen += 1
+    assert seen == errors
+
+
+def test_a_unit_walled_in_without_a_boundary_fails_loudly():
+    # every seam of a 3x3 grid merged: patch 7 (south middle, group 3) has
+    # no real boundary, and all three of its seam faces are inbound walls.
+    # One error on its east seam leaves patch 8's defect suspended on two
+    # faces; it drains north into unit 5, so unit 7 keeps an odd defect
+    # with nowhere to go.  The global and fused decodes correct it.
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    g = apply_merge_schedule(DecodingGraph(lay, 3), [frozenset(lay.seams)])
+    seam = lay.side_seam(7, "e")
+    defects = set(face_edges(g, ("s", lay.seam_index(seam), 0))[0])
+    assert toggled_defects(FusionPlan(g).decode(sorted(defects))) == defects
+    assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects
+    with pytest.raises(ValueError, match="walled in"):
+        Pipeline(g).run(sorted(defects))
 
 
 def test_crossings_are_oriented_without_vertex_sets(monkeypatch):
