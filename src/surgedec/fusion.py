@@ -12,7 +12,7 @@ to block or face size.
 from __future__ import annotations
 
 from .graph import DecodingGraph, carve_blocks
-from .uf import UfState, decode_block, defects_by_block
+from .uf import UfState, decode_block, defects_by_block, face_statuses
 
 
 def fuse(a: UfState, b: UfState, face) -> UfState:
@@ -57,6 +57,8 @@ class FusionPlan:
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         self.blocks = {blk.block_id: blk for blk in carve_blocks(graph)}
+        # every face starts open: all of them are fused, none committed
+        self._open = {bid: face_statuses(blk, ()) for bid, blk in self.blocks.items()}
         incident = {}
         for bid, blk in self.blocks.items():
             for f in blk.faces:
@@ -74,7 +76,7 @@ class FusionPlan:
         """Per-block decode, then fuse everything; returns the correction."""
         graph = self.graph
         by_block = defects_by_block(graph, self.blocks, defects)
-        states = {bid: decode_block(graph, blk, by_block.get(bid, ()))
+        states = {bid: decode_block(graph, blk, by_block.get(bid, ()), self._open[bid])
                   for bid, blk in self.blocks.items()}
         rep = {bid: bid for bid in self.blocks}
 

@@ -75,7 +75,7 @@ class Layout:
     """Static arrangement of logical patches on a grid.
 
     Args:
-        d: code distance, odd, >= 3.
+        d: code distance, odd, 3 <= d <= 255.
         positions: patch id -> (grid_row, grid_col); ids must be 0..n-1.
 
     The seams are every pair of grid-adjacent patches.
@@ -84,6 +84,10 @@ class Layout:
     def __init__(self, d: int, positions: dict[int, tuple[int, int]]):
         if d < 3 or d % 2 == 0:
             raise ValueError(f"d must be odd and >= 3, got {d}")
+        # a vertex id packs row and col in 8 bits each, and col 0xFF marks
+        # seam vertices
+        if d > 255:
+            raise ValueError(f"d must be at most 255 to fit the vertex id, got {d}")
         n = len(positions)
         if sorted(positions) != list(range(n)):
             raise ValueError("patch ids must be consecutive integers from 0")
@@ -167,6 +171,9 @@ class DecodingGraph:
     def __init__(self, layout: Layout, rounds: int):
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
+        if rounds > 1 << 24:
+            raise ValueError(f"rounds must be at most 2**24 to fit the vertex id's "
+                             f"24-bit round field, got {rounds}")
         self.layout = layout
         self.d = layout.d
         self.rounds = rounds

@@ -10,9 +10,13 @@ and it additionally waits for the unit to be free and for boundary
 information from upstream neighbours to arrive.
 
 Nothing contends for a link, and a decode only waits on commits of
-lower groups at the same or earlier slots, so one pass over the slots in
-the pipeline's cascade order knows every input time of a slot before it
-reaches it: the replay is exact without an event queue.
+lower groups at the same or earlier slots, so one pass over the
+pipeline's schedule, the cascade it fixed at set-up, knows every input
+time of a slot before it reaches it: the replay is exact without an event
+queue.  Everything in that pass that does not depend on the syndrome (hop
+costs, offsets to the root and to forward nodes, the event count) is
+fixed when the Replayer is built; a run adds only decode times, and packs
+only the commits that carry crossings.
 
 Reported per-block latency is decode completion minus availability of
 the block's last measurement round, so it includes queueing.  Inverse
@@ -162,7 +166,12 @@ class Replayer:
     """Replays one pipeline run on the network, one cascade slot at a time.
 
     node_of maps each unit (a patch) to the leaf node that hosts it; when it
-    is None the units are placed by default_placement.
+    is None the units are placed by default_placement.  Set-up walks the
+    pipeline's schedule once and fixes every timing constant a record
+    needs, none of which depends on the syndrome: per decode its block id,
+    inbound walls and row index; per commit its block id, the link cost of
+    each send, the offset at which its forwarded result arrives, and the
+    offset at which each cond-merge configuration reaches its unit.
     """
 
     def __init__(self, pipe: Pipeline, topology: Topology, latency: LatencyModel,
@@ -177,16 +186,13 @@ class Replayer:
         self.units = units
         self.slot_ns = pipe.graph.d * latency.t_round_ns
 
-        self._depth_of = {n: topology.depth(n) for n in topology.children}
-        self._hops = {}
-
-        self._meas = {}
-        self._cond = {}
+        meas = {}
+        cond = {}
         for ins in instructions:
             if ins.op == "measure":
-                self._meas.setdefault((ins.patch, ins.epoch), []).append(ins.forward_node)
+                meas.setdefault((ins.patch, ins.epoch), []).append(ins.forward_node)
             elif ins.op == "cond_merge":
-                self._cond.setdefault((ins.patch, ins.epoch), []).append(ins)
+                cond.setdefault((ins.patch, ins.epoch), []).append(ins)
             else:
                 raise ValueError(f"unknown instruction op {ins.op!r}")
 
@@ -196,26 +202,67 @@ class Replayer:
                 raise ValueError(f"unit {u} has no node in node_of")
             if self.node_of[u] not in leaves:
                 raise ValueError(f"unit {u} is placed on {self.node_of[u]}, not a leaf")
-        for ns in self._meas.values():
+        for ns in meas.values():
             for n in ns:
                 if n not in topology.children:
                     raise ValueError(f"forward node {n} is not in the topology")
 
-        dests = [*self.node_of.values(), *(n for ns in self._meas.values() for n in ns)]
+        dests = [*self.node_of.values(), *(n for ns in meas.values() for n in ns)]
         bad = sorted({n for n in dests if not wire.dest_fits(n)})
         if bad:
             raise ValueError(f"nodes {bad} do not fit the wire's destination field")
 
-    def _hop_count(self, src_unit: int, dst_unit: int) -> int:
-        key = (src_unit, dst_unit)
-        got = self._hops.get(key)
-        if got is None:
-            msg = wire.Message(self.node_of[dst_unit], wire.boundary_header(0), 0)
-            got = self._hops[key] = len(route(self.top, msg, self.node_of[src_unit]))
-        return got
+        self._plan, self._events = self._timing_plan(meas, cond)
+        self._n_rows = len(pipe.windows)
+
+    def _timing_plan(self, meas: dict, cond: dict):
+        """Per slot, the schedule's records with their timing constants,
+        and the number of events every run of the schedule models."""
+        pipe = self.pipe
+        top = self.top
+        link = self.lat.t_link_ns
+        node_of = self.node_of
+        depth_of = {n: top.depth(n) for n in top.children}
+        row_of = {bid: i for i, bid in enumerate(
+            sorted(pipe.windows, key=lambda bid: (bid[1], bid[0])))}
+        hop_ns = {}
+        plan = []
+        events = len(self.units) * pipe.slots
+        for records in pipe.schedule:
+            timed = []
+            for u, dec, com in records:
+                events += 1
+                if dec is not None:
+                    bid = dec.block.block_id
+                    dec = (bid, dec.walls, row_of[bid])
+                    events += 1
+                if com is not None:
+                    bid = com.block.block_id
+                    sends = []
+                    for face, dst in com.sends:
+                        pair = (u, dst)
+                        if pair not in hop_ns:
+                            msg = wire.Message(node_of[dst], wire.boundary_header(0), 0)
+                            hop_ns[pair] = len(route(top, msg, node_of[u])) * link
+                        sends.append((face, node_of[dst], hop_ns[pair]))
+                    root_ns = depth_of[node_of[u]] * link
+                    forwards = meas.get(bid, ())
+                    fwd_ns = (root_ns + max(depth_of[n] for n in forwards) * link
+                              if forwards else None)
+                    conds = cond.get(bid, ())
+                    # a configuration for an epoch outside the run checks nothing
+                    arrive = tuple(
+                        ((pid, ins.merge_epoch), root_ns + depth_of[node_of[pid]] * link)
+                        for ins in conds for pid in (ins.seam.patch_a, ins.seam.patch_b)
+                        if ins.merge_epoch is not None and 0 <= ins.merge_epoch < pipe.epochs)
+                    com = (bid, tuple(sends), fwd_ns, arrive)
+                    events += 2 + len(sends) + len(forwards) + 2 * len(conds)
+                timed.append((u, dec, com))
+            plan.append(tuple(timed))
+        return tuple(plan), events
 
     def trace(self, result) -> TraceResult:
-        """Time every slot of the run in the pipeline's cascade order.
+        """Time every slot of the run in the pipeline's schedule order.
 
         A slot starts at the latest of: its rounds are available, its unit
         has finished the previous slot, and every inbound wall face of the
@@ -224,74 +271,82 @@ class Replayer:
         forwards and cond-merge configurations that result triggers.
         events counts the modelled events: round availability per unit and
         slot, decode done, slot done, commit, and each message or result.
+        A send missing from the result stalls the window that waits on it.
         """
-        pipe = self.pipe
+        graph = self.pipe.graph
+        d = graph.d
         lat = self.lat
-        link = lat.t_link_ns
+        decode_ns = lat.decode_ns
+        cycle = lat.t_cycle_ns
         slot_ns = self.slot_ns
-        depth_of = self._depth_of
-        send_map = {}
-        for _, src, dst, info in result.sends:
-            send_map.setdefault((src, info.face[2]), []).append((dst, info))
+        iters = result.iters
+        sent = {info.face: info for *_, info in result.sends}
 
         free = dict.fromkeys(self.units, 0)  # unit -> end of its last slot
         arrival = {}       # wall face -> arrival of its boundary info
         decode_start = {}  # (unit, epoch) -> start of the slot decoding it
-        rows = []
+        rows = [None] * self._n_rows
         commit_ns = {}
-        depth_series = [0] * pipe.slots
+        depth_series = []
         feedback_ns = {}
         instr_arrival = []  # ((unit, merge epoch), arrival)
-        n_events = len(self.units) * pipe.slots
 
-        for k in range(pipe.slots):
+        for k, records in enumerate(self._plan):
             due = (k + 1) * slot_ns
-            for u, e_dec, e_com in pipe.cascade(k):
-                start = max(due, free[u])
+            deepest = 0
+            for u, dec, com in records:
+                start = free[u]
+                if start < due:
+                    start = due
                 dur = 0
-                n_events += 1
-                if e_dec is not None:
-                    for f in pipe.walls[(u, e_dec)]:
+                if dec is not None:
+                    bid, walls, row = dec
+                    for f in walls:
                         t = arrival.get(f)
                         if t is None:
                             raise AssertionError(
                                 f"unit {u} stalled at slot {k} without {f}")
-                        start = max(start, t)
-                    dur = lat.decode_ns(result.iters[(u, e_dec)])
+                        if t > start:
+                            start = t
+                    dur = decode_ns(iters[bid])
                     depth = (start - due) // slot_ns
-                    depth_series[k] = max(depth_series[k], depth)
-                    decode_start[(u, e_dec)] = start
-                    rows.append((e_dec, u, start + dur - (e_dec + 1) * slot_ns,
-                                 dur / pipe.graph.d, depth))
-                    n_events += 1
+                    if depth > deepest:
+                        deepest = depth
+                    decode_start[bid] = start
+                    e = bid[1]
+                    rows[row] = (e, u, start + dur - (e + 1) * slot_ns, dur / d, depth)
                 done = free[u] = start + dur
-                if e_com is None:
+                if com is None:
                     continue
-                commit_ns[(u, e_com)] = done
-                sends = send_map.get((u, e_com), ())
-                for dst, info in sends:
-                    words = wire.encode_boundary_info(info, pipe.graph, self.node_of[dst])
-                    arrival[info.face] = (done + self._hop_count(u, dst) * link
-                                          + (len(words) - 1) * lat.t_cycle_ns)
-                at_root = done + depth_of[self.node_of[u]] * link
-                forwards = self._meas.get((u, e_com), ())
-                if forwards:
-                    feedback_ns[(u, e_com)] = at_root + max(depth_of[n] for n in forwards) * link
-                conds = self._cond.get((u, e_com), ())
-                for ins in conds:
-                    for pid in (ins.seam.patch_a, ins.seam.patch_b):
-                        instr_arrival.append(((pid, ins.merge_epoch),
-                                              at_root + depth_of[self.node_of[pid]] * link))
-                n_events += 2 + len(sends) + len(forwards) + 2 * len(conds)
+                bid, sends, fwd_ns, arrive = com
+                commit_ns[bid] = done
+                for face, node, hop_ns in sends:
+                    info = sent.get(face)
+                    if info is None:
+                        continue
+                    t = done + hop_ns
+                    # an empty commit is the codec's one count-0 word, which
+                    # adds no cycle.  With d <= 255 a seam face has at most
+                    # 255 * 255 = 65,025 edges, so its indices always fit the
+                    # wire's 16 bits: skipping the codec there skips no
+                    # check that could fail.  A commit with crossings is
+                    # packed, and checked, in full.
+                    if info.committed_crossings:
+                        t += (len(wire.encode_boundary_info(info, graph, node)) - 1) * cycle
+                    arrival[face] = t
+                if fwd_ns is not None:
+                    feedback_ns[bid] = done + fwd_ns
+                for key, off in arrive:
+                    instr_arrival.append((key, done + off))
+            depth_series.append(deepest)
 
-        margin = min((decode_start[key] - t for key, t in instr_arrival
-                       if key[1] is not None and 0 <= key[1] < pipe.epochs), default=None)
-        first_g3 = min((t for (u, _), t in commit_ns.items() if pipe.groups[u] == 3),
+        margin = min((decode_start[key] - t for key, t in instr_arrival), default=None)
+        groups = self.pipe.groups
+        first_g3 = min((t for (u, _), t in commit_ns.items() if groups[u] == 3),
                        default=None)
         g3_lat = None if first_g3 is None else first_g3 - slot_ns
-        rows.sort(key=lambda r: (r[0], r[1]))
         return TraceResult(rows, commit_ns, first_g3, g3_lat, depth_series,
-                           feedback_ns, margin, n_events)
+                           feedback_ns, margin, self._events)
 
 
 def _backlog(depths: list) -> bool:

@@ -359,17 +359,24 @@ def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
     return out
 
 
-def decode_block(graph: DecodingGraph, block, defects, walls=()) -> UfState:
+def decode_block(graph: DecodingGraph, block, defects, face_status=None) -> UfState:
     """Decode one carved block standalone and return its state.
 
-    Faces listed in walls are sealed; every other face of the block stays
-    open, so clusters reaching it suspend.  Growth never leaves the block
-    because every edge out of it lies on one of its faces.
+    face_status is the block's face-status map, as face_statuses builds
+    it: walls are sealed, and clusters reaching an open face suspend.  None
+    leaves every face open.  The state copies the map, so callers build it
+    once per block and pass the same one to every decode.  Growth never
+    leaves the block because every edge out of it lies on one of its faces.
     """
     for v in defects:
         if graph.block_of(v) != block.block_id:
             raise ValueError(f"defect {v} outside block {block.block_id}")
-    state = UfState(graph, defects, face_status=face_statuses(block, walls))
+    if face_status is None:
+        face_status = face_statuses(block, ())
+    elif len(face_status) != len(block.faces):
+        raise ValueError(f"face statuses {face_status!r} do not map the faces of "
+                         f"block {block.block_id}")
+    state = UfState(graph, defects, face_status=face_status)
     if state.defects:
         state.settle()
         state.peel_resolved()

@@ -8,22 +8,28 @@ interfaces between a unit's consecutive epochs are fused in place; spatial
 interfaces between units are resolved once, by the upstream (lower-group)
 side committing its crossing edges, which the downstream side absorbs as
 flipped defects before decoding; the endpoint that flips is the one whose
-block_of is the receiving window, so the pipeline keeps no vertex sets.  A
-window left with no defects after those flips builds no decoder state: its
-face statuses join the unit's rolling state and the temporal face to the
-previous epoch is joined in place, which wakes, grows and peels only the
-clusters suspended on it, so an idle window costs its faces.  The
-dataflow is deterministic and independent of wall-clock timing, so the
-network simulator walks the same cascade to replay a run under any latency
-model.
+block_of is the receiving window, so the pipeline keeps no vertex sets.
+
+The cascade depends on the layout and the merge schedule, never on the
+syndrome, so set-up computes it once: one Window per block (its temporal
+face, inbound walls, face-status map and outbound sends) and, per slot, a
+schedule of (unit, decoded window, committed window) records.  A run walks
+that schedule.  A window left with no defects after its inbound flips
+builds no decoder state: its prebuilt face statuses join the unit's
+rolling state and the temporal face to the previous epoch is joined in
+place, which wakes, grows and peels only the clusters suspended on it, so
+an idle window costs its faces.  The dataflow is deterministic and
+independent of wall-clock timing, so the network simulator replays the
+same schedule under any latency model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .graph import DecodingGraph, carve_blocks
+from .graph import DecodingBlock, DecodingGraph, carve_blocks
 from .fusion import fuse
 from .uf import decode_block, defects_by_block, face_statuses, region_vids
 
@@ -47,6 +53,23 @@ class PipelineResult:
     sends: list            # (slot, src unit, dst unit, BoundaryInfo)
 
 
+class Window(NamedTuple):
+    """One block's part in the cascade, fixed at set-up.
+
+    face is the temporal face to the block's previous epoch (None at epoch
+    0).  walls are its inbound seam faces, sealed by the upstream
+    (lower-group) unit's commit; statuses is its face-status map, walls
+    sealed and the rest open, which every run shares and no decoder state
+    mutates (a state copies it).  sends pair each outbound seam face with
+    the downstream unit its commit goes to.
+    """
+    block: DecodingBlock
+    face: tuple | None
+    walls: tuple
+    statuses: dict
+    sends: tuple
+
+
 def assign_groups(layout) -> dict:
     """Three-color the patches so grid-adjacent patches never share a group.
 
@@ -61,6 +84,9 @@ class Pipeline:
     """Drives a carved decoding graph through the cascade schedule.
 
     One unit per patch; a unit's window at epoch e is its patch's block.
+    schedule[k] holds slot k's (unit, decoded window, committed window)
+    records in cascade order, each window None when its epoch is out of
+    range; windows maps each block id to its Window.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -71,15 +97,8 @@ class Pipeline:
         # three extra slots drain the cascade: group 3 commits the last
         # epoch at slot epochs + 2
         self.slots = self.epochs + 3
-        self._by_group = {g: sorted(u for u, gu in self.groups.items() if gu == g)
-                          for g in (1, 2, 3)}
-        self.blocks = {b.block_id: b for b in carve_blocks(graph)}
-        # seam faces of each block by role: walls are inbound faces, sealed
-        # by the upstream (lower-group) unit's commit; sends pair each
-        # outbound face with the downstream unit its commit goes to
-        self.walls = {}
-        self.sends = {}
-        for bid, blk in self.blocks.items():
+        self.windows = {}
+        for blk in carve_blocks(graph):
             walls, sends = [], []
             for face in blk.faces:
                 if face[0] != 's':
@@ -87,12 +106,23 @@ class Pipeline:
                 seam = layout.seams[face[1]]
                 a, b = seam.patch_a, seam.patch_b
                 down = b if self.groups[a] < self.groups[b] else a
-                if down == bid[0]:
+                if down == blk.patch:
                     walls.append(face)
                 else:
                     sends.append((face, down))
-            self.walls[bid] = tuple(sorted(walls))
-            self.sends[bid] = tuple(sorted(sends))
+            walls = tuple(sorted(walls))
+            self.windows[blk.block_id] = Window(
+                blk, ('t', blk.patch, blk.epoch) if blk.epoch else None, walls,
+                face_statuses(blk, walls), tuple(sorted(sends)))
+        # slot k: group g decodes epoch k-(g-1) and commits epoch k-g, groups
+        # in order 1, 2, 3; a group with neither epoch in range sits out
+        by_group = [sorted(u for u, gu in self.groups.items() if gu == g) for g in (1, 2, 3)]
+        win = self.windows.get
+        self.schedule = tuple(
+            tuple((u, win((u, k - g + 1)), win((u, k - g)))
+                  for g, units in enumerate(by_group, 1) if -1 <= k - g < self.epochs
+                  for u in units)
+            for k in range(self.slots))
         self._reset([])
 
     @cached_property
@@ -102,56 +132,44 @@ class Pipeline:
         by graph.block_of, which tests check against these sets."""
         return region_vids(self.graph)
 
-    def cascade(self, k: int):
-        """Units active in slot k, in cascade order.
-
-        Yields (unit, e_dec, e_com): the epoch the unit decodes and the
-        epoch it commits in this slot, each None when out of range.  Group g
-        decodes epoch k-(g-1) and commits epoch k-g, groups in order 1, 2, 3.
-        """
-        for g in (1, 2, 3):
-            e_dec, e_com = (e if 0 <= e < self.epochs else None
-                            for e in (k - (g - 1), k - g))
-            if e_dec is not None or e_com is not None:
-                for unit in self._by_group[g]:
-                    yield unit, e_dec, e_com
-
     def _reset(self, defects):
-        self._block_defects = defects_by_block(self.graph, self.blocks, defects)
+        self._block_defects = defects_by_block(self.graph, self.windows, defects)
         self._states = {}      # unit -> rolling UfState
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
         self._result = PipelineResult(set(), {}, {}, [])
 
     def _decode_window(self, unit: int, epoch: int):
         bid = (unit, epoch)
-        block_of = self.graph.block_of
-        walls = self.walls[bid]
-        # upstream commits toggle the defects their crossings end on here;
-        # a seam vertex goes with patch_a in both block_of and carving
-        flips = set()
-        for face in walls:
-            info = self._inbox.pop(face, None)
-            if info is None:
-                raise PipelineStallError(
-                    f"window ({unit}, {epoch}) lacks boundary info for {face}")
-            for u, w in info.committed_crossings:
-                flips.symmetric_difference_update((u if block_of(u) == bid else w,))
-        defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
-        blk = self.blocks[bid]
+        win = self.windows[bid]
+        defects = self._block_defects.get(bid, ())
+        if win.walls:
+            # upstream commits toggle the defects their crossings end on
+            # here; a seam vertex goes with patch_a in both block_of and
+            # carving
+            block_of = self.graph.block_of
+            flips = set()
+            for face in win.walls:
+                info = self._inbox.pop(face, None)
+                if info is None:
+                    raise PipelineStallError(
+                        f"window ({unit}, {epoch}) lacks boundary info for {face}")
+                for u, w in info.committed_crossings:
+                    flips.symmetric_difference_update((u if block_of(u) == bid else w,))
+            defects = flips.symmetric_difference(defects)
         rolling = self._states.get(unit)
         if rolling is None:
-            st = self._states[unit] = decode_block(self.graph, blk, sorted(defects), walls)
+            st = self._states[unit] = decode_block(self.graph, win.block, sorted(defects),
+                                                   win.statuses)
             self._result.iters[bid] = st.grow_iterations
             return
         pre = rolling.grow_iterations
-        face = ('t', unit, epoch)
         if defects:
-            st = decode_block(self.graph, blk, sorted(defects), walls)
+            st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
             pre -= st.grow_iterations
-            fuse(rolling, st, face)
+            fuse(rolling, st, win.face)
         else:
             # an empty window builds no state: its faces join the rolling one
-            rolling.join_face(face, face_statuses(blk, walls))
+            rolling.join_face(win.face, win.statuses)
         self._result.iters[bid] = rolling.grow_iterations - pre
 
     def _commit_window(self, unit: int, epoch: int, cascade: int):
@@ -160,7 +178,7 @@ class Pipeline:
             raise PipelineStallError(
                 f"window ({unit}, {epoch}) committed before it decoded")
         out = []
-        for face, dst in self.sends[(unit, epoch)]:
+        for face, dst in self.windows[(unit, epoch)].sends:
             crossings = st.absorb_face(face)
             out.append((cascade, unit, dst, BoundaryInfo(face, frozenset(crossings))))
         self._result.commits[(unit, epoch)] = cascade
@@ -169,13 +187,14 @@ class Pipeline:
     def run_epoch(self, cascade: int) -> list:
         """One cascade slot; returns the BoundaryInfo records sent."""
         sent = []
-        for unit, e_dec, e_com in self.cascade(cascade):
-            if e_dec is not None:
-                self._decode_window(unit, e_dec)
-            if e_com is not None:
-                for rec in self._commit_window(unit, e_com, cascade):
+        inbox = self._inbox
+        for unit, dec, com in self.schedule[cascade]:
+            if dec is not None:
+                self._decode_window(unit, dec.block.epoch)
+            if com is not None:
+                for rec in self._commit_window(unit, com.block.epoch, cascade):
                     sent.append(rec)
-                    self._inbox[rec[3].face] = rec[3]
+                    inbox[rec[3].face] = rec[3]
         self._result.sends.extend(sent)
         return sent
 

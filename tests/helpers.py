@@ -1,6 +1,9 @@
 """Helpers shared by the test modules."""
 
+from surgedec import wire
 from surgedec.graph import EAST, WEST, _SEAM_COL, pack_vid, unpack_vid
+from surgedec.netsim import TraceResult
+from surgedec.topology import route
 
 
 def toggled_defects(edges):
@@ -159,3 +162,95 @@ def ref_edges(graph):
             if ornd > rnd or (ornd == rnd and other > vid):
                 out.append(ekey)
     return out
+
+
+def ref_trace(pipe, topology, latency, node_of, instructions, result):
+    """A run's TraceResult, timed the way Replayer.trace did before its
+    timing constants were fixed at set-up; kept as the slow reference.
+
+    Every call re-derives the cascade from the groups (group g decodes
+    epoch k-(g-1) and commits epoch k-g in slot k, groups in order 1, 2, 3),
+    routes each send, packs every commit with the wire codec to count its
+    words, counts the events one by one and sorts the rows at the end.
+    """
+    meas, cond = {}, {}
+    for ins in instructions:
+        if ins.op == "measure":
+            meas.setdefault((ins.patch, ins.epoch), []).append(ins.forward_node)
+        else:
+            cond.setdefault((ins.patch, ins.epoch), []).append(ins)
+    depth_of = {n: topology.depth(n) for n in topology.children}
+    units = sorted(pipe.groups)
+    link = latency.t_link_ns
+    slot_ns = pipe.graph.d * latency.t_round_ns
+    send_map = {}
+    for _, src, dst, info in result.sends:
+        send_map.setdefault((src, info.face[2]), []).append((dst, info))
+
+    free = dict.fromkeys(units, 0)
+    arrival = {}
+    decode_start = {}
+    rows = []
+    commit_ns = {}
+    depth_series = [0] * pipe.slots
+    feedback_ns = {}
+    instr_arrival = []
+    n_events = len(units) * pipe.slots
+
+    for k in range(pipe.slots):
+        due = (k + 1) * slot_ns
+        for g in (1, 2, 3):
+            e_dec, e_com = (e if 0 <= e < pipe.epochs else None
+                            for e in (k - (g - 1), k - g))
+            if e_dec is None and e_com is None:
+                continue
+            for u in units:
+                if pipe.groups[u] != g:
+                    continue
+                start = max(due, free[u])
+                dur = 0
+                n_events += 1
+                if e_dec is not None:
+                    for f in pipe.windows[(u, e_dec)].walls:
+                        t = arrival.get(f)
+                        if t is None:
+                            raise AssertionError(
+                                f"unit {u} stalled at slot {k} without {f}")
+                        start = max(start, t)
+                    dur = latency.decode_ns(result.iters[(u, e_dec)])
+                    depth = (start - due) // slot_ns
+                    depth_series[k] = max(depth_series[k], depth)
+                    decode_start[(u, e_dec)] = start
+                    rows.append((e_dec, u, start + dur - (e_dec + 1) * slot_ns,
+                                 dur / pipe.graph.d, depth))
+                    n_events += 1
+                done = free[u] = start + dur
+                if e_com is None:
+                    continue
+                commit_ns[(u, e_com)] = done
+                sends = send_map.get((u, e_com), ())
+                for dst, info in sends:
+                    words = wire.encode_boundary_info(info, pipe.graph, node_of[dst])
+                    msg = wire.Message(node_of[dst], wire.boundary_header(0), 0)
+                    hops = len(route(topology, msg, node_of[u]))
+                    arrival[info.face] = (done + hops * link
+                                          + (len(words) - 1) * latency.t_cycle_ns)
+                at_root = done + depth_of[node_of[u]] * link
+                forwards = meas.get((u, e_com), ())
+                if forwards:
+                    feedback_ns[(u, e_com)] = at_root + max(depth_of[n] for n in forwards) * link
+                conds = cond.get((u, e_com), ())
+                for ins in conds:
+                    for pid in (ins.seam.patch_a, ins.seam.patch_b):
+                        instr_arrival.append(((pid, ins.merge_epoch),
+                                              at_root + depth_of[node_of[pid]] * link))
+                n_events += 2 + len(sends) + len(forwards) + 2 * len(conds)
+
+    margin = min((decode_start[key] - t for key, t in instr_arrival
+                  if key[1] is not None and 0 <= key[1] < pipe.epochs), default=None)
+    first_g3 = min((t for (u, _), t in commit_ns.items() if pipe.groups[u] == 3),
+                   default=None)
+    g3_lat = None if first_g3 is None else first_g3 - slot_ns
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return TraceResult(rows, commit_ns, first_g3, g3_lat, depth_series,
+                       feedback_ns, margin, n_events)

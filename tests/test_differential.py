@@ -85,21 +85,29 @@ def ref_absorb_face(state, face):
 
 
 class ReferencePipeline(Pipeline):
-    """Pipeline whose windows always decode and fuse by full face scan."""
+    """Pipeline whose windows always decode and fuse by full face scan.
+
+    decoded and committed count the windows its hooks handled, so a test
+    can tell that run_epoch called them for every window.
+    """
+
+    def _reset(self, defects):
+        super()._reset(defects)
+        self.decoded = self.committed = 0
 
     def _decode_window(self, unit, epoch):
         bid = (unit, epoch)
         reg = self.regions[bid]
-        walls = self.walls[bid]
+        win = self.windows[bid]
         flips = set()
-        for face in walls:
+        for face in win.walls:
             info = self._inbox.pop(face, None)
             if info is None:
                 raise PipelineStallError(f"window {bid} lacks {face}")
             for u, w in info.committed_crossings:
                 flips.symmetric_difference_update((u if u in reg else w,))
         defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
-        state = ref_decode_block(self.graph, self.blocks[bid], sorted(defects), walls)
+        state = ref_decode_block(self.graph, win.block, sorted(defects), win.walls)
         iters = state.grow_iterations
         rolling = self._states.get(unit)
         if rolling is None:
@@ -109,14 +117,16 @@ class ReferencePipeline(Pipeline):
             ref_fuse(rolling, state, ("t", unit, epoch))
             iters += rolling.grow_iterations - pre
         self._result.iters[bid] = iters
+        self.decoded += 1
 
     def _commit_window(self, unit, epoch, cascade):
         state = self._states[unit]
         out = []
-        for face, dst in self.sends[(unit, epoch)]:
+        for face, dst in self.windows[(unit, epoch)].sends:
             crossings = ref_absorb_face(state, face)
             out.append((cascade, unit, dst, BoundaryInfo(face, frozenset(crossings))))
         self._result.commits[(unit, epoch)] = cascade
+        self.committed += 1
         return out
 
 
@@ -177,12 +187,18 @@ def assert_same_runs(g, p, seed, trials=2):
     table = EdgeTable(g)
     pipe, ref = Pipeline(g), ReferencePipeline(g)
     plan = FusionPlan(g)
+    # the prebuilt face-status maps every run shares, as they were built
+    statuses = {bid: dict(win.statuses) for bid, win in pipe.windows.items()}
+    plan_statuses = {bid: dict(m) for bid, m in plan._open.items()}
     for trial in range(trials):
         defects = table.sample(p, derived_rng(seed, trial)).defects
         with touch_lists_checked() as joins:
             got = pipe.run(sorted(defects))
             fused = plan.decode(sorted(defects))
         want = ref.run(sorted(defects))
+        # the reference's hooks handled every window and every commit
+        assert ref.decoded == len(pipe.windows) == len(got.iters)
+        assert ref.committed == len(got.commits) == len(pipe.windows)
         assert got.correction == want.correction
         assert got.iters == want.iters
         assert got.commits == want.commits
@@ -192,6 +208,9 @@ def assert_same_runs(g, p, seed, trials=2):
         assert toggled_defects(got.correction) == defects
         assert fused == ref_plan_decode(plan, sorted(defects))
         assert len(joins) >= len(plan.fuse_order)
+        # no run leaves its mark on a map the next run starts from
+        assert {bid: win.statuses for bid, win in pipe.windows.items()} == statuses
+        assert plan._open == plan_statuses
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

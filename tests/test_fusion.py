@@ -10,7 +10,7 @@ from surgedec.graph import (DecodingGraph, Layout, carve_blocks, merge_patches,
 from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import decode_block, decode_region
+from surgedec.uf import decode_block, decode_region, face_statuses
 
 from .helpers import toggled_defects
 
@@ -220,7 +220,7 @@ def test_faces_bound_block_growth():
             states = {}
             for bid, blk in plan.blocks.items():
                 walls = tuple(f for f in blk.faces if walled and rng.random() < 0.5)
-                st = decode_block(g, blk, by_block.get(bid, ()), walls)
+                st = decode_block(g, blk, by_block.get(bid, ()), face_statuses(blk, walls))
                 assert grown_edges_outside(g, st, {bid}) == []
                 on_faces += sum(1 for k, grown in st.growth.items()
                                 if grown and g.face_of(k) is not None)

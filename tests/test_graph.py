@@ -119,6 +119,21 @@ def test_graph_param_errors(d, rounds):
         DecodingGraph(Layout(d, {0: (0, 0)}), rounds)
 
 
+def test_sizes_the_vertex_id_cannot_hold_are_rejected():
+    # row and col take 8 bits each, col 0xFF marks seam vertices, and the
+    # round field takes 24 bits; neither check builds anything
+    assert Layout(255, {0: (0, 0)}).d == 255
+    for d in (257, 1001):
+        with pytest.raises(ValueError, match="at most 255"):
+            Layout(d, {0: (0, 0)})
+    lay = Layout(3, {0: (0, 0)})
+    assert DecodingGraph(lay, 1 << 24).rounds == 1 << 24
+    # round 2**24 + 2 would unpack as round 2
+    assert unpack_vid(pack_vid(0, (1 << 24) + 2, 0, 0))[1] == 2
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        DecodingGraph(lay, (1 << 24) + 3)
+
+
 def two_patch_graph(d, rounds):
     lay = Layout(d, {0: (0, 0), 1: (0, 1)})
     return lay, DecodingGraph(lay, rounds)

@@ -12,7 +12,8 @@ from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
                             carve_blocks, face_edges, merge_patches, pack_vid)
 from surgedec.fusion import fuse
 from surgedec.oracle import oracle_mwpm
-from surgedec.uf import UfState, cut_parities, decode_block, decode_region
+from surgedec.uf import (UfState, cut_parities, decode_block, decode_region,
+                         face_statuses)
 
 from .helpers import toggled_defects
 
@@ -175,7 +176,7 @@ def test_wall_face_is_never_grown_or_suspended_on():
         (blocks[(0, 0)], pack_vid(0, 4, 2, 1), ("t", 0, 1)),
     ]
     for blk, v, wall in cases:
-        st = decode_block(g, blk, [v], walls=(wall,))
+        st = decode_block(g, blk, [v], face_statuses(blk, (wall,)))
         assert st.face_status[wall] == "wall"
         assert all(st.face_status[f] == "open" for f in blk.faces if f != wall)
         assert not any(st.growth.get(k, 0) for k in face_edges(g, wall))
@@ -189,6 +190,19 @@ def test_defect_outside_region_rejected():
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
     with pytest.raises(ValueError):
         decode_block(g, blk, [pack_vid(0, 7, 0, 0)])
+
+
+def test_face_statuses_must_map_the_block_faces():
+    # a tuple of walls in the map's place would leave every face interior,
+    # so growth would run out of the block
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
+    blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
+    v = pack_vid(0, 2, 2, 1)
+    for bad in ((), {}):
+        with pytest.raises(ValueError, match="faces of block"):
+            decode_block(g, blk, [v], bad)
+    st = decode_block(g, blk, [v], face_statuses(blk, blk.faces))
+    assert st.face_status == {("t", 0, 1): "wall"}
 
 
 def test_repeat_decode_is_deterministic():
