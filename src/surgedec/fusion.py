@@ -38,10 +38,13 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
         a.correction ^= b.correction
         a.live |= b.live
         # grow_iterations stays a's own count; b ran in parallel elsewhere
-        growth = a.growth
-        for ekey, g in b.growth.items():
-            cur = growth.get(ekey)
-            growth[ekey] = g if cur is None else min(2, cur + g)
+        # only edges on shared faces were grown from both sides; walking
+        # b's growth keeps the cost off the size of a rolling state
+        growth, bg = a.growth, b.growth
+        both = [(ekey, growth[ekey]) for ekey in bg if ekey in growth]
+        growth.update(bg)
+        for ekey, cur in both:
+            growth[ekey] = min(2, cur + bg[ekey])
         for f, keys in b.touched.items():
             a.touched.setdefault(f, []).extend(keys)
     a.join_face(face, b.face_status)

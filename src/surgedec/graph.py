@@ -76,7 +76,8 @@ class Layout:
 
     Args:
         d: code distance, odd, 3 <= d <= 255.
-        positions: patch id -> (grid_row, grid_col); ids must be 0..n-1.
+        positions: patch id -> (grid_row, grid_col), both >= 0; ids must be
+            0..n-1.
 
     The seams are every pair of grid-adjacent patches.
     """
@@ -93,6 +94,10 @@ class Layout:
             raise ValueError("patch ids must be consecutive integers from 0")
         if len(set(positions.values())) != n:
             raise ValueError("patch grid positions must be unique")
+        # grid rows and columns count from 0: placement sizes the grid from
+        # the largest of each and would wrap a negative one onto the far side
+        if any(r < 0 or c < 0 for r, c in positions.values()):
+            raise ValueError("patch grid positions must be non-negative")
         self.d = d
         self.positions = dict(positions)
         self.n_patches = n

@@ -25,6 +25,24 @@ with no list was never reached: joining it only merges face statuses, and
 absorbing it only seals it, so an empty block costs nothing beyond its
 faces.
 
+A vertex that a round reaches for the first time joins the cluster
+directly: its parent is the root, the root's size grows by one and the
+vertex merges into the root's frontier by set update, which is what
+adopting it as a one-vertex cluster and unioning would do.  The exception
+is the size tie: a union of equal sizes keeps the smaller id as root, so a
+new vertex below a lone root is adopted and unioned, and becomes the root.
+
+Determinism.  A correction depends on more than which vertices a cluster
+holds.  Clusters grow in sorted root order each round.  The order in which
+each frontier set yields its vertices fixes the order of the round's
+unions, and so every root and grown edge list.  CPython fixes a set's
+iteration order by how the set was built: update with a set resizes the
+table by another rule than add, so the two can build equal sets that
+iterate differently.  The order of each grown_adj list fixes the spanning
+forest a peel walks.  The hot loops inline _find, _adopt and _union, but
+they build each of these sets and lists by the same operations, in the
+same order, as those calls do.
+
 Face statuses understood by a state:
   'open':  shared face whose far side is not decoded yet; clusters
            reaching it suspend.
@@ -80,37 +98,48 @@ class UfState:
         return bool(self.parity[root]) and root not in self.bnd and root not in self.contacts
 
     def _union(self, a: int, b: int) -> int:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return ra
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            return a
         # weighted union; equal sizes keep the smaller id as root
-        if self.size[ra] < self.size[rb] or (self.size[ra] == self.size[rb] and rb < ra):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size.pop(rb)
-        self.parity[ra] ^= self.parity.pop(rb)
-        cb = self.bnd.pop(rb, None)
+        size = self.size
+        sa, sb = size[a], size[b]
+        if sa < sb or (sa == sb and b < a):
+            a, b = b, a
+        parent[b] = a
+        size[a] += size.pop(b)
+        parity = self.parity
+        parity[a] ^= parity.pop(b)
+        bnd = self.bnd
+        cb = bnd.pop(b, None)
         if cb is not None:
-            ca = self.bnd.get(ra)
-            self.bnd[ra] = cb if ca is None or cb < ca else ca
-        kb = self.contacts.pop(rb, None)
+            ca = bnd.get(a)
+            bnd[a] = cb if ca is None or cb < ca else ca
+        contacts = self.contacts
+        kb = contacts.pop(b, None)
         if kb:
-            ka = self.contacts.setdefault(ra, {})
+            ka = contacts.setdefault(a, {})
             for face, c in kb.items():
                 if face not in ka or c < ka[face]:
                     ka[face] = c
-        fb = self.frontier.pop(rb)
-        fa = self.frontier[ra]
+        frontier = self.frontier
+        fb = frontier.pop(b)
+        fa = frontier[a]
         if len(fa) < len(fb):
             fa, fb = fb, fa
-            self.frontier[ra] = fa
+            frontier[a] = fa
         fa.update(fb)
-        self.live.discard(rb)
-        if self._alive(ra):
-            self.live.add(ra)
+        live = self.live
+        live.discard(b)
+        if parity[a] and a not in bnd and a not in contacts:
+            live.add(a)
         else:
-            self.live.discard(ra)
-        return ra
+            live.discard(a)
+        return a
 
     def _adopt(self, v: int):
         if v not in self.parent:
@@ -134,19 +163,26 @@ class UfState:
         forever: every live cluster is odd and walled in, with no real
         boundary or open face left to reach, so it raises ValueError.
         """
-        if not self.live:
+        live = self.live
+        if not live:
             return False
         graph = self.graph
+        cache = graph._adj  # neighbors() fills a vertex missing from it
         fs = self.face_status
         growth = self.growth
+        frontier = self.frontier
         full = []
-        for root in sorted(self.live):
-            fr = self.frontier[root]
+        push = full.append
+        for root in sorted(live):
+            fr = frontier[root]
             drop = []
             for v in fr:
-                pending = 0
+                pending = False
+                nb = cache.get(v)
+                if nb is None:
+                    nb = graph.neighbors(v)
                 # boundary entries never carry a face
-                it = iter(graph.neighbors(v))
+                it = iter(nb)
                 for ekey, other, face in zip(it, it, it):
                     if face is not None:
                         status = fs.get(face)
@@ -154,43 +190,77 @@ class UfState:
                             continue
                         if status is None:
                             face = None
-                    g = growth.get(ekey, 0)
-                    if g >= 2:
-                        continue
-                    growth[ekey] = g + 1
+                    g = growth.get(ekey)
                     if not g:
-                        pending += 1
-                    # an open face suspends on first touch: growing any
-                    # further would outrun the undecoded far side
-                    if g or face is not None:
-                        full.append((ekey, v, other, face))
+                        growth[ekey] = 1
+                        pending = True
+                        # an open face suspends on first touch: growing any
+                        # further would outrun the undecoded far side
+                        if face is not None:
+                            push((ekey, v, other, face))
+                    elif g == 1:
+                        growth[ekey] = 2
+                        push((ekey, v, other, face))
                 if not pending:
                     drop.append(v)
             fr.difference_update(drop)
-        if not full and not any(self.frontier[r] for r in self.live):
-            raise ValueError(f"odd cluster at {min(self.live):#x} is walled in: "
+        if not full and not any(frontier[r] for r in live):
+            raise ValueError(f"odd cluster at {min(live):#x} is walled in: "
                              "no real boundary or open face to reach")
         self.grow_iterations += 1
+        parent = self.parent
+        size = self.size
+        bnd = self.bnd
+        contacts = self.contacts
         adj = self.grown_adj
         touched = self.touched
         for ekey, v, other, face in full:
+            root = v
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
             if face is not None:
                 touched.setdefault(face, []).append(ekey)
-                self._suspend(v, ekey, face)
-                if other in self.parent:
+                c = (v, ekey)
+                cm = contacts.get(root)
+                if cm is None:
+                    cm = contacts[root] = {}
+                cur = cm.get(face)
+                if cur is None or c < cur:
+                    cm[face] = c
+                live.discard(root)
+                if other in parent:
                     self._suspend(other, ekey, face)
             elif other < 0:
-                root = self._find(v)
                 c = (v, ekey)
-                cur = self.bnd.get(root)
+                cur = bnd.get(root)
                 if cur is None or c < cur:
-                    self.bnd[root] = c
-                self.live.discard(root)
+                    bnd[root] = c
+                live.discard(root)
             else:
-                self._adopt(other)
                 adj.setdefault(v, []).append((other, ekey))
-                adj.setdefault(other, []).append((v, ekey))
-                self._union(v, other)
+                if other in parent:
+                    adj.setdefault(other, []).append((v, ekey))
+                    self._union(root, other)
+                elif root < other or size[root] > 1:
+                    # a new vertex joins the cluster as _union would: it
+                    # brings no parity, contact or grown edge, so the
+                    # root's liveness stands, and its one-vertex frontier
+                    # merges into the root's by set update (add would
+                    # build an equal set that iterates differently)
+                    parent[other] = root
+                    size[root] += 1
+                    adj[other] = [(v, ekey)]
+                    fa = frontier[root]
+                    if fa:
+                        fa.update({other})
+                    else:
+                        frontier[root] = {other}
+                else:
+                    # a lone root ties with the new vertex on size, and the
+                    # smaller id wins
+                    self._adopt(other)
+                    adj[other] = [(v, ekey)]
+                    self._union(root, other)
         return True
 
     def settle(self) -> int:
@@ -219,13 +289,18 @@ class UfState:
                 if other not in parent_edge:
                     parent_edge[other] = (v, ekey)
                     order.append(other)
+        # each vertex but start has one tree edge, emitted at most once
         emitted = set()
+        emit = emitted.add
         mark = defs.copy()
-        for v in reversed(order):
-            if v in mark and v != start:
+        for v in order[:0:-1]:
+            if v in mark:
                 up, ekey = parent_edge[v]
-                emitted ^= {ekey}
-                mark.symmetric_difference_update((up,))
+                emit(ekey)
+                if up in mark:
+                    mark.remove(up)
+                else:
+                    mark.add(up)
         if start in mark:
             if sink is None:
                 raise ValueError("unmatched defect after peeling")
@@ -237,9 +312,17 @@ class UfState:
         return emitted
 
     def _defects_by_root(self) -> dict:
+        parent = self.parent
         by_root = {}
         for v in self.defects:
-            by_root.setdefault(self._find(v), set()).add(v)
+            root = v
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            defs = by_root.get(root)
+            if defs is None:
+                by_root[root] = {v}
+            else:
+                defs.add(v)
         return by_root
 
     def peel_resolved(self):
@@ -247,9 +330,11 @@ class UfState:
 
         Odd clusters suspended on open faces keep their defects for later.
         """
+        parity = self.parity
+        bnd = self.bnd
         for root, defs in sorted(self._defects_by_root().items()):
-            if not self.parity[root] or root in self.bnd:
-                self._peel(root, defs, self.bnd.get(root))
+            if not parity[root] or root in bnd:
+                self._peel(root, defs, bnd.get(root))
 
     def _drop_face(self, face) -> dict:
         """Remove face from every cluster's contacts; returns root -> contact."""
@@ -368,9 +453,11 @@ def decode_block(graph: DecodingGraph, block, defects, face_status=None) -> UfSt
     once per block and pass the same one to every decode.  Growth never
     leaves the block because every edge out of it lies on one of its faces.
     """
+    bid = block.block_id
+    block_of = graph.block_of
     for v in defects:
-        if graph.block_of(v) != block.block_id:
-            raise ValueError(f"defect {v} outside block {block.block_id}")
+        if block_of(v) != bid:
+            raise ValueError(f"defect {v} outside block {bid}")
     if face_status is None:
         face_status = face_statuses(block, ())
     elif len(face_status) != len(block.faces):

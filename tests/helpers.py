@@ -4,6 +4,7 @@ from surgedec import wire
 from surgedec.graph import EAST, WEST, _SEAM_COL, pack_vid, unpack_vid
 from surgedec.netsim import TraceResult
 from surgedec.topology import route
+from surgedec.uf import UfState
 
 
 def toggled_defects(edges):
@@ -254,3 +255,161 @@ def ref_trace(pipe, topology, latency, node_of, instructions, result):
     rows.sort(key=lambda r: (r[0], r[1]))
     return TraceResult(rows, commit_ns, first_g3, g3_lat, depth_series,
                        feedback_ns, margin, n_events)
+
+class RefUfState(UfState):
+    """UfState with the kernel bodies the inlined ones replaced, kept as the
+    slow reference: finds and aliveness go through _find and _alive, every
+    vertex a round reaches is adopted before it is unioned, and peeling
+    toggles by symmetric difference.
+    """
+
+    def _union(self, a: int, b: int) -> int:
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
+            return ra
+        # weighted union; equal sizes keep the smaller id as root
+        if self.size[ra] < self.size[rb] or (self.size[ra] == self.size[rb] and rb < ra):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size.pop(rb)
+        self.parity[ra] ^= self.parity.pop(rb)
+        cb = self.bnd.pop(rb, None)
+        if cb is not None:
+            ca = self.bnd.get(ra)
+            self.bnd[ra] = cb if ca is None or cb < ca else ca
+        kb = self.contacts.pop(rb, None)
+        if kb:
+            ka = self.contacts.setdefault(ra, {})
+            for face, c in kb.items():
+                if face not in ka or c < ka[face]:
+                    ka[face] = c
+        fb = self.frontier.pop(rb)
+        fa = self.frontier[ra]
+        if len(fa) < len(fb):
+            fa, fb = fb, fa
+            self.frontier[ra] = fa
+        fa.update(fb)
+        self.live.discard(rb)
+        if self._alive(ra):
+            self.live.add(ra)
+        else:
+            self.live.discard(ra)
+        return ra
+
+    def grow_round(self) -> bool:
+        """One synchronized half-edge growth step for all active clusters.
+
+        A round that grows no edge while clusters are live would repeat
+        forever: every live cluster is odd and walled in, with no real
+        boundary or open face left to reach, so it raises ValueError.
+        """
+        if not self.live:
+            return False
+        graph = self.graph
+        fs = self.face_status
+        growth = self.growth
+        full = []
+        for root in sorted(self.live):
+            fr = self.frontier[root]
+            drop = []
+            for v in fr:
+                pending = 0
+                # boundary entries never carry a face
+                it = iter(graph.neighbors(v))
+                for ekey, other, face in zip(it, it, it):
+                    if face is not None:
+                        status = fs.get(face)
+                        if status == 'wall':
+                            continue
+                        if status is None:
+                            face = None
+                    g = growth.get(ekey, 0)
+                    if g >= 2:
+                        continue
+                    growth[ekey] = g + 1
+                    if not g:
+                        pending += 1
+                    # an open face suspends on first touch: growing any
+                    # further would outrun the undecoded far side
+                    if g or face is not None:
+                        full.append((ekey, v, other, face))
+                if not pending:
+                    drop.append(v)
+            fr.difference_update(drop)
+        if not full and not any(self.frontier[r] for r in self.live):
+            raise ValueError(f"odd cluster at {min(self.live):#x} is walled in: "
+                             "no real boundary or open face to reach")
+        self.grow_iterations += 1
+        adj = self.grown_adj
+        touched = self.touched
+        for ekey, v, other, face in full:
+            if face is not None:
+                touched.setdefault(face, []).append(ekey)
+                self._suspend(v, ekey, face)
+                if other in self.parent:
+                    self._suspend(other, ekey, face)
+            elif other < 0:
+                root = self._find(v)
+                c = (v, ekey)
+                cur = self.bnd.get(root)
+                if cur is None or c < cur:
+                    self.bnd[root] = c
+                self.live.discard(root)
+            else:
+                self._adopt(other)
+                adj.setdefault(v, []).append((other, ekey))
+                adj.setdefault(other, []).append((v, ekey))
+                self._union(v, other)
+        return True
+
+    def _peel(self, root: int, defs: set, contact) -> set:
+        """Peel one resolved cluster through contact; returns the emitted edges.
+
+        contact is a (vertex, edge key) sink, or None for an even cluster.
+        """
+        if contact is None:
+            if self.parity[root]:
+                raise ValueError("odd cluster has no absorbing contact")
+            start = min(defs)
+            sink = None
+        else:
+            start, sink = contact
+        adj = self.grown_adj
+        order = [start]
+        parent_edge = {start: None}
+        for v in order:
+            for other, ekey in adj.get(v, ()):
+                if other not in parent_edge:
+                    parent_edge[other] = (v, ekey)
+                    order.append(other)
+        emitted = set()
+        mark = defs.copy()
+        for v in reversed(order):
+            if v in mark and v != start:
+                up, ekey = parent_edge[v]
+                emitted ^= {ekey}
+                mark.symmetric_difference_update((up,))
+        if start in mark:
+            if sink is None:
+                raise ValueError("unmatched defect after peeling")
+            emitted ^= {sink}
+        self.defects -= defs
+        self.parity[root] = 0
+        self.live.discard(root)
+        self.correction ^= emitted
+        return emitted
+
+    def _defects_by_root(self) -> dict:
+        by_root = {}
+        for v in self.defects:
+            by_root.setdefault(self._find(v), set()).add(v)
+        return by_root
+
+    def peel_resolved(self):
+        """Peel every cluster that is even or touches the real boundary.
+
+        Odd clusters suspended on open faces keep their defects for later.
+        """
+        for root, defs in sorted(self._defects_by_root().items()):
+            if not self.parity[root] or root in self.bnd:
+                self._peel(root, defs, self.bnd.get(root))

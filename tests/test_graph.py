@@ -134,6 +134,14 @@ def test_sizes_the_vertex_id_cannot_hold_are_rejected():
         DecodingGraph(lay, (1 << 24) + 3)
 
 
+def test_negative_grid_positions_are_rejected():
+    # placement sizes the grid from the largest row and column, so a
+    # negative one would index the far side of the leaf grid
+    for pos in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            Layout(3, {0: pos, 1: (0, 1), 2: (1, 0)})
+
+
 def two_patch_graph(d, rounds):
     lay = Layout(d, {0: (0, 0), 1: (0, 1)})
     return lay, DecodingGraph(lay, rounds)

@@ -5,17 +5,25 @@ weights are bounded below by the exact matching oracle.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surgedec import uf
 from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
                             carve_blocks, face_edges, merge_patches, pack_vid)
-from surgedec.fusion import fuse
+from surgedec.fusion import FusionPlan, fuse
+from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
+                            random_merge_schedule)
 from surgedec.oracle import oracle_mwpm
 from surgedec.uf import (UfState, cut_parities, decode_block, decode_region,
                          face_statuses)
+from surgedec.windows import Pipeline
 
-from .helpers import toggled_defects
+from .helpers import RefUfState, toggled_defects
+from .test_differential import state_view
 
 
 def test_adjacent_pair_gives_single_edge():
@@ -224,3 +232,59 @@ def test_cut_parities():
     assert cut_parities(g, {(v, WEST)}) == {0: 1}
     assert cut_parities(g, {(v, WEST), (u, EAST)}) == {0: 1}
     assert cut_parities(g, {(u, t), (v, u)}) == {}
+
+
+def kernel_view(state):
+    """state_view plus the iteration order of every map, set and list a
+    state holds: the order a frontier set yields its vertices decides the
+    order of the round's unions, so two kernels that build equal sets
+    differently can decode differently later."""
+    orders = {name: list(getattr(state, name))
+              for name in ("parent", "size", "parity", "bnd", "contacts", "frontier",
+                           "growth", "grown_adj", "touched", "live", "defects",
+                           "correction")}
+    return (state_view(state), orders,
+            {r: list(s) for r, s in state.frontier.items()},
+            {v: list(es) for v, es in state.grown_adj.items()},
+            {f: list(keys) for f, keys in state.touched.items()})
+
+
+def decode_everything(g, defects, kernel):
+    """Run decode_region, FusionPlan.decode and Pipeline.run with kernel as
+    uf.UfState; returns their results and the final view of every state
+    built, in the order they were built."""
+    built = []
+
+    class Recorded(kernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with mock.patch.object(uf, "UfState", Recorded):
+        glob = uf.decode_region(g, defects)
+        fused = FusionPlan(g).decode(defects)
+        res = Pipeline(g).run(defects)
+    return ((glob.correction, glob.grow_iterations, fused, res.correction, res.iters,
+             res.commits, res.sends), [kernel_view(s) for s in built])
+
+
+@settings(max_examples=160, derandomize=True, deadline=None)
+@given(rows=st.integers(1, 3), cols=st.integers(1, 3), d=st.sampled_from((3, 5)),
+       epochs=st.integers(1, 3), every_seam=st.booleans(),
+       p=st.sampled_from((0.01, 0.05, 0.1, 0.15)), seed=st.integers(0, 2**16))
+def test_kernel_matches_the_reference_kernel(rows, cols, d, epochs, every_seam, p, seed):
+    # the every-seam schedule runs on the 2x2 grid only: on a 3x3 grid it
+    # walls a patch in, which the pipeline rejects
+    if every_seam:
+        rows = cols = 2
+    lay = Layout(d, {i: (i // cols, i % cols) for i in range(rows * cols)})
+    schedule = ([frozenset(lay.seams)] * epochs if every_seam
+                else random_merge_schedule(lay, epochs, 0.6, seed))
+    g = apply_merge_schedule(DecodingGraph(lay, epochs * d), schedule)
+    defects = sorted(EdgeTable(g).sample(p, derived_rng(seed)).defects)
+    got, got_states = decode_everything(g, defects, UfState)
+    want, want_states = decode_everything(g, defects, RefUfState)
+    assert got == want
+    assert len(got_states) == len(want_states)
+    for mine, ref in zip(got_states, want_states):
+        assert mine == ref
