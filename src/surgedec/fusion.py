@@ -20,7 +20,8 @@ def fuse(a: UfState, b: UfState, face) -> UfState:
 
     a is mutated and returned; b must be discarded afterwards.  a and b may
     be the same state when both sides of the face were already merged
-    through another path.
+    through another path, or when b's block was added to a in place
+    (UfState.add_block); then only the face is joined.
     """
     if a.graph is not b.graph:
         raise ValueError("states decode different graphs")

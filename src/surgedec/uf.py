@@ -32,6 +32,15 @@ adopting it as a one-vertex cluster and unioning would do.  The exception
 is the size tie: a union of equal sizes keeps the smaller id as root, so a
 new vertex below a lone root is adopted and unioned, and becomes the root.
 
+A block can also decode inside a settled state that already holds the
+blocks before it (add_block): its face statuses merge in, its defects seed
+new clusters, and only they grow, because the state has no live cluster
+and a face open on both sides stays open until fuse joins the state with
+itself.  The block's defect, live and correction sets start empty and
+merge in at the end, as fuse merges a standalone state's, and its rounds
+stay out of grow_iterations, so the state ends bit-identical to
+decode_block followed by fuse, without the second state or the merge.
+
 Determinism.  A correction depends on more than which vertices a cluster
 holds.  Clusters grow in sorted root order each round.  The order in which
 each frontier set yields its vertices fixes the order of the round's
@@ -41,7 +50,13 @@ table by another rule than add, so the two can build equal sets that
 iterate differently.  The order of each grown_adj list fixes the spanning
 forest a peel walks.  The hot loops inline _find, _adopt and _union, but
 they build each of these sets and lists by the same operations, in the
-same order, as those calls do.
+same order, as those calls do.  A vertex stays in its frontier while a
+round grows one of its edges from nothing (it is pending), and also while
+it grows an open-face edge that the far side already grew to 1: only a
+state that holds both sides sees such an edge (a block added in place, or
+a fusion plan's state fused around a loop), and a standalone block would
+have found it ungrown and kept the vertex, so its frontier set keeps the
+same contents and iteration order either way.
 
 Face statuses understood by a state:
   'open':  shared face whose far side is not decoded yet; clusters
@@ -80,13 +95,56 @@ class UfState:
         self.defects = set()
         self.correction = set()
         self.grow_iterations = 0
+        self._seed(defects)
+
+    def _seed(self, defects):
+        """Seed each defect as a one-vertex odd cluster."""
+        add_defect, add_live = self.defects.add, self.live.add
+        parent, size, parity, frontier = self.parent, self.size, self.parity, self.frontier
         for v in defects:
-            self.defects.add(v)
-            self.parent[v] = v
-            self.size[v] = 1
-            self.parity[v] = 1
-            self.frontier[v] = {v}
-            self.live.add(v)
+            add_defect(v)
+            parent[v] = v
+            size[v] = 1
+            parity[v] = 1
+            frontier[v] = {v}
+            add_live(v)
+
+    def _merge_statuses(self, face_status):
+        """Add another block's face statuses; a face may not change status."""
+        fs = self.face_status
+        for f, st in face_status.items():
+            if fs.setdefault(f, st) != st:
+                raise ValueError(f"face {f} has conflicting statuses")
+
+    def add_block(self, defects, face_status) -> int:
+        """Decode a block inside this settled state; returns its growth rounds.
+
+        face_status, the block's face statuses, is merged in, the block's
+        defects are seeded as new clusters, and the state settles and peels.
+        The state holds no vertex of the block and no live cluster, so only
+        the block's clusters grow, and a face open on both sides stays open
+        until fuse(state, state, face) joins it.  The block's defect, live
+        and correction sets start empty and merge in at the end, and its
+        rounds stay out of grow_iterations, as fuse treats a fused-in state:
+        the state ends as decode_block followed by fuse would leave it.
+        """
+        if self.live:
+            raise ValueError("add_block needs a settled state")
+        self._merge_statuses(face_status)
+        if not defects:
+            return 0
+        outer = self.defects, self.live, self.correction
+        self.defects, self.live, self.correction = set(), set(), set()
+        self._seed(defects)
+        rounds = self.settle()
+        self.peel_resolved()
+        block = self.defects, self.live, self.correction
+        self.defects, self.live, self.correction = outer
+        self.defects |= block[0]
+        self.live |= block[1]
+        self.correction ^= block[2]
+        self.grow_iterations -= rounds
+        return rounds
 
     def _find(self, v: int) -> int:
         parent = self.parent
@@ -201,6 +259,11 @@ class UfState:
                     elif g == 1:
                         growth[ekey] = 2
                         push((ekey, v, other, face))
+                        # the far side grew this open-face edge, which only a
+                        # state holding both sides sees: the vertex stays
+                        # pending, as a standalone block's first touch would
+                        if face is not None:
+                            pending = True
                 if not pending:
                     drop.append(v)
             fr.difference_update(drop)
@@ -360,9 +423,9 @@ class UfState:
         fs = self.face_status
         if fs.get(face) != 'open' or face_status.get(face) != 'open':
             raise ValueError(f"face {face} is not open on both sides")
-        for f, st in face_status.items():
-            if fs.setdefault(f, st) != st:
-                raise ValueError(f"face {f} has conflicting statuses")
+        # a state fused with itself already holds both sides' statuses
+        if face_status is not fs:
+            self._merge_statuses(face_status)
         del fs[face]
         keys = self.touched.pop(face, None)
         grown = ()
@@ -387,8 +450,8 @@ class UfState:
     def absorb_face(self, face) -> set:
         """Seal an open face and drain the clusters suspended on it.
 
-        The state must be settled and peeled, as decode_block and fuse
-        leave it; a state with live clusters raises ValueError.  Each
+        The state must be settled and peeled, as decode_block, add_block
+        and fuse leave it; a state with live clusters raises ValueError.  Each
         cluster suspended on the face with defects left is peeled through
         its recorded contact edge there, and the face becomes a wall, so no
         cluster keeps a contact on it.  Returns the emitted edges that cross
@@ -463,8 +526,17 @@ def decode_block(graph: DecodingGraph, block, defects, face_status=None) -> UfSt
     elif len(face_status) != len(block.faces):
         raise ValueError(f"face statuses {face_status!r} do not map the faces of "
                          f"block {block.block_id}")
-    state = UfState(graph, defects, face_status=face_status)
-    if state.defects:
+    return decode_defects(graph, defects, face_status)
+
+
+def decode_defects(graph: DecodingGraph, defects, face_status) -> UfState:
+    """Decode defects in a fresh state bounded by face_status; returns it.
+
+    Nothing checks that the defects lie inside the faces: decode_block
+    does, for callers that did not group them by block_of.
+    """
+    state = UfState(graph, defects, face_status)
+    if state.live:
         state.settle()
         state.peel_resolved()
     return state
@@ -477,10 +549,7 @@ def face_statuses(block, walls) -> dict:
 
 def decode_region(graph: DecodingGraph, defects) -> UfState:
     """Decode the whole graph as a single region (the global baseline)."""
-    state = UfState(graph, defects)
-    state.settle()
-    state.peel_resolved()
-    return state
+    return decode_defects(graph, defects, {})
 
 
 def cut_parities(graph: DecodingGraph, edges) -> dict:

@@ -14,13 +14,17 @@ The cascade depends on the layout and the merge schedule, never on the
 syndrome, so set-up computes it once: one Window per block (its temporal
 face, inbound walls, face-status map and outbound sends) and, per slot, a
 schedule of (unit, decoded window, committed window) records.  A run walks
-that schedule.  A window left with no defects after its inbound flips
-builds no decoder state: its prebuilt face statuses join the unit's
-rolling state and the temporal face to the previous epoch is joined in
-place, which wakes, grows and peels only the clusters suspended on it, so
-an idle window costs its faces.  The dataflow is deterministic and
-independent of wall-clock timing, so the network simulator replays the
-same schedule under any latency model.
+that schedule.  A unit builds one decoder state, at its first window, and
+every later window decodes inside it: a window with defects after its
+inbound flips is added to the rolling state as a block (UfState.add_block)
+and its temporal face is joined by fusing the state with itself; a window
+left with none only merges its prebuilt face statuses and joins the face,
+which wakes, grows and peels only the clusters suspended on it, so an idle
+window costs its faces.  Either way the state ends as a standalone decode
+fused in would leave it.  A run groups the defects by block once
+(defects_by_block); only inbound crossings call block_of again.  The
+dataflow is deterministic and independent of wall-clock timing, so the
+network simulator replays the same schedule under any latency model.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 from .graph import DecodingBlock, DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import decode_block, defects_by_block, face_statuses, region_vids
+from .uf import decode_defects, defects_by_block, face_statuses, region_vids
 
 
 class PipelineStallError(RuntimeError):
@@ -158,17 +162,18 @@ class Pipeline:
             defects = flips.symmetric_difference(defects)
         rolling = self._states.get(unit)
         if rolling is None:
-            st = self._states[unit] = decode_block(self.graph, win.block, sorted(defects),
-                                                   win.statuses)
+            st = self._states[unit] = decode_defects(self.graph, sorted(defects),
+                                                     win.statuses)
             self._result.iters[bid] = st.grow_iterations
             return
         pre = rolling.grow_iterations
         if defects:
-            st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
-            pre -= st.grow_iterations
-            fuse(rolling, st, win.face)
+            # the window decodes inside the rolling state, which then joins
+            # the temporal face with itself
+            pre -= rolling.add_block(sorted(defects), win.statuses)
+            fuse(rolling, rolling, win.face)
         else:
-            # an empty window builds no state: its faces join the rolling one
+            # an empty window seeds nothing: its faces join the rolling state
             rolling.join_face(win.face, win.statuses)
         self._result.iters[bid] = rolling.grow_iterations - pre
 

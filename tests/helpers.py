@@ -260,7 +260,9 @@ class RefUfState(UfState):
     """UfState with the kernel bodies the inlined ones replaced, kept as the
     slow reference: finds and aliveness go through _find and _alive, every
     vertex a round reaches is adopted before it is unioned, and peeling
-    toggles by symmetric difference.
+    toggles by symmetric difference.  It keeps the kernel's one pending
+    rule: a vertex stays in its frontier while it has an edge it grew from
+    nothing this round, or an open-face edge the far side already grew.
     """
 
     def _union(self, a: int, b: int) -> int:
@@ -327,7 +329,9 @@ class RefUfState(UfState):
                     if g >= 2:
                         continue
                     growth[ekey] = g + 1
-                    if not g:
+                    # an open-face edge the far side grew keeps the vertex
+                    # pending, as a first touch does
+                    if not g or face is not None:
                         pending += 1
                     # an open face suspends on first touch: growing any
                     # further would outrun the undecoded far side

@@ -44,6 +44,10 @@ def stream_pipeline():
     return run_pipeline(DecodingGraph(Layout(3, {0: (0, 0)}), 40 * 3), 0.02, 6)
 
 
+def stream_pipeline_d5():
+    return run_pipeline(DecodingGraph(Layout(5, {0: (0, 0)}), 100 * 5), 0.01, 1)
+
+
 def merged_pair():
     lay = Layout(5, {0: (0, 0), 1: (0, 1)})
     g = merge_patches(DecodingGraph(lay, 3 * 5), lay.seams[0], (5, 10))
@@ -56,10 +60,29 @@ def merged_pair():
     return digest(sorted(plan), sorted(glob.correction), glob.grow_iterations)
 
 
+def accuracy_trials():
+    # the accuracy workload's first 20 trials at seed 1: two d=7 patches
+    # merged for one epoch, p=0.02, each sample's defect set passed as drawn
+    lay = Layout(7, {0: (0, 0), 1: (0, 1)})
+    g = merge_patches(DecodingGraph(lay, 7), lay.seams[0], (0, 7))
+    table, plan = EdgeTable(g), FusionPlan(g)
+    parts = []
+    for i in range(20):
+        defects = table.sample(0.02, derived_rng(1, i)).defects
+        fused = plan.decode(defects)
+        glob = decode_region(g, defects)
+        assert toggled_defects(fused) == defects
+        assert toggled_defects(glob.correction) == defects
+        parts.append((sorted(fused), sorted(glob.correction), glob.grow_iterations))
+    return digest(*parts)
+
+
 RECORDED = {
     grid_pipeline: "c37276d4c6d9f69f",
     stream_pipeline: "9a2f83aef5f12153",
     merged_pair: "5773a10e5f008acf",
+    stream_pipeline_d5: "2abf4de47cfd11ea",
+    accuracy_trials: "70066a29994cbd8a",
 }
 
 

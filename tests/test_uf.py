@@ -213,6 +213,26 @@ def test_face_statuses_must_map_the_block_faces():
     assert st.face_status == {("t", 0, 1): "wall"}
 
 
+def test_add_block_needs_a_settled_state_and_agreeing_faces():
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
+    blocks = {b.block_id: b for b in carve_blocks(g)}
+    first, second = face_statuses(blocks[(0, 0)], ()), face_statuses(blocks[(0, 1)], ())
+    v, w = pack_vid(0, 1, 1, 0), pack_vid(0, 4, 1, 1)
+    st = UfState(g, [v], first)
+    with pytest.raises(ValueError, match="settled"):
+        st.add_block([w], second)
+    st.settle()
+    st.peel_resolved()
+    pre = st.grow_iterations
+    # the shared temporal face cannot be open on one side and a wall on the other
+    with pytest.raises(ValueError, match="conflicting"):
+        st.add_block([w], face_statuses(blocks[(0, 1)], blocks[(0, 1)].faces))
+    # the block's rounds are returned, not counted as the state's own
+    assert st.add_block([w], second) > 0 and st.grow_iterations == pre
+    fuse(st, st, ("t", 0, 1))
+    assert toggled_defects(st.correction) == {v, w}
+
+
 def test_repeat_decode_is_deterministic():
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 5)
     ekeys = list(g.edges())

@@ -11,17 +11,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surgedec.fusion import FusionPlan
+from surgedec.fusion import FusionPlan, fuse
 from surgedec.graph import DecodingGraph, Layout, face_edges, merge_patches, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import cut_parities, decode_region
-from surgedec import windows
+from surgedec.uf import cut_parities, decode_block, decode_region
+from surgedec import uf, windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
 from .helpers import toggled_defects
+from .test_uf import kernel_view
 
 
 def row_layout(n, d=3):
@@ -102,24 +105,49 @@ def test_empty_run_still_sends_boundary_info():
     assert all(n == 0 for n in res.iters.values())
 
 
-def test_empty_windows_build_no_state(monkeypatch):
-    import surgedec.windows as windows_mod
+def test_a_run_builds_one_state_per_unit(monkeypatch):
     g = merged_graph(grid_layout(d=5), 15)
     pipe = Pipeline(g)
-    calls = []
-    for name in ("decode_block", "fuse"):
-        real = getattr(windows_mod, name)
-        monkeypatch.setattr(windows_mod, name,
-                            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
-    # only each unit's first window builds its rolling state
+    built, fused = [], []
+
+    class Recorded(uf.UfState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    real_fuse = windows.fuse
+    monkeypatch.setattr(uf, "UfState", Recorded)
+    monkeypatch.setattr(windows, "fuse", lambda *a: fused.append(a) or real_fuse(*a))
+    # each unit's first window builds its rolling state; nothing else does
     assert pipe.run([]).correction == set()
-    assert calls == ["decode_block"] * 4
-    # one defect in the middle epoch: one more decode, fused into its unit
-    calls.clear()
+    assert len(built) == 4 and not fused
+    # one defect in the middle epoch decodes inside unit 2's rolling state,
+    # which joins the temporal face with itself in one fuse
+    built.clear()
     v = pack_vid(2, 7, 2, 1)
     res = pipe.run([v])
     assert toggled_defects(res.correction) == {v}
-    assert calls.count("decode_block") == 5 and calls.count("fuse") == 1
+    assert len(built) == 4
+    assert [(a is pipe._states[2], b is a, face) for a, b, face in fused] == [
+        (True, True, ("t", 2, 1))]
+
+
+def test_a_run_finds_each_defects_block_once(monkeypatch):
+    # a 10x10 field of d=5 patches over 6 epochs: block_of runs once per
+    # defect, to group them, and once per inbound crossing, to orient it
+    lay = Layout(5, {i: (i // 10, i % 10) for i in range(100)})
+    g = apply_merge_schedule(DecodingGraph(lay, 6 * 5),
+                             random_merge_schedule(lay, 6, 0.5, 1))
+    defects = EdgeTable(g).sample(0.001, derived_rng(1, 0)).defects
+    pipe = Pipeline(g)
+    calls = []
+    real = g.block_of
+    monkeypatch.setattr(g, "block_of", lambda v: calls.append(v) or real(v))
+    res = pipe.run(sorted(defects))
+    assert toggled_defects(res.correction) == defects
+    crossings = sum(len(info.committed_crossings) for *_, info in res.sends)
+    assert crossings
+    assert len(calls) == len(defects) + crossings
 
 
 def test_commit_cascade_schedule_on_grid():
@@ -298,3 +326,69 @@ def test_pipeline_set_up_holds_no_per_vertex_state():
         tracemalloc.stop()
     assert pipe.epochs == 200
     assert held / len(g.vertex_array()) < 20
+
+
+class TwoStatePipeline(Pipeline):
+    """The window path that in-place blocks replaced: a window with defects
+    after its unit's first decodes in a state of its own, which fuse merges
+    into the unit's rolling state before it joins the temporal face."""
+
+    def _decode_window(self, unit, epoch):
+        rolling = self._states.get(unit)
+        if rolling is None:
+            return super()._decode_window(unit, epoch)
+        bid = (unit, epoch)
+        win = self.windows[bid]
+        flips = set()
+        for face in win.walls:
+            for u, w in self._inbox.pop(face).committed_crossings:
+                flips.symmetric_difference_update((u if self.graph.block_of(u) == bid else w,))
+        defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
+        pre = rolling.grow_iterations
+        if defects:
+            st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
+            pre -= st.grow_iterations
+            fuse(rolling, st, win.face)
+        else:
+            rolling.join_face(win.face, win.statuses)
+        self._result.iters[bid] = rolling.grow_iterations - pre
+
+
+def window_views(pipe, defects):
+    """Run pipe on defects; returns the result and the kernel_view of the
+    decoding unit's rolling state after each window."""
+    views = []
+    decode = pipe._decode_window
+
+    def viewed(unit, epoch):
+        decode(unit, epoch)
+        views.append((unit, epoch, kernel_view(pipe._states[unit])))
+
+    pipe._decode_window = viewed
+    return pipe.run(defects), views
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(d=st.sampled_from((3, 5)), grid=st.booleans(), epochs=st.integers(2, 4),
+       every_seam=st.booleans(), p=st.sampled_from((0.01, 0.05, 0.1, 0.15)),
+       seed=st.integers(0, 2**16))
+def test_in_place_blocks_match_fused_blocks(d, grid, epochs, every_seam, p, seed):
+    # window by window, a block added in place and joined by fuse(a, a, face)
+    # leaves the rolling state as decode_block and fuse(a, b, face) do,
+    # iteration orders included; a stream runs ten times the epochs
+    if grid:
+        lay = grid_layout(d)
+        schedule = ([frozenset(lay.seams)] * epochs if every_seam
+                    else random_merge_schedule(lay, epochs, 0.6, seed))
+        g = apply_merge_schedule(DecodingGraph(lay, epochs * d), schedule)
+    else:
+        g = DecodingGraph(Layout(d, {0: (0, 0)}), 10 * epochs * d)
+    defects = sorted(EdgeTable(g).sample(p, derived_rng(seed)).defects)
+    got, got_views = window_views(Pipeline(g), defects)
+    want, want_views = window_views(TwoStatePipeline(g), defects)
+    assert toggled_defects(got.correction) == set(defects)
+    assert (got.correction, got.iters, got.commits, got.sends) == (
+        want.correction, want.iters, want.commits, want.sends)
+    assert len(got_views) == len(want_views)
+    for mine, ref in zip(got_views, want_views):
+        assert mine == ref
