@@ -18,12 +18,11 @@ committed.
 Each open face the state grew onto has a touch list (touched): the edge
 keys grown onto it, appended by grow_round as it suspends the cluster.
 Every face edge with growth 1 or 2 is on the list, so joining a face
-(join_face, which fuse calls) unions only the listed edges that reached a
-full edge, in sorted key order, and never reads the face's edge table;
-absorbing a face reads its committed crossings from the list too.  A face
-with no list was never reached: joining it only merges face statuses, and
-absorbing it only seals it, so an empty block costs nothing beyond its
-faces.
+(fusion.fuse) unions only the listed edges that reached a full edge, in
+sorted key order, and never reads the face's edge table; absorbing a face
+reads its committed crossings from the list too.  A face with no list was
+never reached: joining or absorbing it only changes its status, so an
+empty block costs nothing beyond its faces.
 
 A vertex that a round reaches for the first time joins the cluster
 directly: its parent is the root, the root's size grows by one and the
@@ -32,14 +31,14 @@ adopting it as a one-vertex cluster and unioning would do.  The exception
 is the size tie: a union of equal sizes keeps the smaller id as root, so a
 new vertex below a lone root is adopted and unioned, and becomes the root.
 
-A block can also decode inside a settled state that already holds the
-blocks before it (add_block): its face statuses merge in, its defects seed
-new clusters, and only they grow, because the state has no live cluster
-and a face open on both sides stays open until fuse joins the state with
-itself.  The block's defect, live and correction sets start empty and
-merge in at the end, as fuse merges a standalone state's, and its rounds
-stay out of grow_iterations, so the state ends bit-identical to
-decode_block followed by fuse, without the second state or the merge.
+Every block decodes inside a settled state that may already hold other
+blocks (add_block): its face statuses merge in, its defects seed new
+clusters, and only they grow, because the state has no live cluster and a
+face open on both sides stays open until fuse joins it.  The fusion plan
+adds each block with defects to one state and then joins every face; the
+window pipeline adds each window to its unit's rolling state and joins the
+temporal face to the window before.  grow_iterations counts every round
+the state grew.
 
 Determinism.  A correction depends on more than which vertices a cluster
 holds.  Clusters grow in sorted root order each round.  The order in which
@@ -50,13 +49,18 @@ table by another rule than add, so the two can build equal sets that
 iterate differently.  The order of each grown_adj list fixes the spanning
 forest a peel walks.  The hot loops inline _find, _adopt and _union, but
 they build each of these sets and lists by the same operations, in the
-same order, as those calls do.  A vertex stays in its frontier while a
-round grows one of its edges from nothing (it is pending), and also while
-it grows an open-face edge that the far side already grew to 1: only a
-state that holds both sides sees such an edge (a block added in place, or
-a fusion plan's state fused around a loop), and a standalone block would
-have found it ungrown and kept the vertex, so its frontier set keeps the
-same contents and iteration order either way.
+same order, as those calls do.
+
+One state holds both sides of a face that is not joined yet, so a block
+must decode as it would alone, blind to whatever the far side grew.  Two
+rules see to that.  A vertex stays in its frontier while a round grows
+one of its edges from nothing (it is pending), and also while it grows an
+open-face edge that the far side already grew to 1, which a block alone
+would have found ungrown; its frontier set keeps the same contents and
+iteration order either way.  And a cluster suspends only on the face
+edges it grew itself: touching an edge whose far endpoint another cluster
+holds leaves that cluster as it is, so a contact made from the far side
+never keeps a cluster from waking when its own face is joined.
 
 Face statuses understood by a state:
   'open':  shared face whose far side is not decoded yet; clusters
@@ -109,42 +113,35 @@ class UfState:
             frontier[v] = {v}
             add_live(v)
 
-    def _merge_statuses(self, face_status):
-        """Add another block's face statuses; a face may not change status."""
+    def add_block(self, defects, face_status):
+        """Decode a block inside this settled state.
+
+        face_status, the block's face statuses, is merged in (a face may
+        not change status), the block's defects are seeded as new clusters,
+        and the state settles and peels.  The state holds no vertex of the
+        block and no live cluster, so only the block's clusters grow, and a
+        face open on both sides stays open until fuse joins it.  The
+        block's defect and correction sets start empty and merge in at the
+        end, as a block decoded alone would, so the peel walks the block's
+        defects, not every defect still suspended in the state.
+        """
+        if self.live:
+            raise ValueError("add_block needs a settled state")
         fs = self.face_status
         for f, st in face_status.items():
             if fs.setdefault(f, st) != st:
                 raise ValueError(f"face {f} has conflicting statuses")
-
-    def add_block(self, defects, face_status) -> int:
-        """Decode a block inside this settled state; returns its growth rounds.
-
-        face_status, the block's face statuses, is merged in, the block's
-        defects are seeded as new clusters, and the state settles and peels.
-        The state holds no vertex of the block and no live cluster, so only
-        the block's clusters grow, and a face open on both sides stays open
-        until fuse(state, state, face) joins it.  The block's defect, live
-        and correction sets start empty and merge in at the end, and its
-        rounds stay out of grow_iterations, as fuse treats a fused-in state:
-        the state ends as decode_block followed by fuse would leave it.
-        """
-        if self.live:
-            raise ValueError("add_block needs a settled state")
-        self._merge_statuses(face_status)
         if not defects:
-            return 0
-        outer = self.defects, self.live, self.correction
-        self.defects, self.live, self.correction = set(), set(), set()
+            return
+        outer = self.defects, self.correction
+        self.defects, self.correction = set(), set()
         self._seed(defects)
-        rounds = self.settle()
+        self.settle()
         self.peel_resolved()
-        block = self.defects, self.live, self.correction
-        self.defects, self.live, self.correction = outer
+        block = self.defects, self.correction
+        self.defects, self.correction = outer
         self.defects |= block[0]
-        self.live |= block[1]
-        self.correction ^= block[2]
-        self.grow_iterations -= rounds
-        return rounds
+        self.correction ^= block[1]
 
     def _find(self, v: int) -> int:
         parent = self.parent
@@ -205,14 +202,6 @@ class UfState:
             self.size[v] = 1
             self.parity[v] = 0
             self.frontier[v] = {v}
-
-    def _suspend(self, v: int, ekey, face):
-        root = self._find(v)
-        cm = self.contacts.setdefault(root, {})
-        c = (v, ekey)
-        if face not in cm or c < cm[face]:
-            cm[face] = c
-        self.live.discard(root)
 
     def grow_round(self) -> bool:
         """One synchronized half-edge growth step for all active clusters.
@@ -291,8 +280,6 @@ class UfState:
                 if cur is None or c < cur:
                     cm[face] = c
                 live.discard(root)
-                if other in parent:
-                    self._suspend(other, ekey, face)
             elif other < 0:
                 c = (v, ekey)
                 cur = bnd.get(root)
@@ -411,47 +398,11 @@ class UfState:
                     del contacts[root]
         return out
 
-    def join_face(self, face, face_status):
-        """Make an open face interior once its far side is in this state.
-
-        face_status, the far side's face statuses, is merged in.  The
-        edges on the face's touch list that reached a full edge are unioned
-        in sorted key order, the clusters suspended on the face wake, and
-        the state settles and peels if anything was unioned or woke.  A
-        face the state never grew onto costs only the status merge.
-        """
-        fs = self.face_status
-        if fs.get(face) != 'open' or face_status.get(face) != 'open':
-            raise ValueError(f"face {face} is not open on both sides")
-        # a state fused with itself already holds both sides' statuses
-        if face_status is not fs:
-            self._merge_statuses(face_status)
-        del fs[face]
-        keys = self.touched.pop(face, None)
-        grown = ()
-        if keys:
-            growth = self.growth
-            grown = sorted({k for k in keys if growth[k] >= 2})
-            adj = self.grown_adj
-            for ekey in grown:
-                u, w = ekey
-                self._adopt(u)
-                self._adopt(w)
-                adj.setdefault(u, []).append((w, ekey))
-                adj.setdefault(w, []).append((u, ekey))
-                self._union(u, w)
-            for root in self._drop_face(face):
-                if self._alive(root):
-                    self.live.add(root)
-        if grown or self.live:
-            self.settle()
-            self.peel_resolved()
-
     def absorb_face(self, face) -> set:
         """Seal an open face and drain the clusters suspended on it.
 
-        The state must be settled and peeled, as decode_block, add_block
-        and fuse leave it; a state with live clusters raises ValueError.  Each
+        The state must be settled and peeled, as add_block and fuse leave
+        it; a state with live clusters raises ValueError.  Each
         cluster suspended on the face with defects left is peeled through
         its recorded contact edge there, and the face becomes a wall, so no
         cluster keeps a contact on it.  Returns the emitted edges that cross
@@ -507,41 +458,6 @@ def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
     return out
 
 
-def decode_block(graph: DecodingGraph, block, defects, face_status=None) -> UfState:
-    """Decode one carved block standalone and return its state.
-
-    face_status is the block's face-status map, as face_statuses builds
-    it: walls are sealed, and clusters reaching an open face suspend.  None
-    leaves every face open.  The state copies the map, so callers build it
-    once per block and pass the same one to every decode.  Growth never
-    leaves the block because every edge out of it lies on one of its faces.
-    """
-    bid = block.block_id
-    block_of = graph.block_of
-    for v in defects:
-        if block_of(v) != bid:
-            raise ValueError(f"defect {v} outside block {bid}")
-    if face_status is None:
-        face_status = face_statuses(block, ())
-    elif len(face_status) != len(block.faces):
-        raise ValueError(f"face statuses {face_status!r} do not map the faces of "
-                         f"block {block.block_id}")
-    return decode_defects(graph, defects, face_status)
-
-
-def decode_defects(graph: DecodingGraph, defects, face_status) -> UfState:
-    """Decode defects in a fresh state bounded by face_status; returns it.
-
-    Nothing checks that the defects lie inside the faces: decode_block
-    does, for callers that did not group them by block_of.
-    """
-    state = UfState(graph, defects, face_status)
-    if state.live:
-        state.settle()
-        state.peel_resolved()
-    return state
-
-
 def face_statuses(block, walls) -> dict:
     """A block's face statuses: faces in walls are sealed, the rest open."""
     return {f: 'wall' if f in walls else 'open' for f in block.faces}
@@ -549,7 +465,10 @@ def face_statuses(block, walls) -> dict:
 
 def decode_region(graph: DecodingGraph, defects) -> UfState:
     """Decode the whole graph as a single region (the global baseline)."""
-    return decode_defects(graph, defects, {})
+    state = UfState(graph, defects)
+    state.settle()
+    state.peel_resolved()
+    return state
 
 
 def cut_parities(graph: DecodingGraph, edges) -> dict:

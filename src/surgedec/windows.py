@@ -15,13 +15,11 @@ syndrome, so set-up computes it once: one Window per block (its temporal
 face, inbound walls, face-status map and outbound sends) and, per slot, a
 schedule of (unit, decoded window, committed window) records.  A run walks
 that schedule.  A unit builds one decoder state, at its first window, and
-every later window decodes inside it: a window with defects after its
-inbound flips is added to the rolling state as a block (UfState.add_block)
-and its temporal face is joined by fusing the state with itself; a window
-left with none only merges its prebuilt face statuses and joins the face,
-which wakes, grows and peels only the clusters suspended on it, so an idle
-window costs its faces.  Either way the state ends as a standalone decode
-fused in would leave it.  A run groups the defects by block once
+every window decodes inside it: the window's defects after its inbound
+flips are added to the state as a block (UfState.add_block), whose face
+statuses come prebuilt, and its temporal face is fused.  Fusing wakes,
+grows and peels only the clusters suspended on that face, so an idle
+window costs its faces.  A run groups the defects by block once
 (defects_by_block); only inbound crossings call block_of again.  The
 dataflow is deterministic and independent of wall-clock timing, so the
 network simulator replays the same schedule under any latency model.
@@ -35,7 +33,7 @@ from typing import NamedTuple
 
 from .graph import DecodingBlock, DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import decode_defects, defects_by_block, face_statuses, region_vids
+from .uf import UfState, defects_by_block, face_statuses, region_vids
 
 
 class PipelineStallError(RuntimeError):
@@ -162,19 +160,11 @@ class Pipeline:
             defects = flips.symmetric_difference(defects)
         rolling = self._states.get(unit)
         if rolling is None:
-            st = self._states[unit] = decode_defects(self.graph, sorted(defects),
-                                                     win.statuses)
-            self._result.iters[bid] = st.grow_iterations
-            return
+            rolling = self._states[unit] = UfState(self.graph, ())
         pre = rolling.grow_iterations
-        if defects:
-            # the window decodes inside the rolling state, which then joins
-            # the temporal face with itself
-            pre -= rolling.add_block(sorted(defects), win.statuses)
-            fuse(rolling, rolling, win.face)
-        else:
-            # an empty window seeds nothing: its faces join the rolling state
-            rolling.join_face(win.face, win.statuses)
+        rolling.add_block(sorted(defects), win.statuses)
+        if win.face is not None:
+            fuse(rolling, win.face)
         self._result.iters[bid] = rolling.grow_iterations - pre
 
     def _commit_window(self, unit: int, epoch: int, cascade: int):

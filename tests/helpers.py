@@ -1,10 +1,11 @@
 """Helpers shared by the test modules."""
 
 from surgedec import wire
+from surgedec.fusion import fuse
 from surgedec.graph import EAST, WEST, _SEAM_COL, pack_vid, unpack_vid
 from surgedec.netsim import TraceResult
 from surgedec.topology import route
-from surgedec.uf import UfState
+from surgedec.uf import UfState, face_statuses
 
 
 def toggled_defects(edges):
@@ -256,14 +257,94 @@ def ref_trace(pipe, topology, latency, node_of, instructions, result):
     return TraceResult(rows, commit_ns, first_g3, g3_lat, depth_series,
                        feedback_ns, margin, n_events)
 
+
+def decode_blocks(graph, parts):
+    """One state with each (block, defects[, face statuses]) of parts
+    added in place, in order; a block's faces are all open by default."""
+    st = UfState(graph, ())
+    for blk, defects, *statuses in parts:
+        st.add_block(defects, statuses[0] if statuses else face_statuses(blk, ()))
+    return st
+
+
+def decode_block(graph, block, defects, face_status=None):
+    """Decode one carved block alone, in a state of its own; returns it.
+
+    With fuse_states, the two-state path that blocks decoded in place
+    (UfState.add_block) replaced, kept as the reference.  face_status
+    maps the block's faces (every face open when omitted), and every
+    defect must lie in the block.
+    """
+    bid = block.block_id
+    for v in defects:
+        if graph.block_of(v) != bid:
+            raise ValueError(f"defect {v} outside block {bid}")
+    if face_status is None:
+        face_status = face_statuses(block, ())
+    elif len(face_status) != len(block.faces):
+        raise ValueError(f"face statuses {face_status!r} do not map the faces of "
+                         f"block {bid}")
+    state = UfState(graph, defects, face_status)
+    state.settle()
+    state.peel_resolved()
+    return state
+
+
+def fuse_states(a, b, face):
+    """Fuse the open face between two states decoded apart; returns a.
+
+    b's bookkeeping, touch lists, growth rounds and face statuses merge
+    into a, the growth of an edge grown from both sides sums (capped at a
+    full edge), and fusion.fuse joins the face.  b must be discarded
+    afterwards.
+    """
+    if a.graph is not b.graph:
+        raise ValueError("states decode different graphs")
+    if a.face_status.get(face) != 'open' or b.face_status.get(face) != 'open':
+        raise ValueError(f"face {face} is not open on both sides")
+    for f, status in b.face_status.items():
+        if a.face_status.setdefault(f, status) != status:
+            raise ValueError(f"face {f} has conflicting statuses")
+    a.parent.update(b.parent)
+    a.size.update(b.size)
+    a.parity.update(b.parity)
+    a.bnd.update(b.bnd)
+    a.contacts.update(b.contacts)
+    a.frontier.update(b.frontier)
+    a.grown_adj.update(b.grown_adj)
+    a.defects |= b.defects
+    a.correction ^= b.correction
+    a.live |= b.live
+    a.grow_iterations += b.grow_iterations
+    growth, bg = a.growth, b.growth
+    both = [(ekey, growth[ekey]) for ekey in bg if ekey in growth]
+    growth.update(bg)
+    for ekey, cur in both:
+        growth[ekey] = min(2, cur + bg[ekey])
+    for f, keys in b.touched.items():
+        a.touched.setdefault(f, []).extend(keys)
+    fuse(a, face)
+    return a
+
+
 class RefUfState(UfState):
     """UfState with the kernel bodies the inlined ones replaced, kept as the
     slow reference: finds and aliveness go through _find and _alive, every
     vertex a round reaches is adopted before it is unioned, and peeling
-    toggles by symmetric difference.  It keeps the kernel's one pending
-    rule: a vertex stays in its frontier while it has an edge it grew from
-    nothing this round, or an open-face edge the far side already grew.
+    toggles by symmetric difference.  It keeps the kernel's two rules for
+    a state that holds both sides of an open face: a vertex stays in its
+    frontier while it has an edge it grew from nothing this round, or an
+    open-face edge the far side already grew; and growing onto an open face
+    suspends the growing cluster alone, never the far endpoint's.
     """
+
+    def _suspend(self, v: int, ekey, face):
+        root = self._find(v)
+        cm = self.contacts.setdefault(root, {})
+        c = (v, ekey)
+        if face not in cm or c < cm[face]:
+            cm[face] = c
+        self.live.discard(root)
 
     def _union(self, a: int, b: int) -> int:
         ra, rb = self._find(a), self._find(b)
@@ -350,8 +431,6 @@ class RefUfState(UfState):
             if face is not None:
                 touched.setdefault(face, []).append(ekey)
                 self._suspend(v, ekey, face)
-                if other in self.parent:
-                    self._suspend(other, ekey, face)
             elif other < 0:
                 root = self._find(v)
                 c = (v, ekey)

@@ -11,11 +11,13 @@ layouts, merge schedules and noise draws.
 """
 
 import contextlib
+import hashlib
 from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from surgedec import fusion, windows
 from surgedec.fusion import FusionPlan
 from surgedec.graph import DecodingGraph, Layout, face_edges
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
@@ -50,6 +52,7 @@ def ref_fuse(a, b, face):
         a.defects |= b.defects
         a.correction ^= b.correction
         a.live |= b.live
+        a.grow_iterations += b.grow_iterations
         for ekey, g in b.growth.items():
             cur = a.growth.get(ekey)
             a.growth[ekey] = g if cur is None else min(2, cur + g)
@@ -108,15 +111,13 @@ class ReferencePipeline(Pipeline):
                 flips.symmetric_difference_update((u if u in reg else w,))
         defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
         state = ref_decode_block(self.graph, win.block, sorted(defects), win.walls)
-        iters = state.grow_iterations
-        rolling = self._states.get(unit)
-        if rolling is None:
-            self._states[unit] = state
+        rolling = self._states.setdefault(unit, state)
+        if rolling is state:
+            self._result.iters[bid] = state.grow_iterations
         else:
             pre = rolling.grow_iterations
             ref_fuse(rolling, state, ("t", unit, epoch))
-            iters += rolling.grow_iterations - pre
-        self._result.iters[bid] = iters
+            self._result.iters[bid] = rolling.grow_iterations - pre
         self.decoded += 1
 
     def _commit_window(self, unit, epoch, cascade):
@@ -137,8 +138,13 @@ def ref_plan_decode(plan, defects):
         by_block.setdefault(graph.block_of(v), []).append(v)
     states = {bid: ref_decode_block(graph, blk, by_block.get(bid, ()))
               for bid, blk in plan.blocks.items()}
+    sides = {}
+    for bid, blk in plan.blocks.items():
+        for f in blk.faces:
+            sides.setdefault(f, []).append(bid)
     rep = {bid: bid for bid in plan.blocks}
-    for face, (ba, bb) in plan.fuse_order:
+    for face in plan.fuse_order:
+        ba, bb = sorted(sides[face])
         ra, rb = rep[ba], rep[bb]
         ref_fuse(states[ra], states[rb], face)
         if ra != rb:
@@ -161,16 +167,17 @@ def check_touch_lists(state):
 
 @contextlib.contextmanager
 def touch_lists_checked():
-    """Check every state's touch lists after each face it joins."""
-    join = UfState.join_face
+    """Check every state's touch lists after each face it fuses."""
+    fuse = fusion.fuse
     calls = []
 
-    def checked(self, face, face_status):
-        join(self, face, face_status)
-        check_touch_lists(self)
+    def checked(state, face):
+        fuse(state, face)
+        check_touch_lists(state)
         calls.append(face)
 
-    with mock.patch.object(UfState, "join_face", checked):
+    with mock.patch.object(fusion, "fuse", checked), \
+            mock.patch.object(windows, "fuse", checked):
         yield calls
 
 
@@ -189,7 +196,7 @@ def assert_same_runs(g, p, seed, trials=2):
     plan = FusionPlan(g)
     # the prebuilt face-status maps every run shares, as they were built
     statuses = {bid: dict(win.statuses) for bid, win in pipe.windows.items()}
-    plan_statuses = {bid: dict(m) for bid, m in plan._open.items()}
+    plan_statuses = dict(plan._open)
     for trial in range(trials):
         defects = table.sample(p, derived_rng(seed, trial)).defects
         with touch_lists_checked() as joins:
@@ -207,7 +214,7 @@ def assert_same_runs(g, p, seed, trials=2):
             assert state_view(state) == state_view(ref._states[unit])
         assert toggled_defects(got.correction) == defects
         assert fused == ref_plan_decode(plan, sorted(defects))
-        assert len(joins) >= len(plan.fuse_order)
+        assert len(joins) == len(plan.fuse_order) + len(got.iters) - len(pipe._states)
         # no run leaves its mark on a map the next run starts from
         assert {bid: win.statuses for bid, win in pipe.windows.items()} == statuses
         assert plan._open == plan_statuses
@@ -236,7 +243,7 @@ def test_pipeline_matches_full_scan_reference_on_a_column_major_grid():
     # seam stays merged, so each of its temporal faces holds the time edges
     # of two seams and the face walk meets the higher-keyed east seam's
     # first.  Trial 7 of seed 467 is a sample whose decoder state depends on
-    # that union order, so join_face must union in face_edges order.
+    # that union order, so fuse must union in face_edges order.
     lay = Layout(3, {i: (i % 2, i // 2) for i in range(4)})
     g = apply_merge_schedule(DecodingGraph(lay, 9), [frozenset(lay.seams)] * 3)
     assert_same_runs(g, 0.15, 467, trials=8)
@@ -246,3 +253,19 @@ def test_pipeline_matches_full_scan_reference_on_a_column_major_grid():
 @given(p=st.sampled_from(RATES), seed=st.integers(0, 2**16))
 def test_pipeline_matches_full_scan_reference_on_a_stream(p, seed):
     assert_same_runs(DecodingGraph(Layout(3, {0: (0, 0)}), 40 * 3), p, seed, trials=1)
+
+
+def test_plan_matches_the_two_state_plan_where_a_far_side_touch_diverged():
+    # one state holds both sides of every face until the plan fuses it.
+    # Here a cluster grows onto a face edge whose far endpoint a cluster of
+    # the other block already holds; if that touch suspended the far
+    # cluster too, the one-state plan would give 261 edges, not 275
+    lay = Layout(5, {0: (0, 0), 1: (1, 0)})
+    g = apply_merge_schedule(DecodingGraph(lay, 20),
+                             random_merge_schedule(lay, 4, 1.0, seed=236))
+    defects = sorted(EdgeTable(g).sample(0.15, derived_rng(236, 6)).defects)
+    plan = FusionPlan(g)
+    c = plan.decode(defects)
+    assert c == ref_plan_decode(plan, defects)
+    assert len(c) == 275
+    assert hashlib.sha256(repr(sorted(c)).encode()).hexdigest()[:16] == "9e9d2cb45b714fd6"

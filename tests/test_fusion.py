@@ -10,9 +10,9 @@ from surgedec.graph import (DecodingGraph, Layout, carve_blocks, merge_patches,
 from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import decode_block, decode_region, face_statuses
+from surgedec.uf import decode_region, face_statuses
 
-from .helpers import toggled_defects
+from .helpers import decode_blocks, toggled_defects
 
 
 def blocks_by_id(graph):
@@ -24,9 +24,10 @@ def test_temporal_pair_resolved_by_fusion():
     blocks = blocks_by_id(g)
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
-    sa = decode_block(g, blocks[(0, 0)], [v])
-    sb = decode_block(g, blocks[(0, 1)], [w])
-    st = fuse(sa, sb, ("t", 0, 1))
+    st = decode_blocks(g, [(blocks[(0, 0)], [v]), (blocks[(0, 1)], [w])])
+    # each side suspended on the shared face, and only fusing resolves them
+    assert st.defects == {v, w} and st.correction == set()
+    fuse(st, ("t", 0, 1))
     assert st.correction == {(v, w)}
     assert st.defects == set()
     assert ("t", 0, 1) not in st.face_status
@@ -37,12 +38,14 @@ def test_fusion_leaves_settled_clusters_alone():
     blocks = blocks_by_id(g)
     va = pack_vid(0, 0, 2, 0)
     vb = pack_vid(0, 9, 2, 0)
-    sa = decode_block(g, blocks[(0, 0)], [va])
-    sb = decode_block(g, blocks[(0, 1)], [vb])
+    sa = decode_blocks(g, [(blocks[(0, 0)], [va])])
+    sb = decode_blocks(g, [(blocks[(0, 1)], [vb])])
     ca, cb = set(sa.correction), set(sb.correction)
     assert len(ca) == 1 and len(cb) == 1
-    before = sa.grow_iterations
-    st = fuse(sa, sb, ("t", 0, 1))
+    st = decode_blocks(g, [(blocks[(0, 0)], [va]), (blocks[(0, 1)], [vb])])
+    assert st.correction == ca | cb
+    before = st.grow_iterations
+    fuse(st, ("t", 0, 1))
     assert st.correction == ca | cb
     assert st.grow_iterations == before
 
@@ -55,10 +58,9 @@ def test_spatial_pair_through_seam():
     u = pack_vid(0, 2, 2, 3)
     w = pack_vid(1, 2, 2, 0)
     s = pack_vid(g.seam_pid(lay.seams[0]), 2, 2, 0xFF)
-    sa = decode_block(g, blocks[(0, 0)], [u])
-    sb = decode_block(g, blocks[(1, 0)], [w])
-    assert sa.defects == {u} and sb.defects == {w}
-    st = fuse(sa, sb, ("s", 0, 0))
+    st = decode_blocks(g, [(blocks[(0, 0)], [u]), (blocks[(1, 0)], [w])])
+    assert st.defects == {u, w}
+    fuse(st, ("s", 0, 0))
     assert st.correction == {(u, s), (w, s)}
     assert st.defects == set()
 
@@ -110,14 +112,9 @@ def test_fuse_order_does_not_break_validity():
     for v in sorted(defects):
         by_block.setdefault(g.block_of(v), []).append(v)
     for order in [[1, 2], [2, 1]]:
-        states = {bid: decode_block(g, blk, by_block.get(bid, ()))
-                  for bid, blk in blocks.items()}
-        if order == [1, 2]:
-            st = fuse(states[(0, 0)], states[(0, 1)], ("t", 0, 1))
-            st = fuse(st, states[(0, 2)], ("t", 0, 2))
-        else:
-            st = fuse(states[(0, 1)], states[(0, 2)], ("t", 0, 2))
-            st = fuse(states[(0, 0)], st, ("t", 0, 1))
+        st = decode_blocks(g, [(blk, by_block.get(bid, ())) for bid, blk in blocks.items()])
+        for e in order:
+            fuse(st, ("t", 0, e))
         assert toggled_defects(st.correction) == defects
         assert st.defects == set()
 
@@ -133,12 +130,11 @@ def test_intra_state_fuse_closes_loop():
     w = pack_vid(3, 1, 1, 0)
     by[(2, 0)] = [u]
     by[(3, 0)] = [w]
-    states = {bid: decode_block(g, blk, by[bid]) for bid, blk in blocks.items()}
-    # sorted seam order: (0,1,ew)=0, (0,2,ns)=1, (1,3,ns)=2, (2,3,ew)=3
-    st = fuse(states[(0, 0)], states[(1, 0)], ("s", 0, 0))
-    st = fuse(st, states[(2, 0)], ("s", 1, 0))
-    st = fuse(st, states[(3, 0)], ("s", 2, 0))
-    st = fuse(st, st, ("s", 3, 0))
+    st = decode_blocks(g, [(blk, by[bid]) for bid, blk in blocks.items()])
+    # sorted seam order: (0,1,ew)=0, (0,2,ns)=1, (1,3,ns)=2, (2,3,ew)=3; the
+    # last seam closes the loop around the four blocks
+    for si in range(4):
+        fuse(st, ("s", si, 0))
     assert toggled_defects(st.correction) == {u, w}
     assert st.defects == set()
 
@@ -165,27 +161,21 @@ def test_fuse_and_absorb_keep_live_exact():
         by_block = {}
         for v in sorted(defects):
             by_block.setdefault(g.block_of(v), []).append(v)
-        states = {bid: decode_block(g, blk, by_block.get(bid, ()))
-                  for bid, blk in plan.blocks.items()}
-        # absorb every open face of one block, one at a time
-        st = states[(1, 1)]
-        for f in plan.blocks[(1, 1)].faces:
+        # absorb every open face of one block decoded alone, one at a time
+        lone = plan.blocks[(1, 1)]
+        st = decode_blocks(g, [(lone, by_block.get((1, 1), ()))])
+        for f in lone.faces:
             st.absorb_face(f)
             check_maps(st)
         assert st.defects == set()
-        # fuse the rest along the plan's order
-        states.pop((1, 1))
-        rep = {bid: bid for bid in states}
-        for face, (ba, bb) in plan.fuse_order:
-            if (1, 1) in (ba, bb):
-                continue
-            ra, rb = rep[ba], rep[bb]
-            merged = fuse(states[ra], states[rb], face)
-            check_maps(merged)
-            if ra != rb:
-                rep = {k: ra if r == rb else r for k, r in rep.items()}
-                states[ra] = merged
-                del states[rb]
+        # decode the rest in one state and fuse them along the plan's order
+        st = decode_blocks(g, [(blk, by_block.get(bid, ()))
+                               for bid, blk in plan.blocks.items() if bid != (1, 1)])
+        check_maps(st)
+        for face in plan.fuse_order:
+            if face not in lone.faces:
+                fuse(st, face)
+                check_maps(st)
 
 
 def grown_edges_outside(graph, st, blocks):
@@ -217,30 +207,36 @@ def test_faces_bound_block_growth():
             by_block.setdefault(g.block_of(v), []).append(v)
         rng = random.Random(seed)
         for walled in (False, True):
-            states = {}
+            parts = {}
             for bid, blk in plan.blocks.items():
                 walls = tuple(f for f in blk.faces if walled and rng.random() < 0.5)
-                st = decode_block(g, blk, by_block.get(bid, ()), face_statuses(blk, walls))
+                parts[bid] = (blk, by_block.get(bid, ()), face_statuses(blk, walls))
+                st = decode_blocks(g, [parts[bid]])
                 assert grown_edges_outside(g, st, {bid}) == []
                 on_faces += sum(1 for k, grown in st.growth.items()
                                 if grown and g.face_of(k) is not None)
-                states[bid] = st
-            face, (ba, bb) = next(
-                (f, pair) for f, pair in plan.fuse_order
-                if all(states[b].face_status[f] == "open" for b in pair))
-            st = fuse(states[ba], states[bb], face)
+            sides = {f: [b for b in parts if f in parts[b][0].faces]
+                     for f in plan.fuse_order}
+            face, (ba, bb) = next((f, pair) for f, pair in sides.items()
+                                  if all(parts[b][2][f] == "open" for b in pair))
+            st = decode_blocks(g, [parts[ba], parts[bb]])
+            fuse(st, face)
             assert grown_edges_outside(g, st, {ba, bb}) == []
     assert on_faces > 0
 
 
 def test_fuse_errors():
-    g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
+    # only an open face of the state can be fused: not a face it never
+    # held, not one already fused, and not a wall
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 9)
     blocks = blocks_by_id(g)
-    sa = decode_block(g, blocks[(0, 0)], [])
-    sb = decode_block(g, blocks[(0, 1)], [])
-    with pytest.raises(ValueError):
-        fuse(sa, sb, ("t", 0, 9))
-    g2 = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
-    s2 = decode_block(g2, blocks_by_id(g2)[(0, 1)], [])
-    with pytest.raises(ValueError):
-        fuse(sa, s2, ("t", 0, 1))
+    st = decode_blocks(g, [(blocks[(0, 0)], []), (blocks[(0, 1)], [])])
+    with pytest.raises(ValueError, match="not open"):
+        fuse(st, ("t", 0, 9))
+    fuse(st, ("t", 0, 1))
+    with pytest.raises(ValueError, match="not open"):
+        fuse(st, ("t", 0, 1))
+    walled = decode_blocks(g, [(blocks[(0, 2)], [],
+                                face_statuses(blocks[(0, 2)], blocks[(0, 2)].faces))])
+    with pytest.raises(ValueError, match="not open"):
+        fuse(walled, ("t", 0, 2))

@@ -11,18 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgedec import uf
+from surgedec import fusion, uf, windows
 from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
                             carve_blocks, face_edges, merge_patches, pack_vid)
 from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.oracle import oracle_mwpm
-from surgedec.uf import (UfState, cut_parities, decode_block, decode_region,
+from surgedec.uf import (UfState, cut_parities, decode_region, defects_by_block,
                          face_statuses)
 from surgedec.windows import Pipeline
 
-from .helpers import RefUfState, toggled_defects
+from .helpers import RefUfState, decode_blocks, toggled_defects
 from .test_differential import state_view
 
 
@@ -99,7 +99,7 @@ def test_block_decode_suspends_at_future_face():
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
-    st = decode_block(g, blk, [v])
+    st = decode_blocks(g, [(blk, [v])])
     assert st.defects == {v}
     assert st.correction == set()
     # first touch of the face edge suspends the cluster immediately
@@ -115,7 +115,7 @@ def test_absorb_face_drains_suspended_cluster():
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
-    st = decode_block(g, blk, [v])
+    st = decode_blocks(g, [(blk, [v])])
     crossings = st.absorb_face(("t", 0, 1))
     assert crossings == {(v, w)}
     assert st.correction == {(v, w)}
@@ -141,7 +141,7 @@ def test_absorb_face_never_grown_onto_only_seals_it():
     blk = next(b for b in carve_blocks(g) if b.block_id == (0, 1))
     b = pack_vid(0, 7, 2, 0)   # reaches the west boundary and is peeled
     v = pack_vid(0, 9, 2, 2)   # suspends on the future face
-    st = decode_block(g, blk, [b, v])
+    st = decode_blocks(g, [(blk, [b, v])])
     assert st.bnd and st.correction == {(b, WEST)}
     assert st.defects == {v}
     assert set(st.touched) == {("t", 0, 2)}
@@ -159,16 +159,16 @@ def test_fuse_of_an_empty_block_adds_only_face_statuses(monkeypatch):
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 15)
     blocks = {b.block_id: b for b in carve_blocks(g)}
     b = pack_vid(0, 2, 2, 0)
-    a = decode_block(g, blocks[(0, 0)], [b])
+    a = decode_blocks(g, [(blocks[(0, 0)], [b])])
     assert a.correction == {(b, WEST)} and not a.touched
     maps = ("parent", "size", "parity", "bnd", "contacts", "frontier", "growth",
             "grown_adj", "live", "defects", "correction", "touched",
             "grow_iterations")
     before = {m: repr(getattr(a, m)) for m in maps}
-    empty = decode_block(g, blocks[(0, 1)], [])
     settles = []
     monkeypatch.setattr(UfState, "settle", lambda st: settles.append(st))
-    assert fuse(a, empty, ("t", 0, 1)) is a
+    a.add_block([], face_statuses(blocks[(0, 1)], ()))
+    fuse(a, ("t", 0, 1))
     assert {m: repr(getattr(a, m)) for m in maps} == before
     assert a.face_status == {("t", 0, 2): "open"}
     assert settles == []
@@ -184,33 +184,37 @@ def test_wall_face_is_never_grown_or_suspended_on():
         (blocks[(0, 0)], pack_vid(0, 4, 2, 1), ("t", 0, 1)),
     ]
     for blk, v, wall in cases:
-        st = decode_block(g, blk, [v], face_statuses(blk, (wall,)))
+        st = decode_blocks(g, [(blk, [v], face_statuses(blk, (wall,)))])
         assert st.face_status[wall] == "wall"
         assert all(st.face_status[f] == "open" for f in blk.faces if f != wall)
         assert not any(st.growth.get(k, 0) for k in face_edges(g, wall))
         assert all(wall not in faces for faces in st.contacts.values())
-        open_st = decode_block(g, blk, [v])
+        open_st = decode_blocks(g, [(blk, [v])])
         assert any(open_st.growth.get(k, 0) for k in face_edges(g, wall))
 
 
 def test_defect_outside_region_rejected():
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
-    blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
-    with pytest.raises(ValueError):
-        decode_block(g, blk, [pack_vid(0, 7, 0, 0)])
+    blocks = {b.block_id: b for b in carve_blocks(g)}
+    inside, outside = pack_vid(0, 2, 0, 0), pack_vid(0, 12, 0, 0)
+    assert defects_by_block(g, blocks, [inside]) == {(0, 0): [inside]}
+    with pytest.raises(ValueError, match=f"{outside:#x}"):
+        defects_by_block(g, blocks, [inside, outside])
 
 
 def test_face_statuses_must_map_the_block_faces():
-    # a tuple of walls in the map's place would leave every face interior,
-    # so growth would run out of the block
-    g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
-    blk = next(b for b in carve_blocks(g) if b.block_id == (0, 0))
-    v = pack_vid(0, 2, 2, 1)
-    for bad in ((), {}):
-        with pytest.raises(ValueError, match="faces of block"):
-            decode_block(g, blk, [v], bad)
-    st = decode_block(g, blk, [v], face_statuses(blk, blk.faces))
-    assert st.face_status == {("t", 0, 1): "wall"}
+    # the map names every face of the block, so a block decoded with it
+    # never grows past its faces; with every face walled, none is open
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 15)
+    blk = next(b for b in carve_blocks(g) if b.block_id == (0, 1))
+    assert face_statuses(blk, ()) == {("t", 0, 1): "open", ("t", 0, 2): "open"}
+    assert face_statuses(blk, (("t", 0, 2),)) == {("t", 0, 1): "open",
+                                                  ("t", 0, 2): "wall"}
+    v = pack_vid(0, 7, 2, 1)
+    st = decode_blocks(g, [(blk, [v], face_statuses(blk, blk.faces))])
+    assert st.face_status == {("t", 0, 1): "wall", ("t", 0, 2): "wall"}
+    assert all(g.block_of(x) == (0, 1) for k in st.growth for x in k if x >= 0)
+    assert toggled_defects(st.correction) == {v}
 
 
 def test_add_block_needs_a_settled_state_and_agreeing_faces():
@@ -227,9 +231,10 @@ def test_add_block_needs_a_settled_state_and_agreeing_faces():
     # the shared temporal face cannot be open on one side and a wall on the other
     with pytest.raises(ValueError, match="conflicting"):
         st.add_block([w], face_statuses(blocks[(0, 1)], blocks[(0, 1)].faces))
-    # the block's rounds are returned, not counted as the state's own
-    assert st.add_block([w], second) > 0 and st.grow_iterations == pre
-    fuse(st, st, ("t", 0, 1))
+    # the block's rounds count as the state's own
+    st.add_block([w], second)
+    assert st.grow_iterations > pre
+    fuse(st, ("t", 0, 1))
     assert toggled_defects(st.correction) == {v, w}
 
 
@@ -271,8 +276,8 @@ def kernel_view(state):
 
 def decode_everything(g, defects, kernel):
     """Run decode_region, FusionPlan.decode and Pipeline.run with kernel as
-    uf.UfState; returns their results and the final view of every state
-    built, in the order they were built."""
+    the UfState of every module that builds one; returns their results and
+    the final view of every state built, in the order they were built."""
     built = []
 
     class Recorded(kernel):
@@ -280,7 +285,9 @@ def decode_everything(g, defects, kernel):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    with mock.patch.object(uf, "UfState", Recorded):
+    with mock.patch.object(uf, "UfState", Recorded), \
+            mock.patch.object(fusion, "UfState", Recorded), \
+            mock.patch.object(windows, "UfState", Recorded):
         glob = uf.decode_region(g, defects)
         fused = FusionPlan(g).decode(defects)
         res = Pipeline(g).run(defects)

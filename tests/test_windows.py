@@ -14,16 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgedec.fusion import FusionPlan, fuse
+from surgedec.fusion import FusionPlan
 from surgedec.graph import DecodingGraph, Layout, face_edges, merge_patches, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import cut_parities, decode_block, decode_region
+from surgedec.uf import cut_parities, decode_region
 from surgedec import uf, windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
-from .helpers import toggled_defects
+from .helpers import decode_block, fuse_states, toggled_defects
 from .test_uf import kernel_view
 
 
@@ -108,28 +108,44 @@ def test_empty_run_still_sends_boundary_info():
 def test_a_run_builds_one_state_per_unit(monkeypatch):
     g = merged_graph(grid_layout(d=5), 15)
     pipe = Pipeline(g)
-    built, fused = [], []
+    built, added, fused = [], [], []
 
     class Recorded(uf.UfState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
+        def add_block(self, defects, face_status):
+            added.append((self, list(defects)))
+            return super().add_block(defects, face_status)
+
     real_fuse = windows.fuse
-    monkeypatch.setattr(uf, "UfState", Recorded)
+    monkeypatch.setattr(windows, "UfState", Recorded)
     monkeypatch.setattr(windows, "fuse", lambda *a: fused.append(a) or real_fuse(*a))
-    # each unit's first window builds its rolling state; nothing else does
+
+    def by_unit():
+        """The units of the built states, the (unit, face) of each fuse
+        and the (unit, defects) of each block added with defects."""
+        unit_of = {id(st): u for u, st in pipe._states.items()}
+        return (sorted(unit_of[id(st)] for st in built),
+                sorted((unit_of[id(st)], face) for st, face in fused),
+                [(unit_of[id(st)], defects) for st, defects in added if defects])
+
+    # each unit's first window builds its rolling state; nothing else does.
+    # Every window is added to its unit's state, and every window after
+    # the first fuses its temporal face there
+    joins = [(u, ("t", u, e)) for u in range(4) for e in (1, 2)]
     assert pipe.run([]).correction == set()
-    assert len(built) == 4 and not fused
-    # one defect in the middle epoch decodes inside unit 2's rolling state,
-    # which joins the temporal face with itself in one fuse
-    built.clear()
+    assert len(added) == 12
+    assert by_unit() == ([0, 1, 2, 3], joins, [])
+    # one defect in the middle epoch decodes inside unit 2's rolling state
+    for log in (built, added, fused):
+        log.clear()
     v = pack_vid(2, 7, 2, 1)
     res = pipe.run([v])
     assert toggled_defects(res.correction) == {v}
-    assert len(built) == 4
-    assert [(a is pipe._states[2], b is a, face) for a, b, face in fused] == [
-        (True, True, ("t", 2, 1))]
+    assert len(added) == 12
+    assert by_unit() == ([0, 1, 2, 3], joins, [(2, [v])])
 
 
 def test_a_run_finds_each_defects_block_once(monkeypatch):
@@ -329,9 +345,10 @@ def test_pipeline_set_up_holds_no_per_vertex_state():
 
 
 class TwoStatePipeline(Pipeline):
-    """The window path that in-place blocks replaced: a window with defects
-    after its unit's first decodes in a state of its own, which fuse merges
-    into the unit's rolling state before it joins the temporal face."""
+    """The window path that in-place blocks replaced: each window after its
+    unit's first decodes in a state of its own (decode_block), which
+    fuse_states merges into the unit's rolling state before it joins the
+    temporal face."""
 
     def _decode_window(self, unit, epoch):
         rolling = self._states.get(unit)
@@ -345,12 +362,8 @@ class TwoStatePipeline(Pipeline):
                 flips.symmetric_difference_update((u if self.graph.block_of(u) == bid else w,))
         defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
         pre = rolling.grow_iterations
-        if defects:
-            st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
-            pre -= st.grow_iterations
-            fuse(rolling, st, win.face)
-        else:
-            rolling.join_face(win.face, win.statuses)
+        st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
+        fuse_states(rolling, st, win.face)
         self._result.iters[bid] = rolling.grow_iterations - pre
 
 
@@ -373,8 +386,8 @@ def window_views(pipe, defects):
        every_seam=st.booleans(), p=st.sampled_from((0.01, 0.05, 0.1, 0.15)),
        seed=st.integers(0, 2**16))
 def test_in_place_blocks_match_fused_blocks(d, grid, epochs, every_seam, p, seed):
-    # window by window, a block added in place and joined by fuse(a, a, face)
-    # leaves the rolling state as decode_block and fuse(a, b, face) do,
+    # window by window, a block added in place and joined by fuse leaves
+    # the rolling state as the two-state decode_block and fuse_states do,
     # iteration orders included; a stream runs ten times the epochs
     if grid:
         lay = grid_layout(d)
