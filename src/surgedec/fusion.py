@@ -18,10 +18,10 @@ def fuse(state: UfState, face):
     """Join an open face whose two sides both decoded in state.
 
     The face leaves the status map.  The edges on its touch list that
-    reached a full edge are unioned in sorted key order, the clusters
-    suspended on the face wake, and the state settles and peels if
-    anything was unioned or woke.  A face the state never grew onto costs
-    only its status.
+    reached a full edge are unioned in edge id order (on a face, sorted key
+    order), the clusters suspended on the face wake, and the state settles
+    and peels if anything was unioned or woke.  A face the state never grew
+    onto costs only its status.
     """
     fs = state.face_status
     if fs.get(face) != 'open':
@@ -33,12 +33,13 @@ def fuse(state: UfState, face):
         growth = state.growth
         grown = sorted({k for k in keys if growth[k] >= 2})
         adj = state.grown_adj
-        for ekey in grown:
-            u, w = ekey
+        ends = state.graph.edge_ends
+        for eid in grown:
+            u, w = ends(eid)
             state._adopt(u)
             state._adopt(w)
-            adj.setdefault(u, []).append((w, ekey))
-            adj.setdefault(w, []).append((u, ekey))
+            adj.setdefault(u, []).append((w, eid))
+            adj.setdefault(w, []).append((u, eid))
             state._union(u, w)
         for root in state._drop_face(face):
             if state._alive(root):

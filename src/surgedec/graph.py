@@ -8,23 +8,34 @@ intervals are the whole surgery schedule: a split is where an interval
 ends.  Vertex ids pack (patch, round, row, col) so that sorting ids gives the
 lexicographic order with seam vertices after all patches.
 
+Inside the library a vertex is its rank: its index in vertex_array(), the
+sorted vertex ids, so ranks order vertices as ids do.  An edge is one
+integer id, (rank of its lower endpoint) << 3 | direction, where the
+direction is the edge's side at that endpoint: west 0, east 1, north 2,
+south 3, future 4.  Edge ids therefore sort by lower endpoint first; a
+shared face holds one edge per lower endpoint, so on a face they sort as
+the edge keys (lower id, higher id) do.  WEST and EAST stay negative.
+Edge keys and vertex ids are for callers: ranks() turns ids into ranks
+and edge_keys() edge ids into keys.
+
 Adjacency is built a slab at a time: the d(d-1) vertices of one (patch,
 round), or the vertices of one merged (seam, round).  A slab's edges follow
 from its shape (which sides are merged seams, which temporal faces it
-touches), so the builder looks those up once and gives an edge with both
-ends in the slab one key tuple.  The edge walk fills every slab in vertex
-order and yields its forward keys, so a graph's first edge walk also warms
-its per-vertex adjacency cache.  A vertex's cached adjacency is one flat
-tuple (edge key, other, face, edge key, other, face, ...), so a vertex
-costs one tuple object beside its keys; readers take it three at a time.
+touches), so the builder looks those up once and computes every rank and
+edge id by arithmetic.  The edge walk fills every slab in vertex order, so
+a graph's first edge walk also warms its adjacency cache.  The cache is a
+list indexed by rank; a vertex's entry is one flat tuple of ints and faces
+(edge id, other rank, face, edge id, other rank, face, ...), which readers
+take three at a time.  It holds no edge key.
 
 The vertex set needs no walk at all: vertex_array() builds it by
 broadcasting patches x rounds x rows x cols, plus each merged seam
-interval, into a sorted numpy array.
+interval, into a sorted numpy array, and keeps it until a merge.
 
 A shared face's edges are its sorted edge keys, so an edge's position on
-a face needs no lookup table.  A merge drops the adjacency cache and the
-face tables whole; the next read rebuilds what it needs.
+a face needs no lookup table.  A merge drops the adjacency cache, the
+vertex array and the face tables whole; the next read rebuilds what it
+needs.
 """
 
 from __future__ import annotations
@@ -44,6 +55,9 @@ _PATCH_SHIFT = 40
 
 # seam vertices reuse the col field with this marker value
 _SEAM_COL = 0xFF
+
+# most edge keys DecodingGraph.edge_keys keeps at once
+_KEY_MEMO = 1 << 12
 
 
 def pack_vid(patch: int, rnd: int, row: int, col: int) -> int:
@@ -165,12 +179,12 @@ class DecodingGraph:
     """Dynamic decoding graph of a layout over a number of rounds.
 
     Adjacency is computed arithmetically from the lattice plus the current
-    seam merge intervals and cached per vertex as one flat tuple, and the
-    vertex set is computed by vertex_array() alone.  edges() fills the cache
-    slab by slab in vertex order; a vertex missing from it (never read, or
-    dropped) is filled with the rest of its slab on first read.  Mutation
-    (merge) requires exclusive access and drops the cached adjacency and
-    face tables whole.
+    seam merge intervals and cached per vertex rank as one flat tuple, and
+    the vertex set is computed by vertex_array() alone.  edges() fills the
+    cache slab by slab in vertex order; a vertex missing from it (never
+    read, or dropped) is filled with the rest of its slab on first read
+    (adjacency).  Mutation (merge) requires exclusive access and drops the
+    cached adjacency, vertex array and face tables whole.
     """
 
     def __init__(self, layout: Layout, rounds: int):
@@ -184,7 +198,16 @@ class DecodingGraph:
         self.rounds = rounds
         # seam -> sorted disjoint merge intervals [start, stop)
         self._merged: dict[Seam, list[list[int]]] = {s: [] for s in layout.seams}
-        self._adj: dict[int, tuple] = {}
+        # patch field of a vertex id -> the patch its block belongs to
+        self._owner = np.array([*range(layout.n_patches),
+                                *(s.patch_a for s in layout.seams)], dtype=np.int64)
+        # rank -> flat entry tuple, None until its slab is filled; one slot
+        # per vertex, allocated on first fill
+        self._adj: list | None = None
+        self._vids: np.ndarray | None = None
+        # per seam index, (start, stop, rank of row 0 at start) per interval
+        self._seam_ranks: list | None = None
+        self._keys: dict[int, tuple] = {}  # edge id -> key, see edge_keys
         # face id -> sorted edge tuple
         self._faces: dict[tuple, tuple] = {}
 
@@ -231,181 +254,293 @@ class DecodingGraph:
             else:
                 out.append(iv)
         self._merged[s] = out
-        self._adj.clear()
+        self._adj = self._vids = self._seam_ranks = None
+        self._keys.clear()
         self._faces.clear()
 
     # --- adjacency ----------------------------------------------------
 
-    def neighbors(self, vid: int) -> tuple:
-        """Edges at a vertex as one flat tuple of (edge_key, other, face_id)
-        entries: (edge_key, other, face_id, edge_key, other, face_id, ...).
+    def ranks(self, vids) -> list:
+        """Ranks of vertex ids, in input order; an id the graph does not
+        hold raises ValueError naming it."""
+        return self._lookup(vids)[1].tolist()
 
-        Read it three at a time: it = iter(nb); zip(it, it, it).  other is
-        a vertex id, or WEST/EAST for boundary edges.  face_id is None for
-        intra-block edges, else the ('s'|'t', ...) face the edge belongs
-        to.  Patch entries run west, east, north, south, past, future; seam
-        entries a-side, b-side, past, future.  A miss fills the vertex's
-        whole slab; a vertex id the graph does not hold raises ValueError.
+    def ranks_by_block(self, vids) -> dict:
+        """(patch, epoch) -> the ranks of the given vertex ids in that
+        block, each list in input order: block_of and ranks() over the
+        whole input in one numpy pass."""
+        if not vids:
+            return {}
+        q, r = self._lookup(vids)
+        epochs = -(-self.rounds // self.d)
+        key = (self._owner[q >> _PATCH_SHIFT] * epochs
+               + ((q >> _ROUND_SHIFT) & 0xFFFFFF) // self.d)
+        out = {}
+        for k, rank in zip(key.tolist(), r.tolist()):
+            ranks = out.get(k)
+            if ranks is None:
+                out[k] = [rank]
+            else:
+                ranks.append(rank)
+        return {divmod(k, epochs): ranks for k, ranks in out.items()}
+
+    def _lookup(self, vids):
+        """(int64 ids, their ranks) of vertex ids, raising ValueError for an
+        id the graph does not hold."""
+        va = self.vertex_array()
+        try:
+            q = np.fromiter(vids, dtype=np.int64)
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"vertex ids {vids!r} not in the graph") from exc
+        # the search runs over the ids in sorted order, which reads the
+        # vertex array front to back: twice as fast on a stream's defects
+        order = q.argsort()
+        r = np.empty_like(order)
+        r[order] = va.searchsorted(q[order])
+        miss = va.take(r, mode="clip") != q
+        if miss.any():
+            raise ValueError(f"vertex {int(q[miss.argmax()]):#x} not in the graph")
+        return q, r
+
+    def adjacency(self, rank: int) -> tuple:
+        """A vertex's cached entry, filling its slab on a miss.
+
+        One flat tuple of (edge id, other rank, face_id) entries; read it
+        three at a time.  other is WEST/EAST for boundary edges.  face_id
+        is None for intra-block edges, else the ('s'|'t', ...) face the
+        edge belongs to.  Patch entries run west, east, north, south, past,
+        future; seam entries a-side, b-side, past, future.
         """
-        cached = self._adj.get(vid)
-        if cached is not None:
-            return cached
-        p, rnd, row, col = unpack_vid(vid)
-        lay = self.layout
-        d = self.d
-        if vid < 0 or rnd >= self.rounds or p >= lay.n_patches + len(lay.seams):
-            raise ValueError(f"vertex {vid:#x} not in the graph")
-        if p < lay.n_patches:
-            if row >= d or col >= d - 1:
-                raise ValueError(f"vertex {vid:#x} outside the lattice")
-            self._fill_patch_slab(p, rnd, [])
-        else:
-            s = lay.seams[p - lay.n_patches]
-            if col != _SEAM_COL or row >= (d if s.orient == "ew" else d - 1):
-                raise ValueError(f"vertex {vid:#x} outside seam {s}")
-            if not self.is_merged(s, rnd):
-                raise ValueError(f"seam vertex at inactive round {rnd}: {s}")
-            self._fill_seam_slab(s, rnd, [])
-        return self._adj[vid]
+        adj = self._adj
+        nb = adj[rank] if adj is not None else None
+        if nb is None:
+            d = self.d
+            per_patch = self.rounds * d * (d - 1)
+            lay = self.layout
+            if rank < lay.n_patches * per_patch:
+                p, rem = divmod(rank, per_patch)
+                self._fill_patch_slab(p, rem // (d * (d - 1)), [])
+            else:
+                for si, ivs in enumerate(self._seam_interval_ranks()):
+                    nrows = d if lay.seams[si].orient == "ew" else d - 1
+                    for a, b, base in ivs:
+                        if rank < base + (b - a) * nrows:
+                            self._fill_seam_slab(lay.seams[si],
+                                                 a + (rank - base) // nrows, [])
+                            return self._adj[rank]
+            nb = self._adj[rank]
+        return nb
 
-    def _seam_row0(self, p: int, side: str, rnd: int):
-        """(row-0 vertex, seam) of the seam on a side of patch p if it is
-        merged at rnd, else (None, None)."""
-        s = self.layout.side_seam(p, side)
-        if s is None or not self.is_merged(s, rnd):
-            return None, None
-        return pack_vid(self.seam_pid(s), rnd, 0, _SEAM_COL), s
+    def edge_ends(self, eid: int) -> tuple[int, int]:
+        """(lower rank, other rank or WEST/EAST) of an edge id."""
+        rank = eid >> 3
+        nb = self.adjacency(rank)
+        i = 0
+        while nb[i] != eid:
+            i += 3
+        return rank, nb[i + 1]
+
+    def edge_keys(self, eids) -> list:
+        """Edge keys (lower id, higher id or WEST/EAST) of edge ids.
+
+        The keys built are kept in a memo of at most _KEY_MEMO entries,
+        which starts over when full: the decodes of a small graph share one
+        tuple per edge, and a long run on a large graph keeps no more.
+        """
+        keys = self._keys
+        out = []
+        for eid in eids:
+            key = keys.get(eid)
+            if key is None:
+                if len(keys) >= _KEY_MEMO:
+                    keys.clear()
+                item = self.vertex_array().item
+                u, w = self.edge_ends(eid)
+                key = keys[eid] = (item(u), item(w) if w >= 0 else w)
+            out.append(key)
+        return out
+
+    def neighbors(self, vid: int) -> tuple:
+        """Edges at a vertex id as one flat tuple of (edge_key, other,
+        face_id) entries, other a vertex id or WEST/EAST, in the order of
+        adjacency(); built from the cached entry on every call.  A vertex
+        id the graph does not hold raises ValueError.
+        """
+        rank = self.ranks((vid,))[0]
+        item = self.vertex_array().item
+        out = []
+        it = iter(self.adjacency(rank))
+        for eid, other, face in zip(it, it, it):
+            ov = item(other) if other >= 0 else other
+            out += (vid, ov) if eid >> 3 == rank else (ov, vid), ov, face
+        return tuple(out)
+
+    def _cache(self) -> list:
+        if self._adj is None:
+            self._adj = [None] * len(self.vertex_array())
+        return self._adj
+
+    def _seam_interval_ranks(self) -> list:
+        """Per seam index, (start, stop, rank of its row-0 vertex at start)
+        of each merged interval: seam vertices follow every patch vertex,
+        seam by seam, interval by interval, round by round."""
+        if self._seam_ranks is None:
+            d = self.d
+            base = self.layout.n_patches * self.rounds * d * (d - 1)
+            out = []
+            for s in self.layout.seams:
+                nrows = d if s.orient == "ew" else d - 1
+                ivs = []
+                for a, b in self._merged[s]:
+                    ivs.append((a, b, base))
+                    base += (b - a) * nrows
+                out.append(ivs)
+            self._seam_ranks = out
+        return self._seam_ranks
+
+    def _seam_row0(self, s, rnd: int):
+        """Rank of the row-0 vertex of seam s at rnd, or None if the seam is
+        not merged then."""
+        if s is None:
+            return None
+        si = self.layout.seam_index(s)
+        for a, b, base in self._seam_interval_ranks()[si]:
+            if a <= rnd < b:
+                return base + (rnd - a) * (self.d if s.orient == "ew" else self.d - 1)
+        return None
 
     def _fill_patch_slab(self, p: int, rnd: int, out: list) -> None:
         """Cache the entries of all d(d-1) vertices of patch p at round rnd.
 
-        Appends the slab's forward edge keys to out in vertex order, so
+        Appends each of the slab's forward edges to out as two ints, its
+        lower rank and its other rank (or WEST/EAST), in vertex order, so
         each edge is yielded once: at its lower endpoint within a round, at
         its earlier endpoint across rounds.  An edge with both ends in the
-        slab gets one key tuple, and a past edge reuses the future key
-        cached at the vertex below.
+        slab gets one id object, and a vertex's rank and past edge id reuse
+        the objects cached at the vertex below.
         """
         lay = self.layout
         d = self.d
-        adj = self._adj
+        adj = self._cache()
         epoch = rnd // d
-        step = 1 << _ROUND_SHIFT
-        west, sw = self._seam_row0(p, "w", rnd)
-        east, _ = self._seam_row0(p, "e", rnd)
-        north, sn = self._seam_row0(p, "n", rnd)
-        south, _ = self._seam_row0(p, "s", rnd)
-        fw = _face_seam(lay.seam_index(sw), epoch) if sw else None
-        fn = _face_seam(lay.seam_index(sn), epoch) if sn else None
+        n = d - 1
+        size = d * n
+        sw, se = lay.side_seam(p, "w"), lay.side_seam(p, "e")
+        sn, ss = lay.side_seam(p, "n"), lay.side_seam(p, "s")
+        west, east = self._seam_row0(sw, rnd), self._seam_row0(se, rnd)
+        north, south = self._seam_row0(sn, rnd), self._seam_row0(ss, rnd)
+        fw = _face_seam(lay.seam_index(sw), epoch) if west is not None else None
+        fn = _face_seam(lay.seam_index(sn), epoch) if north is not None else None
         fpast = _face_time(p, epoch) if rnd and rnd % d == 0 else None
         ffut = _face_time(p, epoch + 1) if (rnd + 1) % d == 0 else None
         has_future = rnd < self.rounds - 1
-        n = d - 1
-        base = (p << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT)
-        vids = [base | (row << _ROW_SHIFT) | col for row in range(d) for col in range(n)]
+        r0 = (p * self.rounds + rnd) * size
         past = None
         if rnd:
-            # a cached vertex below holds the time edge's key in its last
-            # entry; sharing it, and the vid inside it, keeps one copy of each
-            past = []
-            for v in vids:
-                below = adj.get(v - step)
-                past.append(below[-3] if below is not None else (v - step, v))
-            vids = [k[1] for k in past]
-        ups = [None] * n  # south keys of the row above, per col
+            # a cached vertex below holds the time edge's id and this
+            # vertex's rank in its last entry; sharing them keeps one copy
+            past, ranks = [], []
+            for i, below in enumerate(adj[r0 - size:r0]):
+                if below is None:
+                    past.append((r0 + i - size) << 3 | 4)
+                    ranks.append(r0 + i)
+                else:
+                    past.append(below[-3])
+                    ranks.append(below[-2])
+        else:
+            ranks = list(range(r0, r0 + size))
+        push = out.append
+        ups = [None] * n  # south edge ids of the row above, per col
         i = 0
         for row in range(d):
             for col in range(n):
-                v = vids[i]
+                r = ranks[i]
                 if col:
-                    ent = [wkey, vids[i - 1], None]
-                elif west is not None:
-                    u = west | (row << _ROW_SHIFT)
-                    wkey = (v, u)
-                    out.append(wkey)
-                    ent = [wkey, u, fw]
+                    ent = [weid, ranks[i - 1], None]
                 else:
-                    wkey = (v, WEST)
-                    out.append(wkey)
-                    ent = [wkey, WEST, None]
+                    u = WEST if west is None else west + row
+                    push(r)
+                    push(u)
+                    ent = [r << 3, u, fw]
+                weid = r << 3 | 1
                 if col < n - 1:
-                    u = vids[i + 1]
-                    wkey = (v, u)
-                    ent += wkey, u, None
+                    u = ranks[i + 1]
                 elif east is not None:
-                    u = east | (row << _ROW_SHIFT)
-                    wkey = (v, u)
-                    ent += wkey, u, None
+                    u = east + row
                 else:
-                    wkey = (v, EAST)
-                    ent += wkey, EAST, None
-                out.append(wkey)
+                    u = EAST
+                push(r)
+                push(u)
+                ent += weid, u, None
                 if row:
-                    ukey = ups[col]
-                    ent += ukey, ukey[0], None
+                    ent += ups[col], ranks[i - n], None
                 elif north is not None:
-                    u = north | (col << _ROW_SHIFT)
-                    ukey = (v, u)
-                    out.append(ukey)
-                    ent += ukey, u, fn
+                    u = north + col
+                    push(r)
+                    push(u)
+                    ent += r << 3 | 2, u, fn
                 if row < n:
-                    u = vids[i + n]
-                    ukey = ups[col] = (v, u)
-                    out.append(ukey)
-                    ent += ukey, u, None
+                    u = ranks[i + n]
+                    ueid = ups[col] = r << 3 | 3
+                    push(r)
+                    push(u)
+                    ent += ueid, u, None
                 elif south is not None:
-                    u = south | (col << _ROW_SHIFT)
-                    ukey = (v, u)
-                    out.append(ukey)
-                    ent += ukey, u, None
+                    u = south + col
+                    push(r)
+                    push(u)
+                    ent += r << 3 | 3, u, None
                 if past is not None:
-                    tkey = past[i]
-                    ent += tkey, tkey[0], fpast
+                    ent += past[i], r - size, fpast
                 if has_future:
-                    u = v + step
-                    tkey = (v, u)
-                    out.append(tkey)
-                    ent += tkey, u, ffut
-                adj[v] = tuple(ent)
+                    u = r + size
+                    push(r)
+                    push(u)
+                    ent += r << 3 | 4, u, ffut
+                adj[r] = tuple(ent)
                 i += 1
 
     def _fill_seam_slab(self, s: Seam, rnd: int, out: list) -> None:
         """Cache the entries of the vertices of seam s at a merged round rnd.
 
-        Appends the slab's forward edge keys, its future time edges, to out.
+        Appends the slab's forward edges, its future time edges, to out as
+        rank pairs.
         """
         lay = self.layout
         d = self.d
-        adj = self._adj
+        adj = self._cache()
         epoch = rnd // d
-        step = 1 << _ROUND_SHIFT
         fseam = _face_seam(lay.seam_index(s), epoch)
         has_past = rnd > 0 and self.is_merged(s, rnd - 1)
         has_future = rnd < self.rounds - 1 and self.is_merged(s, rnd + 1)
         fpast = _face_time(s.patch_a, epoch) if has_past and rnd % d == 0 else None
         ffut = _face_time(s.patch_a, epoch + 1) if (rnd + 1) % d == 0 else None
-        base = (self.seam_pid(s) << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT) | _SEAM_COL
-        a = (s.patch_a << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT)
-        b = (s.patch_b << _PATCH_SHIFT) | (rnd << _ROUND_SHIFT)
-        # an ew seam row meets the patches' rows, an ns seam row their columns
+        base = self._seam_row0(s, rnd)
+        size = d * (d - 1)
+        a = (s.patch_a * self.rounds + rnd) * size
+        b = (s.patch_b * self.rounds + rnd) * size
+        # an ew seam row meets the patches' rows, on the a-side's east and
+        # the b-side's west; an ns seam row their columns, on the a-side's
+        # south and the b-side's north
         if s.orient == "ew":
-            nrows, shift = d, _ROW_SHIFT
-            a |= d - 2
+            nrows, step, adir, bdir = d, d - 1, 1, 0
+            a += d - 2
         else:
-            nrows, shift = d - 1, 0
-            a |= (d - 1) << _ROW_SHIFT
+            nrows, step, adir, bdir = d - 1, 1, 3, 2
+            a += (d - 1) * (d - 1)
         for row in range(nrows):
-            v = base | (row << _ROW_SHIFT)
-            ua = a | (row << shift)
-            ub = b | (row << shift)
-            ent = [(ua, v), ua, None, (ub, v), ub, fseam]
+            v = base + row
+            ua = a + row * step
+            ub = b + row * step
+            ent = [ua << 3 | adir, ua, None, ub << 3 | bdir, ub, fseam]
             if has_past:
-                u = v - step
-                ent += (u, v), u, fpast
+                u = v - nrows
+                ent += u << 3 | 4, u, fpast
             if has_future:
-                u = v + step
-                tkey = (v, u)
-                out.append(tkey)
-                ent += tkey, u, ffut
+                u = v + nrows
+                out.append(v)
+                out.append(u)
+                ent += v << 3 | 4, u, ffut
             adj[v] = tuple(ent)
 
     # --- enumeration --------------------------------------------------
@@ -416,8 +551,11 @@ class DecodingGraph:
         Patch vertices broadcast patches x rounds x rows x cols; each seam
         then adds rows x rounds for each of its merged intervals.  Patch
         ids precede seam ids and seams are in index order, so the pieces
-        concatenate in packed-id order.
+        concatenate in packed-id order.  The array is read-only and kept
+        until a merge.
         """
+        if self._vids is not None:
+            return self._vids
         d = self.d
         lay = self.layout
         i64 = np.int64
@@ -432,7 +570,9 @@ class DecodingGraph:
             for a, b in self._merged[s]:
                 rounds = np.arange(a, b, dtype=i64) << _ROUND_SHIFT
                 parts.append((base | rounds[:, None] | rows).ravel())
-        return np.concatenate(parts)
+        arr = self._vids = np.concatenate(parts)
+        arr.flags.writeable = False
+        return arr
 
     def edges(self):
         """All edge keys, deduplicated, in deterministic order."""
@@ -446,17 +586,26 @@ class DecodingGraph:
         complete once the seam schedule up to round r1 is fixed.  The walk
         fills the adjacency cache slab by slab in vertex order.
         """
+        vids = self.vertex_array().tolist()
+        for out in self.edge_rank_slabs(r0, r1):
+            it = iter(out)
+            for u, w in zip(it, it):
+                yield vids[u], vids[w] if w >= 0 else w
+
+    def edge_rank_slabs(self, r0: int, r1: int):
+        """The walk behind edges_in_rounds: one flat list of (lower rank,
+        other rank or WEST/EAST) pairs per slab, in the same edge order."""
         for p in range(self.layout.n_patches):
             for rnd in range(r0, r1):
                 out = []
                 self._fill_patch_slab(p, rnd, out)
-                yield from out
+                yield out
         for s in self.layout.seams:
             for rnd in range(r0, r1):
                 if self.is_merged(s, rnd):
                     out = []
                     self._fill_seam_slab(s, rnd, out)
-                    yield from out
+                    yield out
 
     # --- edge metadata ------------------------------------------------
 

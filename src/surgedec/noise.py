@@ -6,12 +6,12 @@ implicitly perfect (no time edges extend past it).  Defects are the vertices
 with an odd number of flipped incident edges; the true logical observable of
 a patch is the flip parity across its west cut.  EdgeTable holds the edges
 as int32 endpoint-slot and cut arrays, not as a list of edge keys, and a
-sample rebuilds the keys of only the edges it flips.
+sample rebuilds the keys of the edges it flips only when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -19,11 +19,22 @@ import numpy as np
 from .graph import EAST, WEST, DecodingGraph, Layout
 
 
-@dataclass
 class ErrorSample:
-    flipped_edges: set
-    defects: set
-    true_logical: dict
+    """One noise draw: its defects, the true logical flips per patch and,
+    built on first read, the set of flipped edge keys."""
+
+    def __init__(self, table: EdgeTable, flips: np.ndarray, defects: set,
+                 true_logical: dict):
+        self._table = table
+        self._flips = flips
+        self.defects = defects
+        self.true_logical = true_logical
+
+    @cached_property
+    def flipped_edges(self) -> set:
+        ids, flips = self._table._vid_arr, self._flips
+        return set(zip(ids[self._table._u[flips]].tolist(),
+                       ids[self._table._v[flips]].tolist()))
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -46,18 +57,19 @@ class EdgeTable:
         self.graph = graph
         # one walk over the graph's slabs fills its adjacency cache in
         # vertex order, which the decodes that follow read, and yields
-        # each edge key once
-        ends = np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64)
+        # each edge once as its two endpoint ranks, in graph.edges() order
+        ends = np.fromiter(chain.from_iterable(graph.edge_rank_slabs(0, graph.rounds)),
+                           dtype=np.int64)
         u, v = ends[0::2], ends[1::2]
         self.n_edges = len(u)
         vids = graph.vertex_array()
         n = self._n = len(vids)
         self._vid_arr = np.concatenate((vids, (WEST, EAST)))
-        self._u = np.searchsorted(vids, u).astype(np.int32)
-        self._v = np.searchsorted(vids, v).astype(np.int32)
+        self._u = u.astype(np.int32)
+        self._v = v.astype(np.int32)
         self._v[v == WEST] = n
         self._v[v == EAST] = n + 1
-        self._cut = graph.cut_patches(u, v).astype(np.int32)
+        self._cut = graph.cut_patches(vids[u], self._vid_arr[self._v]).astype(np.int32)
 
     def sample_flips(self, p: float, rng: np.random.Generator) -> np.ndarray:
         return np.flatnonzero(rng.random(self.n_edges) < p)
@@ -80,13 +92,7 @@ class EdgeTable:
         flips = self.sample_flips(p, rng)
         truth = {pid: 0 for pid in self.graph.layout.positions}
         truth.update(self.logical_of(flips))
-        ids = self._vid_arr
-        return ErrorSample(
-            flipped_edges=set(zip(ids[self._u[flips]].tolist(),
-                                  ids[self._v[flips]].tolist())),
-            defects=set(self.defects_of(flips)),
-            true_logical=truth,
-        )
+        return ErrorSample(self, flips, set(self.defects_of(flips)), truth)
 
 
 def raw_merge_draws(layout: Layout, epochs: int, prob: float, seed: int) -> list:

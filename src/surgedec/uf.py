@@ -15,21 +15,37 @@ on it: each is peeled through its contact on that face, which never enters
 bnd, so a later merge cannot sink through a crossing that was never
 committed.
 
-Each open face the state grew onto has a touch list (touched): the edge
-keys grown onto it, appended by grow_round as it suspends the cluster.
-Every face edge with growth 1 or 2 is on the list, so joining a face
+Each open face the state grew onto has a touch list (touched): the edges
+grown onto it, appended by grow_round as it suspends the cluster.  Every
+face edge with growth 1 or 2 is on the list, so joining a face
 (fusion.fuse) unions only the listed edges that reached a full edge, in
-sorted key order, and never reads the face's edge table; absorbing a face
+edge id order, and never reads the face's edge table; absorbing a face
 reads its committed crossings from the list too.  A face with no list was
 never reached: joining or absorbing it only changes its status, so an
 empty block costs nothing beyond its faces.
 
-A vertex that a round reaches for the first time joins the cluster
-directly: its parent is the root, the root's size grows by one and the
-vertex merges into the root's frontier by set update, which is what
-adopting it as a one-vertex cluster and unioning would do.  The exception
-is the size tie: a union of equal sizes keeps the smaller id as root, so a
-new vertex below a lone root is adopted and unioned, and becomes the root.
+Dense ids.  A vertex is its rank and an edge its id, the graph's small
+ints (see graph), and every map of a state is keyed by them; a vertex's
+neighbours are read from the graph's rank-indexed cache.  Callers pass
+vertex ids to the constructor, which converts them with one numpy search
+(graph.ranks), and ranks to add_block, as defects_by_block groups them.
+defects, correction and absorb_face hand vertex ids and (u, v) edge keys
+back.  Wherever the kernel breaks a tie by edge it uses the edge id order,
+which on a face is the sorted key order: contacts keep the smallest
+(vertex, edge) pair, fuse unions a face's grown edges in id order, and
+touch lists keep the order the edges were grown in.
+
+Growth order.  Clusters grow in ascending root order each round, and each
+cluster visits its frontier, a list, front to back.  A seeded defect
+starts its own one-vertex list.  A vertex a round reaches for the first
+time is a one-vertex cluster unioned into the grower, and a union appends
+the absorbed cluster's list to the kept one's, so a new vertex goes to the
+end of its cluster's list (unless it ties a lone root on size and, with
+the smaller rank, becomes the root: then the old list follows it).  A
+round keeps each list's still-pending vertices in their order.  The visit
+order fixes the order of the round's unions, and so every root and every
+grown_adj list, whose order fixes the spanning forest a peel walks.  The
+hot loops inline _find, _adopt and _union with the same effect.
 
 Every block decodes inside a settled state that may already hold other
 blocks (add_block): its face statuses merge in, its defects seed new
@@ -40,24 +56,12 @@ window pipeline adds each window to its unit's rolling state and joins the
 temporal face to the window before.  grow_iterations counts every round
 the state grew.
 
-Determinism.  A correction depends on more than which vertices a cluster
-holds.  Clusters grow in sorted root order each round.  The order in which
-each frontier set yields its vertices fixes the order of the round's
-unions, and so every root and grown edge list.  CPython fixes a set's
-iteration order by how the set was built: update with a set resizes the
-table by another rule than add, so the two can build equal sets that
-iterate differently.  The order of each grown_adj list fixes the spanning
-forest a peel walks.  The hot loops inline _find, _adopt and _union, but
-they build each of these sets and lists by the same operations, in the
-same order, as those calls do.
-
 One state holds both sides of a face that is not joined yet, so a block
 must decode as it would alone, blind to whatever the far side grew.  Two
 rules see to that.  A vertex stays in its frontier while a round grows
 one of its edges from nothing (it is pending), and also while it grows an
 open-face edge that the far side already grew to 1, which a block alone
-would have found ungrown; its frontier set keeps the same contents and
-iteration order either way.  And a cluster suspends only on the face
+would have found ungrown.  And a cluster suspends only on the face
 edges it grew itself: touching an edge whose far endpoint another cluster
 holds leaves that cluster as it is, so a contact made from the far side
 never keeps a cluster from waking when its own face is joined.
@@ -80,7 +84,7 @@ class UfState:
     The state is bounded by its faces, not by a vertex set: every edge that
     leaves a block lies on a shared face, and face_status maps each such
     face to 'open' or 'wall' (no statuses means the whole graph).  It is
-    mutated as faces get fused or sealed.
+    mutated as faces get fused or sealed.  defects are vertex ids.
     """
 
     def __init__(self, graph: DecodingGraph, defects, face_status=None):
@@ -89,36 +93,49 @@ class UfState:
         self.parent = {}
         self.size = {}
         self.parity = {}
-        self.bnd = {}        # root -> min (vertex, edge key) real-boundary contact
-        self.contacts = {}   # root -> {open face: min (vertex, edge key)}, never empty
-        self.frontier = {}   # root -> set of vertices with ungrown edges
-        self.growth = {}     # edge key -> 0..2 (absent means 0)
-        self.grown_adj = {}  # vertex -> [(other, edge key)] fully grown internal
-        self.touched = {}    # open face -> [edge keys grown onto it]
+        self.bnd = {}        # root -> min (vertex, edge) real-boundary contact
+        self.contacts = {}   # root -> {open face: min (vertex, edge)}, never empty
+        self.frontier = {}   # root -> [vertices with ungrown edges], growth order
+        self.growth = {}     # edge -> 0..2 (absent means 0)
+        self.grown_adj = {}  # vertex -> [(other, edge)] fully grown internal
+        self.touched = {}    # open face -> [edges grown onto it]
         self.live = set()
-        self.defects = set()
-        self.correction = set()
+        self.defect_ranks = set()    # defects not peeled yet
+        self.correction_ids = set()  # emitted edges, XOR-accumulated
         self.grow_iterations = 0
-        self._seed(defects)
+        if defects:
+            self._seed(graph.ranks(defects))
 
-    def _seed(self, defects):
+    @property
+    def defects(self) -> set:
+        """Vertex ids of the defects not peeled yet."""
+        item = self.graph.vertex_array().item
+        return {item(v) for v in self.defect_ranks}
+
+    @property
+    def correction(self) -> set:
+        """Edge keys of the correction emitted so far."""
+        return set(self.graph.edge_keys(self.correction_ids))
+
+    def _seed(self, ranks):
         """Seed each defect as a one-vertex odd cluster."""
-        add_defect, add_live = self.defects.add, self.live.add
+        add_defect, add_live = self.defect_ranks.add, self.live.add
         parent, size, parity, frontier = self.parent, self.size, self.parity, self.frontier
-        for v in defects:
+        for v in ranks:
             add_defect(v)
             parent[v] = v
             size[v] = 1
             parity[v] = 1
-            frontier[v] = {v}
+            frontier[v] = [v]
             add_live(v)
 
-    def add_block(self, defects, face_status):
+    def add_block(self, ranks, face_status):
         """Decode a block inside this settled state.
 
+        ranks are the block's defects as graph.ranks gives them.
         face_status, the block's face statuses, is merged in (a face may
-        not change status), the block's defects are seeded as new clusters,
-        and the state settles and peels.  The state holds no vertex of the
+        not change status), the defects are seeded as new clusters, and
+        the state settles and peels.  The state holds no vertex of the
         block and no live cluster, so only the block's clusters grow, and a
         face open on both sides stays open until fuse joins it.  The
         block's defect and correction sets start empty and merge in at the
@@ -131,17 +148,17 @@ class UfState:
         for f, st in face_status.items():
             if fs.setdefault(f, st) != st:
                 raise ValueError(f"face {f} has conflicting statuses")
-        if not defects:
+        if not ranks:
             return
-        outer = self.defects, self.correction
-        self.defects, self.correction = set(), set()
-        self._seed(defects)
+        outer = self.defect_ranks, self.correction_ids
+        self.defect_ranks, self.correction_ids = set(), set()
+        self._seed(ranks)
         self.settle()
         self.peel_resolved()
-        block = self.defects, self.correction
-        self.defects, self.correction = outer
-        self.defects |= block[0]
-        self.correction ^= block[1]
+        block = self.defect_ranks, self.correction_ids
+        self.defect_ranks, self.correction_ids = outer
+        self.defect_ranks |= block[0]
+        self.correction_ids ^= block[1]
 
     def _find(self, v: int) -> int:
         parent = self.parent
@@ -160,7 +177,7 @@ class UfState:
             parent[b] = b = parent[parent[b]]
         if a == b:
             return a
-        # weighted union; equal sizes keep the smaller id as root
+        # weighted union; equal sizes keep the smaller rank as root
         size = self.size
         sa, sb = size[a], size[b]
         if sa < sb or (sa == sb and b < a):
@@ -182,12 +199,7 @@ class UfState:
                 if face not in ka or c < ka[face]:
                     ka[face] = c
         frontier = self.frontier
-        fb = frontier.pop(b)
-        fa = frontier[a]
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            frontier[a] = fa
-        fa.update(fb)
+        frontier[a] += frontier.pop(b)
         live = self.live
         live.discard(b)
         if parity[a] and a not in bnd and a not in contacts:
@@ -201,7 +213,7 @@ class UfState:
             self.parent[v] = v
             self.size[v] = 1
             self.parity[v] = 0
-            self.frontier[v] = {v}
+            self.frontier[v] = [v]
 
     def grow_round(self) -> bool:
         """One synchronized half-edge growth step for all active clusters.
@@ -214,50 +226,50 @@ class UfState:
         if not live:
             return False
         graph = self.graph
-        cache = graph._adj  # neighbors() fills a vertex missing from it
+        cache = graph._cache()  # adjacency() fills a vertex missing from it
         fs = self.face_status
         growth = self.growth
         frontier = self.frontier
         full = []
         push = full.append
         for root in sorted(live):
-            fr = frontier[root]
-            drop = []
-            for v in fr:
+            keep = []
+            for v in frontier[root]:
                 pending = False
-                nb = cache.get(v)
+                nb = cache[v]
                 if nb is None:
-                    nb = graph.neighbors(v)
+                    nb = graph.adjacency(v)
                 # boundary entries never carry a face
                 it = iter(nb)
-                for ekey, other, face in zip(it, it, it):
+                for eid, other, face in zip(it, it, it):
                     if face is not None:
                         status = fs.get(face)
                         if status == 'wall':
                             continue
                         if status is None:
                             face = None
-                    g = growth.get(ekey)
+                    g = growth.get(eid)
                     if not g:
-                        growth[ekey] = 1
+                        growth[eid] = 1
                         pending = True
                         # an open face suspends on first touch: growing any
                         # further would outrun the undecoded far side
                         if face is not None:
-                            push((ekey, v, other, face))
+                            push((eid, v, other, face))
                     elif g == 1:
-                        growth[ekey] = 2
-                        push((ekey, v, other, face))
+                        growth[eid] = 2
+                        push((eid, v, other, face))
                         # the far side grew this open-face edge, which only a
                         # state holding both sides sees: the vertex stays
                         # pending, as a standalone block's first touch would
                         if face is not None:
                             pending = True
-                if not pending:
-                    drop.append(v)
-            fr.difference_update(drop)
+                if pending:
+                    keep.append(v)
+            frontier[root] = keep
         if not full and not any(frontier[r] for r in live):
-            raise ValueError(f"odd cluster at {min(live):#x} is walled in: "
+            vid = graph.vertex_array().item(min(live))
+            raise ValueError(f"odd cluster at {vid:#x} is walled in: "
                              "no real boundary or open face to reach")
         self.grow_iterations += 1
         parent = self.parent
@@ -266,13 +278,13 @@ class UfState:
         contacts = self.contacts
         adj = self.grown_adj
         touched = self.touched
-        for ekey, v, other, face in full:
+        for eid, v, other, face in full:
             root = v
             while parent[root] != root:
                 parent[root] = root = parent[parent[root]]
             if face is not None:
-                touched.setdefault(face, []).append(ekey)
-                c = (v, ekey)
+                touched.setdefault(face, []).append(eid)
+                c = (v, eid)
                 cm = contacts.get(root)
                 if cm is None:
                     cm = contacts[root] = {}
@@ -281,35 +293,30 @@ class UfState:
                     cm[face] = c
                 live.discard(root)
             elif other < 0:
-                c = (v, ekey)
+                c = (v, eid)
                 cur = bnd.get(root)
                 if cur is None or c < cur:
                     bnd[root] = c
                 live.discard(root)
             else:
-                adj.setdefault(v, []).append((other, ekey))
+                adj.setdefault(v, []).append((other, eid))
                 if other in parent:
-                    adj.setdefault(other, []).append((v, ekey))
+                    adj.setdefault(other, []).append((v, eid))
                     self._union(root, other)
                 elif root < other or size[root] > 1:
                     # a new vertex joins the cluster as _union would: it
                     # brings no parity, contact or grown edge, so the
-                    # root's liveness stands, and its one-vertex frontier
-                    # merges into the root's by set update (add would
-                    # build an equal set that iterates differently)
+                    # root's liveness stands, and it goes to the end of
+                    # the root's frontier
                     parent[other] = root
                     size[root] += 1
-                    adj[other] = [(v, ekey)]
-                    fa = frontier[root]
-                    if fa:
-                        fa.update({other})
-                    else:
-                        frontier[root] = {other}
+                    adj[other] = [(v, eid)]
+                    frontier[root].append(other)
                 else:
                     # a lone root ties with the new vertex on size, and the
-                    # smaller id wins
+                    # smaller rank wins
                     self._adopt(other)
-                    adj[other] = [(v, ekey)]
+                    adj[other] = [(v, eid)]
                     self._union(root, other)
         return True
 
@@ -322,7 +329,7 @@ class UfState:
     def _peel(self, root: int, defs: set, contact) -> set:
         """Peel one resolved cluster through contact; returns the emitted edges.
 
-        contact is a (vertex, edge key) sink, or None for an even cluster.
+        contact is a (vertex, edge) sink, or None for an even cluster.
         """
         if contact is None:
             if self.parity[root]:
@@ -335,9 +342,9 @@ class UfState:
         order = [start]
         parent_edge = {start: None}
         for v in order:
-            for other, ekey in adj.get(v, ()):
+            for other, eid in adj.get(v, ()):
                 if other not in parent_edge:
-                    parent_edge[other] = (v, ekey)
+                    parent_edge[other] = (v, eid)
                     order.append(other)
         # each vertex but start has one tree edge, emitted at most once
         emitted = set()
@@ -345,8 +352,8 @@ class UfState:
         mark = defs.copy()
         for v in order[:0:-1]:
             if v in mark:
-                up, ekey = parent_edge[v]
-                emit(ekey)
+                up, eid = parent_edge[v]
+                emit(eid)
                 if up in mark:
                     mark.remove(up)
                 else:
@@ -355,16 +362,16 @@ class UfState:
             if sink is None:
                 raise ValueError("unmatched defect after peeling")
             emitted ^= {sink}
-        self.defects -= defs
+        self.defect_ranks -= defs
         self.parity[root] = 0
         self.live.discard(root)
-        self.correction ^= emitted
+        self.correction_ids ^= emitted
         return emitted
 
     def _defects_by_root(self) -> dict:
         parent = self.parent
         by_root = {}
-        for v in self.defects:
+        for v in self.defect_ranks:
             root = v
             while parent[root] != root:
                 parent[root] = root = parent[parent[root]]
@@ -405,25 +412,26 @@ class UfState:
         it; a state with live clusters raises ValueError.  Each
         cluster suspended on the face with defects left is peeled through
         its recorded contact edge there, and the face becomes a wall, so no
-        cluster keeps a contact on it.  Returns the emitted edges that cross
-        the face (the committed crossings).
+        cluster keeps a contact on it.  Returns the edge keys of the emitted
+        edges that cross the face (the committed crossings).
         """
         if self.face_status.get(face) != 'open':
             raise ValueError(f"face {face} is not open")
         if self.live:
             raise ValueError("absorb_face needs a settled state")
         self.face_status[face] = 'wall'
-        keys = self.touched.pop(face, None)
-        if keys is None:
+        eids = self.touched.pop(face, None)
+        if eids is None:
             return set()
         held = self._drop_face(face)
+        if not held:
+            return set()
         emitted = set()
-        if held:
-            for root, defs in self._defects_by_root().items():
-                if root in held:
-                    emitted |= self._peel(root, defs, held[root])
+        for root, defs in self._defects_by_root().items():
+            if root in held:
+                emitted |= self._peel(root, defs, held[root])
         # a crossing is a contact on the face, so it is on the touch list
-        return emitted.intersection(keys)
+        return set(self.graph.edge_keys(emitted.intersection(eids)))
 
 
 def region_vids(graph: DecodingGraph) -> dict:
@@ -440,21 +448,19 @@ def region_vids(graph: DecodingGraph) -> dict:
 
 
 def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
-    """Block id -> the defects in that block, each list in input order.
+    """Block id -> the ranks of the defects in that block, each list in
+    input order (graph.ranks_by_block).
 
-    blocks holds the carved block ids; a defect whose block is not one of
-    them, such as one at a round past the graph or with a patch id past the
-    layout's patches and seams, raises ValueError.
+    blocks holds the carved block ids; a defect the graph does not hold,
+    such as one at a round past the graph or with a patch id past the
+    layout's patches and seams, or whose block is not one of them, raises
+    ValueError naming it.
     """
-    out = {}
-    for v in defects:
-        try:
-            bid = graph.block_of(v)
-        except IndexError:  # patch id past every seam
-            bid = None
+    out = graph.ranks_by_block(defects)
+    for bid, ranks in out.items():
         if bid not in blocks:
-            raise ValueError(f"defect {v:#x} outside the carved blocks")
-        out.setdefault(bid, []).append(v)
+            vid = graph.vertex_array().item(ranks[0])
+            raise ValueError(f"defect {vid:#x} outside the carved blocks")
     return out
 
 

@@ -19,9 +19,9 @@ every window decodes inside it: the window's defects after its inbound
 flips are added to the state as a block (UfState.add_block), whose face
 statuses come prebuilt, and its temporal face is fused.  Fusing wakes,
 grows and peels only the clusters suspended on that face, so an idle
-window costs its faces.  A run groups the defects by block once
-(defects_by_block); only inbound crossings call block_of again.  The
-dataflow is deterministic and independent of wall-clock timing, so the
+window costs its faces.  A run groups the defects by block, as ranks, in
+one numpy pass (defects_by_block); only inbound crossings call block_of.
+The dataflow is deterministic and independent of wall-clock timing, so the
 network simulator replays the same schedule under any latency model.
 """
 
@@ -157,7 +157,8 @@ class Pipeline:
                         f"window ({unit}, {epoch}) lacks boundary info for {face}")
                 for u, w in info.committed_crossings:
                     flips.symmetric_difference_update((u if block_of(u) == bid else w,))
-            defects = flips.symmetric_difference(defects)
+            if flips:
+                defects = set(self.graph.ranks(flips)).symmetric_difference(defects)
         rolling = self._states.get(unit)
         if rolling is None:
             rolling = self._states[unit] = UfState(self.graph, ())
@@ -198,11 +199,11 @@ class Pipeline:
         self._reset(defects)
         for k in range(self.slots):
             self.run_epoch(k)
-        correction = set()
+        ids = set()
         for unit in sorted(self._states):
             st = self._states[unit]
-            if st.defects:
+            if st.defect_ranks:
                 raise AssertionError(f"unit {unit} left defects unresolved")
-            correction ^= st.correction
-        self._result.correction = correction
+            ids ^= st.correction_ids
+        self._result.correction = set(self.graph.edge_keys(ids))
         return self._result

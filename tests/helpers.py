@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import weakref
+
 from surgedec import wire
 from surgedec.fusion import fuse
 from surgedec.graph import EAST, WEST, _SEAM_COL, pack_vid, unpack_vid
@@ -259,12 +261,78 @@ def ref_trace(pipe, topology, latency, node_of, instructions, result):
 
 
 def decode_blocks(graph, parts):
-    """One state with each (block, defects[, face statuses]) of parts
+    """One state with each (block, defect ids[, face statuses]) of parts
     added in place, in order; a block's faces are all open by default."""
     st = UfState(graph, ())
     for blk, defects, *statuses in parts:
-        st.add_block(defects, statuses[0] if statuses else face_statuses(blk, ()))
+        st.add_block(graph.ranks(defects),
+                     statuses[0] if statuses else face_statuses(blk, ()))
     return st
+
+
+def rank_of(graph, vid):
+    """The rank of one vertex id."""
+    return graph.ranks((vid,))[0]
+
+
+def ref_edge_id(graph, ekey, ranks):
+    """An edge key's id, derived from the key's geometry alone: the rank
+    of its lower endpoint (ranks maps ids to ranks) shifted by 3, or'ed
+    with the edge's side at that endpoint (west 0, east 1, north 2,
+    south 3, future 4)."""
+    u, w = ekey
+    if w < 0:
+        side = 0 if w == WEST else 1
+    else:
+        pu, ru, rowu, _ = unpack_vid(u)
+        pw, rw, roww, _ = unpack_vid(w)
+        n = graph.layout.n_patches
+        if ru != rw:
+            side = 4
+        elif pw < n:
+            side = 1 if rowu == roww else 3
+        else:
+            s = graph.layout.seams[pw - n]
+            if s.orient == "ew":
+                side = 1 if pu == s.patch_a else 0
+            else:
+                side = 3 if pu == s.patch_a else 2
+    return ranks[u] << 3 | side
+
+
+class _RefTables:
+    """Rank order and per-rank entries of one graph, built one vertex at a
+    time from ref_vertices, ref_adjacency and ref_edge_id."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.vids = list(ref_vertices(graph))
+        self.ranks = {v: r for r, v in enumerate(self.vids)}
+        self._entries = {}
+
+    def entries(self, rank):
+        """(edge id, other rank or WEST/EAST, face) per edge at a rank."""
+        out = self._entries.get(rank)
+        if out is None:
+            ranks = self.ranks
+            out = self._entries[rank] = [
+                (ref_edge_id(self.graph, ekey, ranks),
+                 ranks[other] if other >= 0 else other, face)
+                for ekey, other, face in triples(ref_adjacency(self.graph,
+                                                               self.vids[rank]))]
+        return out
+
+
+_REF_TABLES = weakref.WeakKeyDictionary()
+
+
+def ref_tables(graph):
+    """The graph's _RefTables, built once per graph; the graph must not be
+    merged afterwards."""
+    tables = _REF_TABLES.get(graph)
+    if tables is None:
+        tables = _REF_TABLES[graph] = _RefTables(graph)
+    return tables
 
 
 def decode_block(graph, block, defects, face_status=None):
@@ -312,17 +380,17 @@ def fuse_states(a, b, face):
     a.contacts.update(b.contacts)
     a.frontier.update(b.frontier)
     a.grown_adj.update(b.grown_adj)
-    a.defects |= b.defects
-    a.correction ^= b.correction
+    a.defect_ranks |= b.defect_ranks
+    a.correction_ids ^= b.correction_ids
     a.live |= b.live
     a.grow_iterations += b.grow_iterations
     growth, bg = a.growth, b.growth
-    both = [(ekey, growth[ekey]) for ekey in bg if ekey in growth]
+    both = [(eid, growth[eid]) for eid in bg if eid in growth]
     growth.update(bg)
-    for ekey, cur in both:
-        growth[ekey] = min(2, cur + bg[ekey])
-    for f, keys in b.touched.items():
-        a.touched.setdefault(f, []).extend(keys)
+    for eid, cur in both:
+        growth[eid] = min(2, cur + bg[eid])
+    for f, eids in b.touched.items():
+        a.touched.setdefault(f, []).extend(eids)
     fuse(a, face)
     return a
 
@@ -330,18 +398,22 @@ def fuse_states(a, b, face):
 class RefUfState(UfState):
     """UfState with the kernel bodies the inlined ones replaced, kept as the
     slow reference: finds and aliveness go through _find and _alive, every
-    vertex a round reaches is adopted before it is unioned, and peeling
-    toggles by symmetric difference.  It keeps the kernel's two rules for
-    a state that holds both sides of an open face: a vertex stays in its
-    frontier while it has an edge it grew from nothing this round, or an
-    open-face edge the far side already grew; and growing onto an open face
-    suspends the growing cluster alone, never the far endpoint's.
+    vertex a round reaches is adopted before it is unioned, peeling
+    toggles by symmetric difference, and a vertex's edges come from
+    ref_tables, not the graph's cache.  It keeps the kernel's growth order
+    (frontier lists visited front to back, a union appending the absorbed
+    list to the kept one, a round keeping its pending vertices in order)
+    and its two rules for a state that holds both sides of an open face: a
+    vertex stays in its frontier while it has an edge it grew from nothing
+    this round, or an open-face edge the far side already grew; and
+    growing onto an open face suspends the growing cluster alone, never
+    the far endpoint's.
     """
 
-    def _suspend(self, v: int, ekey, face):
+    def _suspend(self, v: int, eid, face):
         root = self._find(v)
         cm = self.contacts.setdefault(root, {})
-        c = (v, ekey)
+        c = (v, eid)
         if face not in cm or c < cm[face]:
             cm[face] = c
         self.live.discard(root)
@@ -350,7 +422,7 @@ class RefUfState(UfState):
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return ra
-        # weighted union; equal sizes keep the smaller id as root
+        # weighted union; equal sizes keep the smaller rank as root
         if self.size[ra] < self.size[rb] or (self.size[ra] == self.size[rb] and rb < ra):
             ra, rb = rb, ra
         self.parent[rb] = ra
@@ -366,12 +438,7 @@ class RefUfState(UfState):
             for face, c in kb.items():
                 if face not in ka or c < ka[face]:
                     ka[face] = c
-        fb = self.frontier.pop(rb)
-        fa = self.frontier[ra]
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            self.frontier[ra] = fa
-        fa.update(fb)
+        self.frontier[ra] = self.frontier[ra] + self.frontier.pop(rb)
         self.live.discard(rb)
         if self._alive(ra):
             self.live.add(ra)
@@ -388,7 +455,7 @@ class RefUfState(UfState):
         """
         if not self.live:
             return False
-        graph = self.graph
+        tables = ref_tables(self.graph)
         fs = self.face_status
         growth = self.growth
         full = []
@@ -397,19 +464,18 @@ class RefUfState(UfState):
             drop = []
             for v in fr:
                 pending = 0
-                # boundary entries never carry a face
-                it = iter(graph.neighbors(v))
-                for ekey, other, face in zip(it, it, it):
+                for eid, other, face in tables.entries(v):
+                    # boundary entries never carry a face
                     if face is not None:
                         status = fs.get(face)
                         if status == 'wall':
                             continue
                         if status is None:
                             face = None
-                    g = growth.get(ekey, 0)
+                    g = growth.get(eid, 0)
                     if g >= 2:
                         continue
-                    growth[ekey] = g + 1
+                    growth[eid] = g + 1
                     # an open-face edge the far side grew keeps the vertex
                     # pending, as a first touch does
                     if not g or face is not None:
@@ -417,38 +483,38 @@ class RefUfState(UfState):
                     # an open face suspends on first touch: growing any
                     # further would outrun the undecoded far side
                     if g or face is not None:
-                        full.append((ekey, v, other, face))
+                        full.append((eid, v, other, face))
                 if not pending:
                     drop.append(v)
-            fr.difference_update(drop)
+            self.frontier[root] = [v for v in fr if v not in drop]
         if not full and not any(self.frontier[r] for r in self.live):
-            raise ValueError(f"odd cluster at {min(self.live):#x} is walled in: "
-                             "no real boundary or open face to reach")
+            raise ValueError(f"odd cluster at {tables.vids[min(self.live)]:#x} is "
+                             "walled in: no real boundary or open face to reach")
         self.grow_iterations += 1
         adj = self.grown_adj
         touched = self.touched
-        for ekey, v, other, face in full:
+        for eid, v, other, face in full:
             if face is not None:
-                touched.setdefault(face, []).append(ekey)
-                self._suspend(v, ekey, face)
+                touched.setdefault(face, []).append(eid)
+                self._suspend(v, eid, face)
             elif other < 0:
                 root = self._find(v)
-                c = (v, ekey)
+                c = (v, eid)
                 cur = self.bnd.get(root)
                 if cur is None or c < cur:
                     self.bnd[root] = c
                 self.live.discard(root)
             else:
                 self._adopt(other)
-                adj.setdefault(v, []).append((other, ekey))
-                adj.setdefault(other, []).append((v, ekey))
+                adj.setdefault(v, []).append((other, eid))
+                adj.setdefault(other, []).append((v, eid))
                 self._union(v, other)
         return True
 
     def _peel(self, root: int, defs: set, contact) -> set:
         """Peel one resolved cluster through contact; returns the emitted edges.
 
-        contact is a (vertex, edge key) sink, or None for an even cluster.
+        contact is a (vertex, edge) sink, or None for an even cluster.
         """
         if contact is None:
             if self.parity[root]:
@@ -461,30 +527,30 @@ class RefUfState(UfState):
         order = [start]
         parent_edge = {start: None}
         for v in order:
-            for other, ekey in adj.get(v, ()):
+            for other, eid in adj.get(v, ()):
                 if other not in parent_edge:
-                    parent_edge[other] = (v, ekey)
+                    parent_edge[other] = (v, eid)
                     order.append(other)
         emitted = set()
         mark = defs.copy()
         for v in reversed(order):
             if v in mark and v != start:
-                up, ekey = parent_edge[v]
-                emitted ^= {ekey}
+                up, eid = parent_edge[v]
+                emitted ^= {eid}
                 mark.symmetric_difference_update((up,))
         if start in mark:
             if sink is None:
                 raise ValueError("unmatched defect after peeling")
             emitted ^= {sink}
-        self.defects -= defs
+        self.defect_ranks -= defs
         self.parity[root] = 0
         self.live.discard(root)
-        self.correction ^= emitted
+        self.correction_ids ^= emitted
         return emitted
 
     def _defects_by_root(self) -> dict:
         by_root = {}
-        for v in self.defects:
+        for v in self.defect_ranks:
             by_root.setdefault(self._find(v), set()).add(v)
         return by_root
 

@@ -143,7 +143,7 @@ def check_maps(st):
     """live holds exactly the alive roots, bnd only real-boundary contacts,
     and contacts only non-empty maps of open faces."""
     assert st.live == {r for r in st.parity if st._alive(r)}
-    assert all(ekey[1] < 0 for _, ekey in st.bnd.values())
+    assert all(st.graph.edge_ends(eid)[1] < 0 for _, eid in st.bnd.values())
     assert all(cm for cm in st.contacts.values())
     assert all(st.face_status.get(f) == "open" for cm in st.contacts.values() for f in cm)
 
@@ -182,9 +182,10 @@ def grown_edges_outside(graph, st, blocks):
     """Grown edges that leave the given blocks other than over an open face."""
     open_faces = {f for f, status in st.face_status.items() if status == "open"}
     out = []
-    for ekey, grown in st.growth.items():
+    for eid, grown in st.growth.items():
         if not grown:
             continue
+        ekey, = graph.edge_keys([eid])
         if all(graph.block_of(x) in blocks for x in ekey if x >= 0):
             continue
         if graph.face_of(ekey) not in open_faces:
@@ -213,8 +214,8 @@ def test_faces_bound_block_growth():
                 parts[bid] = (blk, by_block.get(bid, ()), face_statuses(blk, walls))
                 st = decode_blocks(g, [parts[bid]])
                 assert grown_edges_outside(g, st, {bid}) == []
-                on_faces += sum(1 for k, grown in st.growth.items()
-                                if grown and g.face_of(k) is not None)
+                on_faces += sum(1 for eid, grown in st.growth.items()
+                                if grown and g.face_of(*g.edge_keys([eid])) is not None)
             sides = {f: [b for b in parts if f in parts[b][0].faces]
                      for f in plan.fuse_order}
             face, (ba, bb) = next((f, pair) for f, pair in sides.items()

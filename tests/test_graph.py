@@ -25,6 +25,7 @@ from surgedec.uf import decode_region, region_vids
 
 from .helpers import (
     ref_adjacency,
+    ref_edge_id,
     ref_block_of,
     ref_edges,
     ref_region_vids,
@@ -426,7 +427,10 @@ def test_neighbors_rejects_vertices_outside_the_graph():
     for vid in bad:
         with pytest.raises(ValueError):
             g.neighbors(vid)
-        assert vid not in g._adj
+        with pytest.raises(ValueError):
+            g.ranks([vid])
+        # a rejected id fills no slab
+        assert not any(g._adj or ())
     with pytest.raises(ValueError):
         decode_region(g, [pack_vid(0, 7, 0, 0)])
     assert g.neighbors(pack_vid(spid, 1, 2, _SEAM_COL))
@@ -437,9 +441,11 @@ def test_edge_table_fills_the_cache_in_vertex_order():
     g = apply_merge_schedule(DecodingGraph(lay, 9),
                              random_merge_schedule(lay, 3, 0.6, seed=2))
     assert {s.orient for s in lay.seams if g.merge_intervals(s)} == {"ew", "ns"}
+    # the cache is indexed by rank, so it is in vertex order by
+    # construction; the edge walk fills every entry
     EdgeTable(g)
-    assert list(g._adj) == sorted(g._adj)
     assert len(g._adj) == len(g.vertex_array())
+    assert all(isinstance(entry, tuple) for entry in g._adj)
 
 
 def _fresh_copy(g):
@@ -494,10 +500,17 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
             continue
         g.merge(*step)
         fresh = _fresh_copy(g)
-        for v in g.vertex_array().tolist():
+        vids = g.vertex_array().tolist()
+        ranks = {v: r for r, v in enumerate(vids)}
+        for r, v in enumerate(vids):
             want = ref_adjacency(g, v)
             assert g.neighbors(v) == want
             assert fresh.neighbors(v) == want
+            # the cached entry holds each edge's id and its other rank
+            ids = [(ref_edge_id(g, k, ranks), ranks[o] if o >= 0 else o, f)
+                   for k, o, f in triples(want)]
+            assert triples(g.adjacency(r)) == ids
+            assert g.edge_keys(e for e, _, _ in ids) == [k for k, _, _ in triples(want)]
         assert list(g.edges()) == ref_edges(g)
 
 
@@ -518,3 +531,12 @@ def test_vertex_array_and_regions_match_reference(shape, d, epochs, extra, data)
     assert arr.tolist() == list(ref_vertices(g))
     assert region_vids(g) == ref_region_vids(g)
     assert list(region_vids(g)) == sorted(ref_region_vids(g))
+    # ranks and blocks of some ids, out of order, in one numpy pass, against
+    # the reference enumeration and block rule one vertex at a time
+    rank = {v: r for r, v in enumerate(ref_vertices(g))}
+    picked = list(rank)[::-7]
+    want = {}
+    for v in picked:
+        want.setdefault(ref_block_of(g, v), []).append(rank[v])
+    assert g.ranks(picked) == [rank[v] for v in picked]
+    assert g.ranks_by_block(picked) == want

@@ -22,7 +22,7 @@ from surgedec.uf import (UfState, cut_parities, decode_region, defects_by_block,
                          face_statuses)
 from surgedec.windows import Pipeline
 
-from .helpers import RefUfState, decode_blocks, toggled_defects
+from .helpers import RefUfState, decode_blocks, rank_of, toggled_defects
 from .test_differential import state_view
 
 
@@ -58,7 +58,7 @@ def test_isolated_defect_growth_shape():
     assert len(st.growth) == 6
     assert set(st.growth.values()) == {1}
     st.grow_round()
-    root = st._find(v)
+    root = st._find(rank_of(g, v))
     assert st.size[root] == 7
     assert sorted(st.growth.values()).count(2) == 6
     assert st.live == {root}
@@ -104,10 +104,13 @@ def test_block_decode_suspends_at_future_face():
     assert st.correction == set()
     # first touch of the face edge suspends the cluster immediately
     assert st.grow_iterations == 1
-    assert st.growth[(v, w)] == 1
-    root = st._find(v)
+    r = rank_of(g, v)
+    eid = r << 3 | 4  # v's future edge
+    assert g.edge_keys([eid]) == [(v, w)]
+    assert st.growth[eid] == 1
+    root = st._find(r)
     assert set(st.contacts[root]) == {("t", 0, 1)}
-    assert st.contacts[root][("t", 0, 1)] == (v, (v, w))
+    assert st.contacts[root][("t", 0, 1)] == (r, eid)
 
 
 def test_absorb_face_drains_suspended_cluster():
@@ -187,19 +190,49 @@ def test_wall_face_is_never_grown_or_suspended_on():
         st = decode_blocks(g, [(blk, [v], face_statuses(blk, (wall,)))])
         assert st.face_status[wall] == "wall"
         assert all(st.face_status[f] == "open" for f in blk.faces if f != wall)
-        assert not any(st.growth.get(k, 0) for k in face_edges(g, wall))
+        assert not set(g.edge_keys(st.growth)) & set(face_edges(g, wall))
         assert all(wall not in faces for faces in st.contacts.values())
         open_st = decode_blocks(g, [(blk, [v])])
-        assert any(open_st.growth.get(k, 0) for k in face_edges(g, wall))
+        assert set(g.edge_keys(open_st.growth)) & set(face_edges(g, wall))
 
 
 def test_defect_outside_region_rejected():
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
     blocks = {b.block_id: b for b in carve_blocks(g)}
     inside, outside = pack_vid(0, 2, 0, 0), pack_vid(0, 12, 0, 0)
-    assert defects_by_block(g, blocks, [inside]) == {(0, 0): [inside]}
+    assert defects_by_block(g, blocks, [inside]) == {(0, 0): [rank_of(g, inside)]}
     with pytest.raises(ValueError, match=f"{outside:#x}"):
         defects_by_block(g, blocks, [inside, outside])
+
+
+_SEAM = 2  # the seam's patch id: patches 0 and 1 come first
+NOT_HELD = {
+    "row-past-the-lattice": pack_vid(0, 2, 5, 1),
+    "col-past-the-lattice": pack_vid(1, 2, 1, 4),
+    "seam-vertex-at-an-unmerged-round": pack_vid(_SEAM, 7, 1, 0xFF),
+    "seam-row-past-the-seam": pack_vid(_SEAM, 2, 5, 0xFF),
+    "round-past-the-graph": pack_vid(0, 10, 1, 1),
+    "patch-id-past-the-seams": pack_vid(_SEAM + 1, 2, 1, 0xFF),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_HELD))
+def test_ids_the_graph_does_not_hold_fail_loudly(case):
+    # a rank is a position in the sorted vertex ids, so an id that is not
+    # one of them must raise rather than alias a real vertex, in every
+    # decoder; each id is given after a real defect
+    lay = Layout(5, {0: (0, 0), 1: (0, 1)})
+    g = merge_patches(DecodingGraph(lay, 10), lay.seams[0], (0, 5))
+    assert g.seam_pid(lay.seams[0]) == _SEAM
+    bad = NOT_HELD[case]
+    assert bad not in set(g.vertex_array().tolist())
+    defects = [pack_vid(0, 2, 1, 1), bad]
+    with pytest.raises(ValueError, match=f"{bad:#x}"):
+        decode_region(g, defects)
+    with pytest.raises(ValueError, match=f"{bad:#x}"):
+        FusionPlan(g).decode(defects)
+    with pytest.raises(ValueError, match=f"{bad:#x}"):
+        Pipeline(g).run(defects)
 
 
 def test_face_statuses_must_map_the_block_faces():
@@ -213,7 +246,8 @@ def test_face_statuses_must_map_the_block_faces():
     v = pack_vid(0, 7, 2, 1)
     st = decode_blocks(g, [(blk, [v], face_statuses(blk, blk.faces))])
     assert st.face_status == {("t", 0, 1): "wall", ("t", 0, 2): "wall"}
-    assert all(g.block_of(x) == (0, 1) for k in st.growth for x in k if x >= 0)
+    assert all(g.block_of(x) == (0, 1)
+               for k in g.edge_keys(st.growth) for x in k if x >= 0)
     assert toggled_defects(st.correction) == {v}
 
 
@@ -223,16 +257,17 @@ def test_add_block_needs_a_settled_state_and_agreeing_faces():
     first, second = face_statuses(blocks[(0, 0)], ()), face_statuses(blocks[(0, 1)], ())
     v, w = pack_vid(0, 1, 1, 0), pack_vid(0, 4, 1, 1)
     st = UfState(g, [v], first)
+    w_rank = rank_of(g, w)
     with pytest.raises(ValueError, match="settled"):
-        st.add_block([w], second)
+        st.add_block([w_rank], second)
     st.settle()
     st.peel_resolved()
     pre = st.grow_iterations
     # the shared temporal face cannot be open on one side and a wall on the other
     with pytest.raises(ValueError, match="conflicting"):
-        st.add_block([w], face_statuses(blocks[(0, 1)], blocks[(0, 1)].faces))
+        st.add_block([w_rank], face_statuses(blocks[(0, 1)], blocks[(0, 1)].faces))
     # the block's rounds count as the state's own
-    st.add_block([w], second)
+    st.add_block([w_rank], second)
     assert st.grow_iterations > pre
     fuse(st, ("t", 0, 1))
     assert toggled_defects(st.correction) == {v, w}
@@ -261,13 +296,13 @@ def test_cut_parities():
 
 def kernel_view(state):
     """state_view plus the iteration order of every map, set and list a
-    state holds: the order a frontier set yields its vertices decides the
-    order of the round's unions, so two kernels that build equal sets
-    differently can decode differently later."""
+    state holds: the order a frontier list holds its vertices decides the
+    order of the round's unions, so two kernels that build equal lists in
+    different orders can decode differently later."""
     orders = {name: list(getattr(state, name))
               for name in ("parent", "size", "parity", "bnd", "contacts", "frontier",
-                           "growth", "grown_adj", "touched", "live", "defects",
-                           "correction")}
+                           "growth", "grown_adj", "touched", "live", "defect_ranks",
+                           "correction_ids")}
     return (state_view(state), orders,
             {r: list(s) for r, s in state.frontier.items()},
             {v: list(es) for v, es in state.grown_adj.items()},

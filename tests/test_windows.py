@@ -23,7 +23,7 @@ from surgedec import uf, windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
-from .helpers import decode_block, fuse_states, toggled_defects
+from .helpers import decode_block, fuse_states, rank_of, toggled_defects
 from .test_uf import kernel_view
 
 
@@ -145,12 +145,14 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
     res = pipe.run([v])
     assert toggled_defects(res.correction) == {v}
     assert len(added) == 12
-    assert by_unit() == ([0, 1, 2, 3], joins, [(2, [v])])
+    # the block's defects arrive as ranks
+    assert by_unit() == ([0, 1, 2, 3], joins, [(2, [rank_of(g, v)])])
 
 
 def test_a_run_finds_each_defects_block_once(monkeypatch):
-    # a 10x10 field of d=5 patches over 6 epochs: block_of runs once per
-    # defect, to group them, and once per inbound crossing, to orient it
+    # a 10x10 field of d=5 patches over 6 epochs: the run groups every
+    # defect by block in one numpy pass (graph.ranks_by_block), so block_of
+    # runs only once per inbound crossing, to orient it
     lay = Layout(5, {i: (i // 10, i % 10) for i in range(100)})
     g = apply_merge_schedule(DecodingGraph(lay, 6 * 5),
                              random_merge_schedule(lay, 6, 0.5, 1))
@@ -163,7 +165,7 @@ def test_a_run_finds_each_defects_block_once(monkeypatch):
     assert toggled_defects(res.correction) == defects
     crossings = sum(len(info.committed_crossings) for *_, info in res.sends)
     assert crossings
-    assert len(calls) == len(defects) + crossings
+    assert len(calls) == crossings
 
 
 def test_commit_cascade_schedule_on_grid():
@@ -360,7 +362,9 @@ class TwoStatePipeline(Pipeline):
         for face in win.walls:
             for u, w in self._inbox.pop(face).committed_crossings:
                 flips.symmetric_difference_update((u if self.graph.block_of(u) == bid else w,))
-        defects = flips.symmetric_difference(self._block_defects.get(bid, ()))
+        item = self.graph.vertex_array().item
+        defects = flips.symmetric_difference(
+            item(r) for r in self._block_defects.get(bid, ()))
         pre = rolling.grow_iterations
         st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
         fuse_states(rolling, st, win.face)
