@@ -81,7 +81,7 @@ class FusionPlan:
         for bid in self.blocks:
             block_defects = by_block.get(bid)
             if block_defects:
-                state.add_block(block_defects, {})
+                state.add_block(block_defects)
         for face in self.fuse_order:
             fuse(state, face)
         return state.correction

@@ -262,7 +262,7 @@ class DecodingGraph:
 
     def ranks(self, vids) -> list:
         """Ranks of vertex ids, in input order; an id the graph does not
-        hold raises ValueError naming it."""
+        hold, or one given twice, raises ValueError naming it."""
         return self._lookup(vids)[1].tolist()
 
     def ranks_by_block(self, vids) -> dict:
@@ -286,7 +286,7 @@ class DecodingGraph:
 
     def _lookup(self, vids):
         """(int64 ids, their ranks) of vertex ids, raising ValueError for an
-        id the graph does not hold."""
+        id the graph does not hold or one given twice."""
         va = self.vertex_array()
         try:
             q = np.fromiter(vids, dtype=np.int64)
@@ -295,11 +295,18 @@ class DecodingGraph:
         # the search runs over the ids in sorted order, which reads the
         # vertex array front to back: twice as fast on a stream's defects
         order = q.argsort()
+        qs = q[order]
+        rs = va.searchsorted(qs)
+        # an id the graph does not hold finds another id at its rank, and
+        # an id given twice has its neighbour's rank
+        bad = va.take(rs, mode="clip") != qs
+        bad[1:] |= rs[1:] == rs[:-1]
+        if np.count_nonzero(bad):
+            i = bad.argmax()
+            why = "not in the graph" if va.take(rs[i], mode="clip") != qs[i] else "given twice"
+            raise ValueError(f"vertex {int(qs[i]):#x} {why}")
         r = np.empty_like(order)
-        r[order] = va.searchsorted(q[order])
-        miss = va.take(r, mode="clip") != q
-        if miss.any():
-            raise ValueError(f"vertex {int(q[miss.argmax()]):#x} not in the graph")
+        r[order] = rs
         return q, r
 
     def adjacency(self, rank: int) -> tuple:
@@ -335,29 +342,41 @@ class DecodingGraph:
         """(lower rank, other rank or WEST/EAST) of an edge id."""
         rank = eid >> 3
         nb = self.adjacency(rank)
-        i = 0
-        while nb[i] != eid:
-            i += 3
-        return rank, nb[i + 1]
+        return rank, nb[3 * nb[::3].index(eid) + 1]
 
     def edge_keys(self, eids) -> list:
         """Edge keys (lower id, higher id or WEST/EAST) of edge ids.
 
-        The keys built are kept in a memo of at most _KEY_MEMO entries,
-        which starts over when full: the decodes of a small graph share one
-        tuple per edge, and a long run on a large graph keeps no more.
+        The keys the memo does not hold are built in one pass: their lower
+        ids with one take from the vertex array, their other ends as
+        edge_ends finds them, then their ids with a second take.  The memo
+        keeps at most _KEY_MEMO keys and starts over when the new ones
+        would not fit, so the decodes of a small graph share one tuple per
+        edge and a long run on a large graph keeps no more.
         """
+        eids = list(eids)
         keys = self._keys
-        out = []
-        for eid in eids:
-            key = keys.get(eid)
-            if key is None:
-                if len(keys) >= _KEY_MEMO:
-                    keys.clear()
-                item = self.vertex_array().item
-                u, w = self.edge_ends(eid)
-                key = keys[eid] = (item(u), item(w) if w >= 0 else w)
-            out.append(key)
+        out = list(map(keys.get, eids))
+        if all(out):  # every key is a 2-tuple, so only a miss is false
+            return out
+        miss = [i for i, key in enumerate(out) if key is None]
+        new = [eids[i] for i in miss]
+        va = self.vertex_array()
+        cache, adjacency = self._cache(), self.adjacency
+        other = []
+        for eid in new:
+            nb = cache[eid >> 3] or adjacency(eid >> 3)
+            other.append(nb[3 * nb[::3].index(eid) + 1])
+        lower = va.take(np.array(new, dtype=np.int64) >> 3).tolist()
+        other = np.array(other, dtype=np.int64)
+        higher = np.where(other >= 0, va.take(other, mode="clip"), other).tolist()
+        built = list(zip(lower, higher))
+        for i, key in zip(miss, built):
+            out[i] = key
+        if len(keys) + len(new) > _KEY_MEMO:
+            keys.clear()
+        if len(new) <= _KEY_MEMO:
+            keys.update(zip(new, built))
         return out
 
     def neighbors(self, vid: int) -> tuple:

@@ -169,9 +169,10 @@ class Replayer:
     is None the units are placed by default_placement.  Set-up walks the
     pipeline's schedule once and fixes every timing constant a record
     needs, none of which depends on the syndrome: per decode its block id,
-    inbound walls and row index; per commit its block id, the link cost of
-    each send, the offset at which its forwarded result arrives, and the
-    offset at which each cond-merge configuration reaches its unit.
+    inbound walls, row index, epoch and the time its last round is
+    available; per commit its block id, the link cost of each send, the
+    offset at which its forwarded result arrives, and the offset at which
+    each cond-merge configuration reaches its unit.
     """
 
     def __init__(self, pipe: Pipeline, topology: Topology, latency: LatencyModel,
@@ -214,6 +215,8 @@ class Replayer:
 
         self._plan, self._events = self._timing_plan(meas, cond)
         self._n_rows = len(pipe.windows)
+        # the group-3 windows, whose earliest commit is the first group-3 commit
+        self._g3 = tuple(bid for bid in pipe.windows if pipe.groups[bid[0]] == 3)
 
     def _timing_plan(self, meas: dict, cond: dict):
         """Per slot, the schedule's records with their timing constants,
@@ -234,7 +237,9 @@ class Replayer:
                 events += 1
                 if dec is not None:
                     bid = dec.block.block_id
-                    dec = (bid, dec.walls, row_of[bid])
+                    # the block's last round is available at (e + 1) slots
+                    e = bid[1]
+                    dec = (bid, dec.walls, row_of[bid], e, (e + 1) * self.slot_ns)
                     events += 1
                 if com is not None:
                     bid = com.block.block_id
@@ -276,11 +281,13 @@ class Replayer:
         graph = self.pipe.graph
         d = graph.d
         lat = self.lat
-        decode_ns = lat.decode_ns
+        # LatencyModel.decode_ns, inline
+        base_ns = lat.decode_base_cycles * lat.t_cycle_ns
+        iter_ns = lat.decode_per_iter_cycles * lat.t_cycle_ns
         cycle = lat.t_cycle_ns
         slot_ns = self.slot_ns
         iters = result.iters
-        sent = {info.face: info for *_, info in result.sends}
+        sent = {rec[3].face: rec[3] for rec in result.sends}
 
         free = dict.fromkeys(self.units, 0)  # unit -> end of its last slot
         arrival = {}       # wall face -> arrival of its boundary info
@@ -300,7 +307,7 @@ class Replayer:
                     start = due
                 dur = 0
                 if dec is not None:
-                    bid, walls, row = dec
+                    bid, walls, row, e, avail = dec
                     for f in walls:
                         t = arrival.get(f)
                         if t is None:
@@ -308,13 +315,12 @@ class Replayer:
                                 f"unit {u} stalled at slot {k} without {f}")
                         if t > start:
                             start = t
-                    dur = decode_ns(iters[bid])
+                    dur = base_ns + iter_ns * iters[bid]
                     depth = (start - due) // slot_ns
                     if depth > deepest:
                         deepest = depth
                     decode_start[bid] = start
-                    e = bid[1]
-                    rows[row] = (e, u, start + dur - (e + 1) * slot_ns, dur / d, depth)
+                    rows[row] = (e, u, start + dur - avail, dur / d, depth)
                 done = free[u] = start + dur
                 if com is None:
                     continue
@@ -341,9 +347,7 @@ class Replayer:
             depth_series.append(deepest)
 
         margin = min((decode_start[key] - t for key, t in instr_arrival), default=None)
-        groups = self.pipe.groups
-        first_g3 = min((t for (u, _), t in commit_ns.items() if groups[u] == 3),
-                       default=None)
+        first_g3 = min(map(commit_ns.__getitem__, self._g3), default=None)
         g3_lat = None if first_g3 is None else first_g3 - slot_ns
         return TraceResult(rows, commit_ns, first_g3, g3_lat, depth_series,
                            feedback_ns, margin, self._events)

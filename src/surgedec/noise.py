@@ -45,10 +45,11 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
 class EdgeTable:
     """Materialised edges of a graph, for vectorised sampling.
 
-    The table holds numpy arrays only, no edge keys.  Per edge, int32 _u
-    and _v are slots into _vid_arr, the n sorted vertex ids followed by
-    WEST at slot n and EAST at n + 1, and int32 _cut is the patch whose
-    cut the edge crosses, -1 for none.  A sample rebuilds the keys of the
+    The table holds numpy arrays only, no edge keys.  Per edge, a row of
+    int32 _ends holds two slots into _vid_arr, the n sorted vertex ids
+    followed by WEST at slot n and EAST at n + 1 (_u and _v are its
+    columns), and int32 _cut is the patch whose cut the edge crosses, -1
+    for none.  A sample finds its defects and rebuilds the keys of the
     edges it flips from their slots, so per-trial cost scales with the
     flip count.
     """
@@ -60,24 +61,41 @@ class EdgeTable:
         # each edge once as its two endpoint ranks, in graph.edges() order
         ends = np.fromiter(chain.from_iterable(graph.edge_rank_slabs(0, graph.rounds)),
                            dtype=np.int64)
-        u, v = ends[0::2], ends[1::2]
-        self.n_edges = len(u)
         vids = graph.vertex_array()
         n = self._n = len(vids)
         self._vid_arr = np.concatenate((vids, (WEST, EAST)))
-        self._u = u.astype(np.int32)
-        self._v = v.astype(np.int32)
+        self._ends = ends.reshape(-1, 2).astype(np.int32)
+        self._u, self._v = self._ends[:, 0], self._ends[:, 1]
+        self.n_edges = len(self._u)
+        v = ends[1::2]
         self._v[v == WEST] = n
         self._v[v == EAST] = n + 1
-        self._cut = graph.cut_patches(vids[u], self._vid_arr[self._v]).astype(np.int32)
+        self._cut = graph.cut_patches(vids[self._u], self._vid_arr[self._v]).astype(np.int32)
 
     def sample_flips(self, p: float, rng: np.random.Generator) -> np.ndarray:
         return np.flatnonzero(rng.random(self.n_edges) < p)
 
     def defects_of(self, flips: np.ndarray) -> list:
-        counts = np.bincount(self._u[flips], minlength=self._n + 2)
-        counts += np.bincount(self._v[flips], minlength=self._n + 2)
-        return self._vid_arr[(counts[: self._n] & 1).nonzero()[0]].tolist()
+        """The vertex ids an odd number of flipped edges end on, ascending.
+
+        The work follows the flips, not the vertex count: their endpoint
+        slots are sorted, and a slot is odd when its run of equal slots
+        has odd length, that is when the run's start and the next run's
+        start differ in parity.  The boundary slots n and n + 1 sort last
+        and map to WEST and EAST, which are negative and are dropped.
+        """
+        ends = self._ends.take(flips, axis=0).ravel()
+        ends.sort()
+        m = len(ends)
+        first = np.empty(m + 1, dtype=bool)  # run starts, then the end
+        first[0] = first[m] = True
+        np.not_equal(ends[1:], ends[:-1], out=first[1:m])
+        starts = first.nonzero()[0]
+        par = starts & 1
+        out = self._vid_arr.take(ends.take(starts[:-1].compress(par[1:] != par[:-1]))).tolist()
+        while out and out[-1] < 0:
+            out.pop()
+        return out
 
     def logical_of(self, flips: np.ndarray) -> dict:
         """Cut parity per patch with a flipped cut edge, in patch order."""

@@ -47,14 +47,19 @@ order fixes the order of the round's unions, and so every root and every
 grown_adj list, whose order fixes the spanning forest a peel walks.  The
 hot loops inline _find, _adopt and _union with the same effect.
 
-Every block decodes inside a settled state that may already hold other
-blocks (add_block): its face statuses merge in, its defects seed new
-clusters, and only they grow, because the state has no live cluster and a
-face open on both sides stays open until fuse joins it.  The fusion plan
-adds each block with defects to one state and then joins every face; the
-window pipeline adds each window to its unit's rolling state and joins the
-temporal face to the window before.  grow_iterations counts every round
-the state grew.
+A state's face statuses are set when it is built, for every block it
+will hold (merge_statuses joins the blocks' maps and rejects a face they
+disagree on).  Every block decodes inside a settled state that may already
+hold other blocks (add_block): its defects seed new clusters, and only
+they grow, because the state has no live cluster and a face open on both
+sides stays open until fuse joins it.  A block with no defects is never
+added, since its faces already hold their statuses.  The fusion plan
+builds one state with every face open, adds each block with defects and
+then joins every face; the window pipeline builds each unit's rolling
+state with the statuses of all the unit's windows, adds each window that
+has defects and joins the temporal face to the window before, so an idle
+window costs only that join.  grow_iterations counts every round the
+state grew.
 
 One state holds both sides of a face that is not joined yet, so a block
 must decode as it would alone, blind to whatever the far side grew.  Two
@@ -84,7 +89,8 @@ class UfState:
     The state is bounded by its faces, not by a vertex set: every edge that
     leaves a block lies on a shared face, and face_status maps each such
     face to 'open' or 'wall' (no statuses means the whole graph).  It is
-    mutated as faces get fused or sealed.  defects are vertex ids.
+    given at construction for every block the state will hold, copied,
+    and mutated as faces get fused or sealed.  defects are vertex ids.
     """
 
     def __init__(self, graph: DecodingGraph, defects, face_status=None):
@@ -129,25 +135,21 @@ class UfState:
             frontier[v] = [v]
             add_live(v)
 
-    def add_block(self, ranks, face_status):
+    def add_block(self, ranks):
         """Decode a block inside this settled state.
 
-        ranks are the block's defects as graph.ranks gives them.
-        face_status, the block's face statuses, is merged in (a face may
-        not change status), the defects are seeded as new clusters, and
-        the state settles and peels.  The state holds no vertex of the
-        block and no live cluster, so only the block's clusters grow, and a
-        face open on both sides stays open until fuse joins it.  The
-        block's defect and correction sets start empty and merge in at the
-        end, as a block decoded alone would, so the peel walks the block's
-        defects, not every defect still suspended in the state.
+        ranks are the block's defects as graph.ranks gives them; the
+        block's face statuses are the state's own, set when it was built.
+        The defects are seeded as new clusters, and the state settles and
+        peels.  The state holds no vertex of the block and no live
+        cluster, so only the block's clusters grow, and a face open on
+        both sides stays open until fuse joins it.  The block's defect and
+        correction sets start empty and merge in at the end, as a block
+        decoded alone would, so the peel walks the block's defects, not
+        every defect still suspended in the state.
         """
         if self.live:
             raise ValueError("add_block needs a settled state")
-        fs = self.face_status
-        for f, st in face_status.items():
-            if fs.setdefault(f, st) != st:
-                raise ValueError(f"face {f} has conflicting statuses")
         if not ranks:
             return
         outer = self.defect_ranks, self.correction_ids
@@ -453,8 +455,8 @@ def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
 
     blocks holds the carved block ids; a defect the graph does not hold,
     such as one at a round past the graph or with a patch id past the
-    layout's patches and seams, or whose block is not one of them, raises
-    ValueError naming it.
+    layout's patches and seams, one given twice, or one whose block is not
+    one of them, raises ValueError naming it.
     """
     out = graph.ranks_by_block(defects)
     for bid, ranks in out.items():
@@ -467,6 +469,17 @@ def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
 def face_statuses(block, walls) -> dict:
     """A block's face statuses: faces in walls are sealed, the rest open."""
     return {f: 'wall' if f in walls else 'open' for f in block.faces}
+
+
+def merge_statuses(maps) -> dict:
+    """One state's face-status map from the maps of the blocks it will
+    hold; a face that two maps give different statuses raises ValueError."""
+    out = {}
+    for fs in maps:
+        for f, st in fs.items():
+            if out.setdefault(f, st) != st:
+                raise ValueError(f"face {f} has conflicting statuses")
+    return out
 
 
 def decode_region(graph: DecodingGraph, defects) -> UfState:

@@ -12,17 +12,24 @@ block_of is the receiving window, so the pipeline keeps no vertex sets.
 
 The cascade depends on the layout and the merge schedule, never on the
 syndrome, so set-up computes it once: one Window per block (its temporal
-face, inbound walls, face-status map and outbound sends) and, per slot, a
-schedule of (unit, decoded window, committed window) records.  A run walks
-that schedule.  A unit builds one decoder state, at its first window, and
-every window decodes inside it: the window's defects after its inbound
-flips are added to the state as a block (UfState.add_block), whose face
-statuses come prebuilt, and its temporal face is fused.  Fusing wakes,
-grows and peels only the clusters suspended on that face, so an idle
-window costs its faces.  A run groups the defects by block, as ranks, in
-one numpy pass (defects_by_block); only inbound crossings call block_of.
-The dataflow is deterministic and independent of wall-clock timing, so the
-network simulator replays the same schedule under any latency model.
+face, inbound walls and outbound sends), per unit the face-status map its
+decoder state starts from (every face of its windows, inbound walls sealed
+and the rest open), and, per slot, a schedule of (unit, decoded window,
+committed window) records.  It also builds what the schedule alone fixes
+of a result: every commit's slot, zero growth rounds for every window, and
+one send record per outbound face with no crossings.  A run copies those
+and walks the schedule.  A unit builds one decoder state, at its first
+window, and every window decodes inside it: the window's defects after its
+inbound flips, if any, are added to the state as a block
+(UfState.add_block), and its temporal face is fused.  Fusing wakes, grows
+and peels only the clusters suspended on that face, so an idle window
+costs the join of its temporal face and the commits of its outbound faces,
+and the run writes into its result only the windows that grew and the
+commits that carried crossings.  A run groups the defects by block, as
+ranks, in one numpy pass (defects_by_block); only inbound crossings call
+block_of.  The dataflow is deterministic and independent of wall-clock
+timing, so the network simulator replays the same schedule under any
+latency model.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from typing import NamedTuple
 
 from .graph import DecodingBlock, DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import UfState, defects_by_block, face_statuses, region_vids
+from .uf import (UfState, defects_by_block, face_statuses, merge_statuses,
+                 region_vids)
 
 
 class PipelineStallError(RuntimeError):
@@ -60,16 +68,15 @@ class Window(NamedTuple):
 
     face is the temporal face to the block's previous epoch (None at epoch
     0).  walls are its inbound seam faces, sealed by the upstream
-    (lower-group) unit's commit; statuses is its face-status map, walls
-    sealed and the rest open, which every run shares and no decoder state
-    mutates (a state copies it).  sends pair each outbound seam face with
-    the downstream unit its commit goes to.
+    (lower-group) unit's commit.  sends pair each outbound seam face with
+    the downstream unit its commit goes to; their records sit in a run's
+    send log from send_index on.
     """
     block: DecodingBlock
     face: tuple | None
     walls: tuple
-    statuses: dict
     sends: tuple
+    send_index: int
 
 
 def assign_groups(layout) -> dict:
@@ -88,7 +95,10 @@ class Pipeline:
     One unit per patch; a unit's window at epoch e is its patch's block.
     schedule[k] holds slot k's (unit, decoded window, committed window)
     records in cascade order, each window None when its epoch is out of
-    range; windows maps each block id to its Window.
+    range; windows maps each block id to its Window, and statuses each
+    unit to the face-status map its rolling state starts from: every face
+    of its windows, inbound walls sealed and the rest open.  No run
+    mutates these maps (a state copies its map).
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -99,7 +109,8 @@ class Pipeline:
         # three extra slots drain the cascade: group 3 commits the last
         # epoch at slot epochs + 2
         self.slots = self.epochs + 3
-        self.windows = {}
+        parts = {}
+        maps = {}
         for blk in carve_blocks(graph):
             walls, sends = [], []
             for face in blk.faces:
@@ -113,18 +124,37 @@ class Pipeline:
                 else:
                     sends.append((face, down))
             walls = tuple(sorted(walls))
-            self.windows[blk.block_id] = Window(
-                blk, ('t', blk.patch, blk.epoch) if blk.epoch else None, walls,
-                face_statuses(blk, walls), tuple(sorted(sends)))
+            parts[blk.block_id] = (blk, ('t', blk.patch, blk.epoch) if blk.epoch else None,
+                                   walls, tuple(sorted(sends)))
+            maps.setdefault(blk.patch, []).append(face_statuses(blk, walls))
+        self.statuses = {u: merge_statuses(m) for u, m in maps.items()}
         # slot k: group g decodes epoch k-(g-1) and commits epoch k-g, groups
         # in order 1, 2, 3; a group with neither epoch in range sits out
         by_group = [sorted(u for u, gu in self.groups.items() if gu == g) for g in (1, 2, 3)]
+        cascade = [[(u, (u, k - g + 1), (u, k - g))
+                    for g, units in enumerate(by_group, 1) if -1 <= k - g < self.epochs
+                    for u in units]
+                   for k in range(self.slots)]
+        # what the schedule alone fixes of a run's result: every commit's
+        # slot, zero rounds for every window, and the send log, one record
+        # per outbound face in commit order with no crossings; slot k sends
+        # the log's records from _bounds[k] to _bounds[k + 1]
+        self.windows = dict.fromkeys(parts)
+        self._commits, self._iters, self._sends, self._bounds = {}, {}, [], [0]
+        for k, records in enumerate(cascade):
+            for u, dec, com in records:
+                if dec in parts:
+                    self._iters[dec] = 0
+                if com in parts:
+                    blk, face, walls, sends = parts[com]
+                    self.windows[com] = Window(blk, face, walls, sends, len(self._sends))
+                    self._commits[com] = k
+                    self._sends += ((k, u, dst, BoundaryInfo(f, frozenset()))
+                                    for f, dst in sends)
+            self._bounds.append(len(self._sends))
         win = self.windows.get
-        self.schedule = tuple(
-            tuple((u, win((u, k - g + 1)), win((u, k - g)))
-                  for g, units in enumerate(by_group, 1) if -1 <= k - g < self.epochs
-                  for u in units)
-            for k in range(self.slots))
+        self.schedule = tuple(tuple((u, win(dec), win(com)) for u, dec, com in records)
+                              for records in cascade)
         self._reset([])
 
     @cached_property
@@ -138,7 +168,8 @@ class Pipeline:
         self._block_defects = defects_by_block(self.graph, self.windows, defects)
         self._states = {}      # unit -> rolling UfState
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
-        self._result = PipelineResult(set(), {}, {}, [])
+        self._result = PipelineResult(set(), dict(self._commits), dict(self._iters),
+                                      list(self._sends))
 
     def _decode_window(self, unit: int, epoch: int):
         bid = (unit, epoch)
@@ -161,41 +192,51 @@ class Pipeline:
                 defects = set(self.graph.ranks(flips)).symmetric_difference(defects)
         rolling = self._states.get(unit)
         if rolling is None:
-            rolling = self._states[unit] = UfState(self.graph, ())
+            rolling = self._states[unit] = UfState(self.graph, (), self.statuses[unit])
         pre = rolling.grow_iterations
-        rolling.add_block(sorted(defects), win.statuses)
+        if defects:
+            rolling.add_block(sorted(defects))
         if win.face is not None:
             fuse(rolling, win.face)
-        self._result.iters[bid] = rolling.grow_iterations - pre
+        if rolling.grow_iterations != pre:
+            self._result.iters[bid] = rolling.grow_iterations - pre
 
     def _commit_window(self, unit: int, epoch: int, cascade: int):
+        """Seal the window's outbound faces; a face whose commit carries
+        crossings replaces its empty record in the send log."""
         st = self._states.get(unit)
         if st is None:
             raise PipelineStallError(
                 f"window ({unit}, {epoch}) committed before it decoded")
-        out = []
-        for face, dst in self.windows[(unit, epoch)].sends:
+        win = self.windows[(unit, epoch)]
+        log = self._result.sends
+        for i, (face, dst) in enumerate(win.sends, win.send_index):
             crossings = st.absorb_face(face)
-            out.append((cascade, unit, dst, BoundaryInfo(face, frozenset(crossings))))
-        self._result.commits[(unit, epoch)] = cascade
-        return out
+            if crossings:
+                log[i] = (cascade, unit, dst, BoundaryInfo(face, frozenset(crossings)))
 
     def run_epoch(self, cascade: int) -> list:
-        """One cascade slot; returns the BoundaryInfo records sent."""
-        sent = []
+        """One cascade slot; returns the (slot, src unit, dst unit,
+        BoundaryInfo) records sent."""
+        log = self._result.sends
         inbox = self._inbox
         for unit, dec, com in self.schedule[cascade]:
             if dec is not None:
                 self._decode_window(unit, dec.block.epoch)
             if com is not None:
-                for rec in self._commit_window(unit, com.block.epoch, cascade):
-                    sent.append(rec)
-                    inbox[rec[3].face] = rec[3]
-        self._result.sends.extend(sent)
-        return sent
+                self._commit_window(unit, com.block.epoch, cascade)
+                if com.sends:
+                    i = com.send_index
+                    for rec in log[i:i + len(com.sends)]:
+                        inbox[rec[3].face] = rec[3]
+        return log[self._bounds[cascade]:self._bounds[cascade + 1]]
 
     def run(self, defects) -> PipelineResult:
-        """Full run over all cascade slots; returns corrections and the log."""
+        """Full run over all cascade slots; returns corrections and the log.
+
+        The result is the run's own: its commits, iters and sends start as
+        copies of what set-up built, and the run writes only the windows
+        that grew and the commits that carried crossings."""
         self._reset(defects)
         for k in range(self.slots):
             self.run_epoch(k)

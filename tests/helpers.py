@@ -7,7 +7,7 @@ from surgedec.fusion import fuse
 from surgedec.graph import EAST, WEST, _SEAM_COL, pack_vid, unpack_vid
 from surgedec.netsim import TraceResult
 from surgedec.topology import route
-from surgedec.uf import UfState, face_statuses
+from surgedec.uf import UfState, face_statuses, merge_statuses
 
 
 def toggled_defects(edges):
@@ -261,12 +261,14 @@ def ref_trace(pipe, topology, latency, node_of, instructions, result):
 
 
 def decode_blocks(graph, parts):
-    """One state with each (block, defect ids[, face statuses]) of parts
-    added in place, in order; a block's faces are all open by default."""
-    st = UfState(graph, ())
-    for blk, defects, *statuses in parts:
-        st.add_block(graph.ranks(defects),
-                     statuses[0] if statuses else face_statuses(blk, ()))
+    """One state built with the merged face statuses of every (block,
+    defect ids[, face statuses]) of parts, each block's faces all open by
+    default, and each block with defects added in place, in order."""
+    st = UfState(graph, (), merge_statuses(
+        statuses[0] if statuses else face_statuses(blk, ()) for blk, _, *statuses in parts))
+    for _, defects, *_ in parts:
+        if defects:
+            st.add_block(graph.ranks(defects))
     return st
 
 

@@ -15,6 +15,7 @@ import copy
 import hashlib
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from surgedec.graph import DecodingGraph, Layout, face_edges
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import UfState, face_statuses
-from surgedec.windows import BoundaryInfo, Pipeline, PipelineStallError
+from surgedec.windows import BoundaryInfo, Pipeline, PipelineResult, PipelineStallError
 
 from .helpers import ref_edge_id, ref_tables, toggled_defects
 
@@ -100,13 +101,31 @@ def ref_absorb_face(state, face):
 class ReferencePipeline(Pipeline):
     """Pipeline whose windows always decode and fuse by full face scan.
 
+    It builds its whole result as the run goes, none of it from what
+    set-up prebuilt: every window writes its growth rounds, every commit
+    its slot and a fresh record per send, and run_epoch collects the
+    records each commit returns.  Each window's state is built with that
+    window's statuses alone, and merges the next window's in as it fuses.
     decoded and committed count the windows its hooks handled, so a test
     can tell that run_epoch called them for every window.
     """
 
     def _reset(self, defects):
         super()._reset(defects)
+        self._result = PipelineResult(set(), {}, {}, [])
         self.decoded = self.committed = 0
+
+    def run_epoch(self, cascade):
+        sent = []
+        for unit, dec, com in self.schedule[cascade]:
+            if dec is not None:
+                self._decode_window(unit, dec.block.epoch)
+            if com is not None:
+                for rec in self._commit_window(unit, com.block.epoch, cascade):
+                    sent.append(rec)
+                    self._inbox[rec[3].face] = rec[3]
+        self._result.sends.extend(sent)
+        return sent
 
     def _decode_window(self, unit, epoch):
         bid = (unit, epoch)
@@ -209,7 +228,7 @@ def assert_same_runs(g, p, seed, trials=2):
     pipe, ref = Pipeline(g), ReferencePipeline(g)
     plan = FusionPlan(g)
     # the prebuilt face-status maps every run shares, as they were built
-    statuses = {bid: dict(win.statuses) for bid, win in pipe.windows.items()}
+    statuses = {unit: dict(fs) for unit, fs in pipe.statuses.items()}
     plan_statuses = dict(plan._open)
     for trial in range(trials):
         defects = table.sample(p, derived_rng(seed, trial)).defects
@@ -230,7 +249,7 @@ def assert_same_runs(g, p, seed, trials=2):
         assert fused == ref_plan_decode(plan, sorted(defects))
         assert len(joins) == len(plan.fuse_order) + len(got.iters) - len(pipe._states)
         # no run leaves its mark on a map the next run starts from
-        assert {bid: win.statuses for bid, win in pipe.windows.items()} == statuses
+        assert pipe.statuses == statuses
         assert plan._open == plan_statuses
 
 
@@ -261,6 +280,23 @@ def test_pipeline_matches_full_scan_reference_on_a_column_major_grid():
     lay = Layout(3, {i: (i % 2, i // 2) for i in range(4)})
     g = apply_merge_schedule(DecodingGraph(lay, 9), [frozenset(lay.seams)] * 3)
     assert_same_runs(g, 0.15, 467, trials=8)
+
+
+@pytest.mark.parametrize("seed", (2, 12))
+def test_pipeline_matches_full_scan_reference_where_most_windows_are_idle(seed):
+    # a 4x4 grid of d=3 patches over 6 epochs at p=0.002: most windows
+    # hold no defect after their inbound flips, so their temporal faces are
+    # joined untouched, and most commits carry no crossing, yet each seed
+    # has a commit that does.  The reference builds every iters entry,
+    # commit slot and send record from scratch
+    lay = Layout(3, {i: (i // 4, i % 4) for i in range(16)})
+    g = apply_merge_schedule(DecodingGraph(lay, 6 * 3),
+                             random_merge_schedule(lay, 6, 0.5, seed))
+    res = Pipeline(g).run(sorted(EdgeTable(g).sample(0.002, derived_rng(seed, 0)).defects))
+    idle = sum(n == 0 for n in res.iters.values())
+    carried = sum(bool(info.committed_crossings) for *_, info in res.sends)
+    assert idle > 3 * len(res.iters) // 4 and 0 < carried < len(res.sends) // 4
+    assert_same_runs(g, 0.002, seed, trials=3)
 
 
 @settings(max_examples=6, derandomize=True, deadline=None)

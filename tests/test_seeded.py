@@ -44,6 +44,15 @@ def grid_pipeline():
     return run_pipeline(g, 0.03, 5)
 
 
+def idle_grid_pipeline():
+    # 82 of the 96 windows grow nothing and one commit of 36 carries a
+    # crossing, so untouched faces and empty commits dominate the run
+    lay = Layout(3, {i: (i // 4, i % 4) for i in range(16)})
+    g = apply_merge_schedule(DecodingGraph(lay, 6 * 3),
+                             random_merge_schedule(lay, 6, 0.5, seed=2))
+    return run_pipeline(g, 0.002, 2)
+
+
 def stream_pipeline():
     return run_pipeline(DecodingGraph(Layout(3, {0: (0, 0)}), 40 * 3), 0.02, 6)
 
@@ -87,6 +96,7 @@ RECORDED = {
     merged_pair: "5773a10e5f008acf",
     stream_pipeline_d5: "2abf4de47cfd11ea",
     accuracy_trials: "49fe119e649f7b1c",
+    idle_grid_pipeline: "7f48ea121ad775df",
 }
 
 

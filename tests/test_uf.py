@@ -19,7 +19,7 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.oracle import oracle_mwpm
 from surgedec.uf import (UfState, cut_parities, decode_region, defects_by_block,
-                         face_statuses)
+                         face_statuses, merge_statuses)
 from surgedec.windows import Pipeline
 
 from .helpers import RefUfState, decode_blocks, rank_of, toggled_defects
@@ -159,18 +159,30 @@ def test_absorb_face_never_grown_onto_only_seals_it():
 
 
 def test_fuse_of_an_empty_block_adds_only_face_statuses(monkeypatch):
+    # an empty block is never added: the state starts with its face
+    # statuses, and joining its face to a block that never grew onto it
+    # changes nothing but the face's status
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 15)
     blocks = {b.block_id: b for b in carve_blocks(g)}
     b = pack_vid(0, 2, 2, 0)
-    a = decode_blocks(g, [(blocks[(0, 0)], [b])])
+    added = []
+    add_block = UfState.add_block
+
+    def recorded(st, ranks):
+        added.append(ranks)
+        return add_block(st, ranks)
+
+    monkeypatch.setattr(UfState, "add_block", recorded)
+    a = decode_blocks(g, [(blocks[(0, 0)], [b]), (blocks[(0, 1)], [])])
+    assert added == [[rank_of(g, b)]]
     assert a.correction == {(b, WEST)} and not a.touched
+    assert a.face_status == {("t", 0, 1): "open", ("t", 0, 2): "open"}
     maps = ("parent", "size", "parity", "bnd", "contacts", "frontier", "growth",
             "grown_adj", "live", "defects", "correction", "touched",
             "grow_iterations")
     before = {m: repr(getattr(a, m)) for m in maps}
     settles = []
     monkeypatch.setattr(UfState, "settle", lambda st: settles.append(st))
-    a.add_block([], face_statuses(blocks[(0, 1)], ()))
     fuse(a, ("t", 0, 1))
     assert {m: repr(getattr(a, m)) for m in maps} == before
     assert a.face_status == {("t", 0, 2): "open"}
@@ -235,6 +247,21 @@ def test_ids_the_graph_does_not_hold_fail_loudly(case):
         Pipeline(g).run(defects)
 
 
+def test_a_defect_given_twice_fails_loudly():
+    # a defect set names each vertex once; a repeat would otherwise decode
+    # as the vertex once, in every decoder
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 3)
+    v, w = pack_vid(0, 1, 1, 0), pack_vid(0, 2, 0, 1)
+    for defects, bad in (([v, v], v), ([w, v, w], w), ([v, w, v, v], v)):
+        with pytest.raises(ValueError, match=f"{bad:#x} given twice"):
+            decode_region(g, defects)
+        with pytest.raises(ValueError, match=f"{bad:#x} given twice"):
+            FusionPlan(g).decode(defects)
+        with pytest.raises(ValueError, match=f"{bad:#x} given twice"):
+            Pipeline(g).run(defects)
+    assert toggled_defects(decode_region(g, [v, w]).correction) == {v, w}
+
+
 def test_face_statuses_must_map_the_block_faces():
     # the map names every face of the block, so a block decoded with it
     # never grows past its faces; with every face walled, none is open
@@ -251,26 +278,41 @@ def test_face_statuses_must_map_the_block_faces():
     assert toggled_defects(st.correction) == {v}
 
 
-def test_add_block_needs_a_settled_state_and_agreeing_faces():
+def test_add_block_needs_a_settled_state():
     g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
     blocks = {b.block_id: b for b in carve_blocks(g)}
-    first, second = face_statuses(blocks[(0, 0)], ()), face_statuses(blocks[(0, 1)], ())
+    statuses = merge_statuses(face_statuses(blocks[bid], ()) for bid in ((0, 0), (0, 1)))
     v, w = pack_vid(0, 1, 1, 0), pack_vid(0, 4, 1, 1)
-    st = UfState(g, [v], first)
+    st = UfState(g, [v], statuses)
     w_rank = rank_of(g, w)
     with pytest.raises(ValueError, match="settled"):
-        st.add_block([w_rank], second)
+        st.add_block([w_rank])
     st.settle()
     st.peel_resolved()
     pre = st.grow_iterations
-    # the shared temporal face cannot be open on one side and a wall on the other
-    with pytest.raises(ValueError, match="conflicting"):
-        st.add_block([w_rank], face_statuses(blocks[(0, 1)], blocks[(0, 1)].faces))
     # the block's rounds count as the state's own
-    st.add_block([w_rank], second)
+    st.add_block([w_rank])
     assert st.grow_iterations > pre
     fuse(st, ("t", 0, 1))
     assert toggled_defects(st.correction) == {v, w}
+
+
+def test_merged_face_statuses_must_agree():
+    # a state's statuses are merged from its blocks' maps when it is
+    # built, so the shared temporal face cannot be open on one side and a
+    # wall on the other: set-up rejects it before any block decodes
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 6)
+    blocks = {b.block_id: b for b in carve_blocks(g)}
+    first, second = face_statuses(blocks[(0, 0)], ()), face_statuses(blocks[(0, 1)], ())
+    walled = face_statuses(blocks[(0, 1)], blocks[(0, 1)].faces)
+    assert merge_statuses([first, second]) == {("t", 0, 1): "open"}
+    with pytest.raises(ValueError, match=r"face \('t', 0, 1\) has conflicting statuses"):
+        merge_statuses([first, walled])
+    v, w = pack_vid(0, 1, 1, 0), pack_vid(0, 4, 1, 1)
+    with pytest.raises(ValueError, match="conflicting"):
+        decode_blocks(g, [(blocks[(0, 0)], [v]), (blocks[(0, 1)], [w], walled)])
+    # the maps it merged are left as they were
+    assert first == {("t", 0, 1): "open"} and walled == {("t", 0, 1): "wall"}
 
 
 def test_repeat_decode_is_deterministic():

@@ -18,7 +18,7 @@ from surgedec.fusion import FusionPlan
 from surgedec.graph import DecodingGraph, Layout, face_edges, merge_patches, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import cut_parities, decode_region
+from surgedec.uf import cut_parities, decode_region, face_statuses
 from surgedec import uf, windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
@@ -105,6 +105,37 @@ def test_empty_run_still_sends_boundary_info():
     assert all(n == 0 for n in res.iters.values())
 
 
+def test_each_run_owns_its_result():
+    # a run's commits, iters and sends start as copies of what set-up
+    # built and the run writes into its copies only, so mutating one
+    # run's result, or the records run_epoch returned, changes no later run
+    lay = row_layout(2, d=5)
+    g = merged_graph(lay, 10)
+    u, w = pack_vid(0, 2, 2, 3), pack_vid(1, 2, 2, 0)
+    for defects in ([], [u, w]):
+        fresh = Pipeline(g).run(defects)
+        want = (dict(fresh.commits), dict(fresh.iters), list(fresh.sends))
+        pipe = Pipeline(g)
+        first = pipe.run(defects)
+        assert (first.commits, first.iters, first.sends) == want
+        first.commits.clear()
+        first.iters[(0, 0)] = 99
+        first.sends[0] = None
+        first.sends.append(None)
+        pipe._reset(defects)
+        for k in range(pipe.slots):
+            pipe.run_epoch(k).clear()
+        second = pipe.run(defects)
+        assert (second.commits, second.iters, second.sends) == want
+        assert second.commits is not first.commits
+        assert second.iters is not first.iters
+        assert second.sends is not first.sends
+    # the second sample's commit carried its crossing, the first's did not
+    assert want[2] == [(1, 0, 1, BoundaryInfo(("s", 0, 0), frozenset({
+        (w, pack_vid(g.seam_pid(lay.seams[0]), 2, 2, 0xFF))}))),
+        (2, 0, 1, BoundaryInfo(("s", 0, 1), frozenset()))]
+
+
 def test_a_run_builds_one_state_per_unit(monkeypatch):
     g = merged_graph(grid_layout(d=5), 15)
     pipe = Pipeline(g)
@@ -115,9 +146,9 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-        def add_block(self, defects, face_status):
+        def add_block(self, defects):
             added.append((self, list(defects)))
-            return super().add_block(defects, face_status)
+            return super().add_block(defects)
 
     real_fuse = windows.fuse
     monkeypatch.setattr(windows, "UfState", Recorded)
@@ -131,20 +162,24 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
                 sorted((unit_of[id(st)], face) for st, face in fused),
                 [(unit_of[id(st)], defects) for st, defects in added if defects])
 
-    # each unit's first window builds its rolling state; nothing else does.
-    # Every window is added to its unit's state, and every window after
-    # the first fuses its temporal face there
+    # each unit's first window builds its rolling state, with the face
+    # statuses of all the unit's windows; nothing else builds one.  Only a
+    # window with defects is added to its unit's state, and every window
+    # after the first fuses its temporal face there
     joins = [(u, ("t", u, e)) for u in range(4) for e in (1, 2)]
     assert pipe.run([]).correction == set()
-    assert len(added) == 12
+    assert added == []
     assert by_unit() == ([0, 1, 2, 3], joins, [])
+    assert all(len(pipe.statuses[u]) == len({f for e in range(3)
+                                              for f in pipe.windows[(u, e)].block.faces})
+               for u in range(4))
     # one defect in the middle epoch decodes inside unit 2's rolling state
     for log in (built, added, fused):
         log.clear()
     v = pack_vid(2, 7, 2, 1)
     res = pipe.run([v])
     assert toggled_defects(res.correction) == {v}
-    assert len(added) == 12
+    assert len(added) == 1
     # the block's defects arrive as ranks
     assert by_unit() == ([0, 1, 2, 3], joins, [(2, [rank_of(g, v)])])
 
@@ -366,7 +401,8 @@ class TwoStatePipeline(Pipeline):
         defects = flips.symmetric_difference(
             item(r) for r in self._block_defects.get(bid, ()))
         pre = rolling.grow_iterations
-        st = decode_block(self.graph, win.block, sorted(defects), win.statuses)
+        st = decode_block(self.graph, win.block, sorted(defects),
+                          face_statuses(win.block, win.walls))
         fuse_states(rolling, st, win.face)
         self._result.iters[bid] = rolling.grow_iterations - pre
 
