@@ -25,15 +25,34 @@ never reached: joining or absorbing it only changes its status, so an
 empty block costs nothing beyond its faces.
 
 Dense ids.  A vertex is its rank and an edge its id, the graph's small
-ints (see graph), and every map of a state is keyed by them; a vertex's
-neighbours are read from the graph's rank-indexed cache.  Callers pass
-vertex ids to the constructor, which converts them with one numpy search
-(graph.ranks), and ranks to add_block, as defects_by_block groups them.
-defects, correction and absorb_face hand vertex ids and (u, v) edge keys
-back.  Wherever the kernel breaks a tie by edge it uses the edge id order,
-which on a face is the sorted key order: contacts keep the smallest
-(vertex, edge) pair, fuse unions a face's grown edges in id order, and
-touch lists keep the order the edges were grown in.
+ints (see graph); a vertex's neighbours are read from the graph's
+rank-indexed cache.  Callers pass vertex ids to the constructor, which
+converts them with one numpy search (graph.ranks), and ranks to add_block,
+as defects_by_block groups them.  defects, correction and absorb_face hand
+vertex ids and (u, v) edge keys back.  Wherever the kernel breaks a tie by
+edge it uses the edge id order, which on a face is the sorted key order:
+contacts keep the smallest (vertex, edge) pair, fuse unions a face's grown
+edges in id order, and touch lists keep the order the edges were grown in.
+
+Tables.  A cluster's parent and each edge's growth live in flat tables
+(UfTables), as a hardware unit's memories do: parent, size and parity are
+indexed by rank, growth by edge id, so growth holds len(vertex_array()) << 3
+entries.  parent[v] is -1 while no state holds v.  size and parity are read
+only at roots; a non-root's entry is stale, left from when it was a root or
+from an earlier decode.  Each state lists the vertices it takes (taken), in
+the order it takes them.  A bare UfState, decode_region and
+FusionPlan.decode build their own tables.  The window pipeline builds one
+set per Pipeline and hands it to every unit's rolling state; a run clears
+it first, growth with one zero fill and parent over the last run's taken
+lists, so clearing never depends on the last run having finished.  The
+sharing is sound because a pipeline's unit states partition the graph: an
+inbound seam face is walled on the downstream unit and open only on the
+upstream one, which grows its edges and absorbs it, and a temporal face
+joins two windows of the same unit, so no vertex is held, and no edge
+grown, by two unit states of one run.  Tables belong to a decoder, never to
+a graph: two decoders of one graph never share them.  The per-cluster maps
+(bnd, contacts, frontier), the grown-edge lists (grown_adj) and the touch
+lists stay keyed by root, vertex and face.
 
 Growth order.  Clusters grow in ascending root order each round, and each
 cluster visits its frontier, a list, front to back.  A seeded defect
@@ -80,7 +99,36 @@ A face absent from the map is an ordinary interior interface.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graph import DecodingGraph
+
+
+class UfTables:
+    """One decoder's flat tables over a graph: parent, size and parity
+    indexed by rank, growth by edge id.
+
+    parent[v] is v's parent rank, -1 while no state holds v; size[r] and
+    parity[r] are read only while r is a root, and are stale otherwise;
+    growth[e] is 0, 1 (half grown) or 2 (fully grown).
+    """
+
+    def __init__(self, graph: DecodingGraph):
+        n = len(graph.vertex_array())
+        self.parent = [-1] * n
+        self.size = [0] * n
+        self.parity = bytearray(n)
+        self.growth = bytearray(n << 3)
+
+    def clear(self, states):
+        """Forget every vertex the given states took and every edge grown."""
+        # one fill in place: a zero bytes object to copy from costs an
+        # allocation, and on a large graph page faults, per clear
+        np.frombuffer(self.growth, dtype=np.uint8).fill(0)
+        parent = self.parent
+        for st in states:
+            for v in st.taken:
+                parent[v] = -1
 
 
 class UfState:
@@ -91,18 +139,24 @@ class UfState:
     face to 'open' or 'wall' (no statuses means the whole graph).  It is
     given at construction for every block the state will hold, copied,
     and mutated as faces get fused or sealed.  defects are vertex ids.
+    tables are the decoder's UfTables, cleared, which the state may share
+    with states that hold none of its vertices and grow none of its edges;
+    without them the state builds its own.
     """
 
-    def __init__(self, graph: DecodingGraph, defects, face_status=None):
+    def __init__(self, graph: DecodingGraph, defects, face_status=None, tables=None):
         self.graph = graph
         self.face_status = dict(face_status or {})
-        self.parent = {}
-        self.size = {}
-        self.parity = {}
+        if tables is None:
+            tables = UfTables(graph)
+        self.parent = tables.parent   # rank -> parent rank, -1 if not held
+        self.size = tables.size       # root -> cluster size
+        self.parity = tables.parity   # root -> defect parity
+        self.growth = tables.growth   # edge -> 0..2
+        self.taken = []      # vertices this state holds, in the order taken
         self.bnd = {}        # root -> min (vertex, edge) real-boundary contact
         self.contacts = {}   # root -> {open face: min (vertex, edge)}, never empty
         self.frontier = {}   # root -> [vertices with ungrown edges], growth order
-        self.growth = {}     # edge -> 0..2 (absent means 0)
         self.grown_adj = {}  # vertex -> [(other, edge)] fully grown internal
         self.touched = {}    # open face -> [edges grown onto it]
         self.live = set()
@@ -125,11 +179,12 @@ class UfState:
 
     def _seed(self, ranks):
         """Seed each defect as a one-vertex odd cluster."""
-        add_defect, add_live = self.defect_ranks.add, self.live.add
+        add_defect, add_live, take = self.defect_ranks.add, self.live.add, self.taken.append
         parent, size, parity, frontier = self.parent, self.size, self.parity, self.frontier
         for v in ranks:
             add_defect(v)
             parent[v] = v
+            take(v)
             size[v] = 1
             parity[v] = 1
             frontier[v] = [v]
@@ -185,9 +240,9 @@ class UfState:
         if sa < sb or (sa == sb and b < a):
             a, b = b, a
         parent[b] = a
-        size[a] += size.pop(b)
+        size[a] = sa + sb
         parity = self.parity
-        parity[a] ^= parity.pop(b)
+        parity[a] ^= parity[b]
         bnd = self.bnd
         cb = bnd.pop(b, None)
         if cb is not None:
@@ -211,8 +266,9 @@ class UfState:
         return a
 
     def _adopt(self, v: int):
-        if v not in self.parent:
+        if self.parent[v] < 0:
             self.parent[v] = v
+            self.taken.append(v)
             self.size[v] = 1
             self.parity[v] = 0
             self.frontier[v] = [v]
@@ -250,7 +306,7 @@ class UfState:
                             continue
                         if status is None:
                             face = None
-                    g = growth.get(eid)
+                    g = growth[eid]
                     if not g:
                         growth[eid] = 1
                         pending = True
@@ -280,6 +336,7 @@ class UfState:
         contacts = self.contacts
         adj = self.grown_adj
         touched = self.touched
+        take = self.taken.append
         for eid, v, other, face in full:
             root = v
             while parent[root] != root:
@@ -302,7 +359,7 @@ class UfState:
                 live.discard(root)
             else:
                 adj.setdefault(v, []).append((other, eid))
-                if other in parent:
+                if parent[other] >= 0:
                     adj.setdefault(other, []).append((v, eid))
                     self._union(root, other)
                 elif root < other or size[root] > 1:
@@ -311,6 +368,7 @@ class UfState:
                     # root's liveness stands, and it goes to the end of
                     # the root's frontier
                     parent[other] = root
+                    take(other)
                     size[root] += 1
                     adj[other] = [(v, eid)]
                     frontier[root].append(other)

@@ -30,6 +30,16 @@ ranks, in one numpy pass (defects_by_block); only inbound crossings call
 block_of.  The dataflow is deterministic and independent of wall-clock
 timing, so the network simulator replays the same schedule under any
 latency model.
+
+Every unit's state shares the pipeline's one set of decoder tables
+(uf.UfTables: each vertex's parent and each edge's growth), built with the
+first state.  The units partition the graph: an inbound seam face is
+walled on the downstream unit and open only on the upstream one, which
+grows its edges and absorbs it; a temporal face joins two windows of the
+same unit; so no vertex is held, and no edge grown, by two unit states of
+one run.  A run clears the tables before it starts, growth with one zero
+fill and parent over the vertices the last run's states took, so a run
+that raised leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -40,8 +50,8 @@ from typing import NamedTuple
 
 from .graph import DecodingBlock, DecodingGraph, carve_blocks
 from .fusion import fuse
-from .uf import (UfState, defects_by_block, face_statuses, merge_statuses,
-                 region_vids)
+from .uf import (UfState, UfTables, defects_by_block, face_statuses,
+                 merge_statuses, region_vids)
 
 
 class PipelineStallError(RuntimeError):
@@ -155,6 +165,7 @@ class Pipeline:
         win = self.windows.get
         self.schedule = tuple(tuple((u, win(dec), win(com)) for u, dec, com in records)
                               for records in cascade)
+        self._states = {}
         self._reset([])
 
     @cached_property
@@ -164,9 +175,19 @@ class Pipeline:
         by graph.block_of, which tests check against these sets."""
         return region_vids(self.graph)
 
+    @cached_property
+    def _tables(self) -> UfTables:
+        """The decoder's tables, which every unit's rolling state shares;
+        built when the first state is, so set-up holds nothing per vertex."""
+        return UfTables(self.graph)
+
     def _reset(self, defects):
-        self._block_defects = defects_by_block(self.graph, self.windows, defects)
+        # the last run's states name every vertex it took, whether or not
+        # the run finished
+        if self._states:
+            self._tables.clear(self._states.values())
         self._states = {}      # unit -> rolling UfState
+        self._block_defects = defects_by_block(self.graph, self.windows, defects)
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
         self._result = PipelineResult(set(), dict(self._commits), dict(self._iters),
                                       list(self._sends))
@@ -192,7 +213,8 @@ class Pipeline:
                 defects = set(self.graph.ranks(flips)).symmetric_difference(defects)
         rolling = self._states.get(unit)
         if rolling is None:
-            rolling = self._states[unit] = UfState(self.graph, (), self.statuses[unit])
+            rolling = self._states[unit] = UfState(self.graph, (), self.statuses[unit],
+                                                   self._tables)
         pre = rolling.grow_iterations
         if defects:
             rolling.add_block(sorted(defects))

@@ -1,6 +1,9 @@
 """Helpers shared by the test modules."""
 
 import weakref
+from types import SimpleNamespace
+
+import numpy as np
 
 from surgedec import wire
 from surgedec.fusion import fuse
@@ -354,7 +357,7 @@ def decode_block(graph, block, defects, face_status=None):
     elif len(face_status) != len(block.faces):
         raise ValueError(f"face statuses {face_status!r} do not map the faces of "
                          f"block {bid}")
-    state = UfState(graph, defects, face_status)
+    state = RefUfState(graph, defects, face_status)
     state.settle()
     state.peel_resolved()
     return state
@@ -363,10 +366,10 @@ def decode_block(graph, block, defects, face_status=None):
 def fuse_states(a, b, face):
     """Fuse the open face between two states decoded apart; returns a.
 
-    b's bookkeeping, touch lists, growth rounds and face statuses merge
-    into a, the growth of an edge grown from both sides sums (capped at a
-    full edge), and fusion.fuse joins the face.  b must be discarded
-    afterwards.
+    Both states keep their maps in dicts (RefUfState).  b's bookkeeping,
+    touch lists, growth rounds and face statuses merge into a, the growth
+    of an edge grown from both sides sums (capped at a full edge), and
+    fusion.fuse joins the face.  b must be discarded afterwards.
     """
     if a.graph is not b.graph:
         raise ValueError("states decode different graphs")
@@ -397,9 +400,40 @@ def fuse_states(a, b, face):
     return a
 
 
+def map_view(state):
+    """What a state's parent, size, parity and growth hold, in one form
+    whether they are dicts (RefUfState) or flat tables (UfState): each held
+    vertex mapped to its root, each root's size and parity, and each grown
+    edge with its growth.  A table's growth is every edge grown in it, so
+    for states sharing one table (a Pipeline's unit states) it is theirs
+    together."""
+    if isinstance(state.parent, dict):
+        held = state.parent
+        grown = {eid: g for eid, g in state.growth.items() if g}
+    else:
+        held = state.taken
+        growth = state.growth
+        grown = {eid: growth[eid] for eid in
+                 np.flatnonzero(np.frombuffer(growth, dtype=np.uint8)).tolist()}
+    roots = {v: state._find(v) for v in held}
+    tops = set(roots.values())
+    return (roots, {r: state.size[r] for r in tops}, {r: state.parity[r] for r in tops},
+            grown)
+
+
+def grown_union(states):
+    """Every edge the states grew, with its growth (map_view)."""
+    out = {}
+    for st in states:
+        out.update(map_view(st)[3])
+    return out
+
+
 class RefUfState(UfState):
     """UfState with the kernel bodies the inlined ones replaced, kept as the
-    slow reference: finds and aliveness go through _find and _alive, every
+    slow reference: its parent, size, parity and growth are the dicts the
+    flat tables replaced, keyed by rank and edge id (a tables argument is
+    ignored), finds and aliveness go through _find and _alive, every
     vertex a round reaches is adopted before it is unioned, peeling
     toggles by symmetric difference, and a vertex's edges come from
     ref_tables, not the graph's cache.  It keeps the kernel's growth order
@@ -411,6 +445,17 @@ class RefUfState(UfState):
     growing onto an open face suspends the growing cluster alone, never
     the far endpoint's.
     """
+
+    def __init__(self, graph, defects, face_status=None, tables=None):
+        super().__init__(graph, defects, face_status,
+                         SimpleNamespace(parent={}, size={}, parity={}, growth={}))
+
+    def _adopt(self, v: int):
+        if v not in self.parent:
+            self.parent[v] = v
+            self.size[v] = 1
+            self.parity[v] = 0
+            self.frontier[v] = [v]
 
     def _suspend(self, v: int, eid, face):
         root = self._find(v)

@@ -7,7 +7,9 @@ settles and peels, and a commit filters its crossings through the face's
 edge table.  It reads no touch list, so the pipeline and the fusion plan
 must reproduce it exactly, edge for edge and round for round, down to the
 cluster roots and the order of each vertex's grown edges, on random
-layouts, merge schedules and noise draws.
+layouts, merge schedules and noise draws.  Its states are RefUfState, whose
+parent, size, parity and growth are dicts, so every comparison also checks
+the flat tables against the dict maps they replaced.
 """
 
 import contextlib
@@ -24,17 +26,17 @@ from surgedec.fusion import FusionPlan
 from surgedec.graph import DecodingGraph, Layout, face_edges
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import UfState, face_statuses
+from surgedec.uf import face_statuses
 from surgedec.windows import BoundaryInfo, Pipeline, PipelineResult, PipelineStallError
 
-from .helpers import ref_edge_id, ref_tables, toggled_defects
+from .helpers import RefUfState, map_view, ref_edge_id, ref_tables, toggled_defects
 
 RATES = (0.0, 0.001, 0.05, 0.08)
 
 
 def ref_decode_block(graph, block, defects, walls=()):
     fs = {f: "wall" if f in walls else "open" for f in block.faces}
-    state = UfState(graph, defects, face_status=fs)
+    state = RefUfState(graph, defects, face_status=fs)
     state.settle()
     state.peel_resolved()
     return state
@@ -192,9 +194,10 @@ def check_touch_lists(state):
     open_faces = {f for f, status in state.face_status.items() if status == "open"}
     assert set(state.touched) <= open_faces
     ranks = ref_tables(state.graph).ranks
+    growth = map_view(state)[3]
     for f in open_faces:
         grown = {k for k in face_edges(state.graph, f)
-                 if state.growth.get(ref_edge_id(state.graph, k, ranks), 0)}
+                 if growth.get(ref_edge_id(state.graph, k, ranks), 0)}
         assert set(state.graph.edge_keys(state.touched.get(f, ()))) == grown, f
 
 
@@ -215,12 +218,42 @@ def touch_lists_checked():
 
 
 def state_view(state):
-    """Everything a decoder state holds but its touch lists; lists in
-    grown_adj compare in order, so a different union order shows."""
-    return ({v: state._find(v) for v in state.parent}, state.size, state.parity,
-            state.bnd, state.contacts, state.frontier, state.growth,
+    """Everything a decoder state holds but its touch lists, its parent,
+    size, parity and growth as map_view gives them; lists in grown_adj
+    compare in order, so a different union order shows."""
+    return (*map_view(state), state.bnd, state.contacts, state.frontier,
             state.grown_adj, state.live, state.defect_ranks, state.correction_ids,
             state.face_status, state.grow_iterations)
+
+
+def held_view(state):
+    """state_view without the growth, which a Pipeline's unit states share
+    in one table (map_view)."""
+    view = state_view(state)
+    return view[:3] + view[4:]
+
+
+def check_partition(pipe, ref):
+    """No vertex or edge belongs to two unit states of one run.
+
+    The reference's dict-backed states grew pairwise disjoint edge sets,
+    whose union is every nonzero entry of the growth table the pipeline's
+    unit states share; the unit states took pairwise disjoint vertex sets,
+    whose union is every vertex the shared parent table holds."""
+    states = list(pipe._states.values())
+    assert len({id(st.growth) for st in states}) == len({id(st.parent) for st in states}) == 1
+    grown = {}
+    for state in ref._states.values():
+        mine = map_view(state)[3]
+        assert not grown.keys() & mine.keys()
+        grown.update(mine)
+    assert grown == map_view(states[0])[3]
+    taken = set()
+    for state in states:
+        assert len(set(state.taken)) == len(state.taken)
+        assert not taken & set(state.taken)
+        taken.update(state.taken)
+    assert taken == {v for v, up in enumerate(states[0].parent) if up >= 0}
 
 
 def assert_same_runs(g, p, seed, trials=2):
@@ -244,7 +277,8 @@ def assert_same_runs(g, p, seed, trials=2):
         assert got.commits == want.commits
         assert got.sends == want.sends
         for unit, state in pipe._states.items():
-            assert state_view(state) == state_view(ref._states[unit])
+            assert held_view(state) == held_view(ref._states[unit])
+        check_partition(pipe, ref)
         assert toggled_defects(got.correction) == defects
         assert fused == ref_plan_decode(plan, sorted(defects))
         assert len(joins) == len(plan.fuse_order) + len(got.iters) - len(pipe._states)
@@ -352,7 +386,7 @@ def test_plan_matches_the_two_state_plan_on_ns_merged_pairs(d, epochs, p, seed):
         by_block = {}
         for v in defects:
             by_block.setdefault(g.block_of(v), []).append(v)
-        merged = UfState(g, ())
+        merged = RefUfState(g, ())
         touched = {}
         for bid, blk in plan.blocks.items():
             if bid in by_block:

@@ -12,7 +12,7 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import decode_region, face_statuses
 
-from .helpers import decode_blocks, toggled_defects
+from .helpers import decode_blocks, map_view, toggled_defects
 
 
 def blocks_by_id(graph):
@@ -142,7 +142,7 @@ def test_intra_state_fuse_closes_loop():
 def check_maps(st):
     """live holds exactly the alive roots, bnd only real-boundary contacts,
     and contacts only non-empty maps of open faces."""
-    assert st.live == {r for r in st.parity if st._alive(r)}
+    assert st.live == {r for r in map_view(st)[1] if st._alive(r)}
     assert all(st.graph.edge_ends(eid)[1] < 0 for _, eid in st.bnd.values())
     assert all(cm for cm in st.contacts.values())
     assert all(st.face_status.get(f) == "open" for cm in st.contacts.values() for f in cm)
@@ -182,7 +182,7 @@ def grown_edges_outside(graph, st, blocks):
     """Grown edges that leave the given blocks other than over an open face."""
     open_faces = {f for f, status in st.face_status.items() if status == "open"}
     out = []
-    for eid, grown in st.growth.items():
+    for eid, grown in map_view(st)[3].items():
         if not grown:
             continue
         ekey, = graph.edge_keys([eid])
@@ -214,7 +214,7 @@ def test_faces_bound_block_growth():
                 parts[bid] = (blk, by_block.get(bid, ()), face_statuses(blk, walls))
                 st = decode_blocks(g, [parts[bid]])
                 assert grown_edges_outside(g, st, {bid}) == []
-                on_faces += sum(1 for eid, grown in st.growth.items()
+                on_faces += sum(1 for eid, grown in map_view(st)[3].items()
                                 if grown and g.face_of(*g.edge_keys([eid])) is not None)
             sides = {f: [b for b in parts if f in parts[b][0].faces]
                      for f in plan.fuse_order}

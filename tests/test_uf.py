@@ -22,8 +22,9 @@ from surgedec.uf import (UfState, cut_parities, decode_region, defects_by_block,
                          face_statuses, merge_statuses)
 from surgedec.windows import Pipeline
 
-from .helpers import RefUfState, decode_blocks, rank_of, toggled_defects
-from .test_differential import state_view
+from .helpers import (RefUfState, decode_blocks, grown_union, map_view, rank_of,
+                      toggled_defects)
+from .test_differential import held_view
 
 
 def test_adjacent_pair_gives_single_edge():
@@ -55,12 +56,13 @@ def test_isolated_defect_growth_shape():
     v = pack_vid(0, 1, 2, 1)
     st = UfState(g, [v])
     st.grow_round()
-    assert len(st.growth) == 6
-    assert set(st.growth.values()) == {1}
+    grown = map_view(st)[3]
+    assert len(grown) == 6
+    assert set(grown.values()) == {1}
     st.grow_round()
     root = st._find(rank_of(g, v))
     assert st.size[root] == 7
-    assert sorted(st.growth.values()).count(2) == 6
+    assert sorted(map_view(st)[3].values()).count(2) == 6
     assert st.live == {root}
 
 
@@ -149,10 +151,10 @@ def test_absorb_face_never_grown_onto_only_seals_it():
     assert st.defects == {v}
     assert set(st.touched) == {("t", 0, 2)}
     before = (dict(st.bnd), {r: dict(cm) for r, cm in st.contacts.items()},
-              set(st.defects), set(st.correction), dict(st.growth))
+              set(st.defects), set(st.correction), map_view(st)[3])
     assert st.absorb_face(("t", 0, 1)) == set()
     assert st.face_status[("t", 0, 1)] == "wall"
-    assert (st.bnd, st.contacts, st.defects, st.correction, st.growth) == before
+    assert (st.bnd, st.contacts, st.defects, st.correction, map_view(st)[3]) == before
     # the face it did grow onto still drains through its contact
     assert st.absorb_face(("t", 0, 2)) == {(v, pack_vid(0, 10, 2, 2))}
     assert st.defects == set() and not st.touched
@@ -202,10 +204,10 @@ def test_wall_face_is_never_grown_or_suspended_on():
         st = decode_blocks(g, [(blk, [v], face_statuses(blk, (wall,)))])
         assert st.face_status[wall] == "wall"
         assert all(st.face_status[f] == "open" for f in blk.faces if f != wall)
-        assert not set(g.edge_keys(st.growth)) & set(face_edges(g, wall))
+        assert not set(g.edge_keys(map_view(st)[3])) & set(face_edges(g, wall))
         assert all(wall not in faces for faces in st.contacts.values())
         open_st = decode_blocks(g, [(blk, [v])])
-        assert set(g.edge_keys(open_st.growth)) & set(face_edges(g, wall))
+        assert set(g.edge_keys(map_view(open_st)[3])) & set(face_edges(g, wall))
 
 
 def test_defect_outside_region_rejected():
@@ -274,7 +276,7 @@ def test_face_statuses_must_map_the_block_faces():
     st = decode_blocks(g, [(blk, [v], face_statuses(blk, blk.faces))])
     assert st.face_status == {("t", 0, 1): "wall", ("t", 0, 2): "wall"}
     assert all(g.block_of(x) == (0, 1)
-               for k in g.edge_keys(st.growth) for x in k if x >= 0)
+               for k in g.edge_keys(map_view(st)[3]) for x in k if x >= 0)
     assert toggled_defects(st.correction) == {v}
 
 
@@ -337,15 +339,18 @@ def test_cut_parities():
 
 
 def kernel_view(state):
-    """state_view plus the iteration order of every map, set and list a
-    state holds: the order a frontier list holds its vertices decides the
-    order of the round's unions, so two kernels that build equal lists in
-    different orders can decode differently later."""
+    """held_view plus the iteration order of every map, set and list a
+    state holds but its parent, size, parity and growth: the order a
+    frontier list holds its vertices decides the order of the round's
+    unions, so two kernels that build equal lists in different orders can
+    decode differently later.  Those four are tables indexed by rank and
+    edge id, with no order, and the kernel never iterates them; the growth
+    compares per decoder (grown_union), since a pipeline's unit states
+    share one table."""
     orders = {name: list(getattr(state, name))
-              for name in ("parent", "size", "parity", "bnd", "contacts", "frontier",
-                           "growth", "grown_adj", "touched", "live", "defect_ranks",
-                           "correction_ids")}
-    return (state_view(state), orders,
+              for name in ("bnd", "contacts", "frontier", "grown_adj", "touched", "live",
+                           "defect_ranks", "correction_ids")}
+    return (held_view(state), orders,
             {r: list(s) for r, s in state.frontier.items()},
             {v: list(es) for v, es in state.grown_adj.items()},
             {f: list(keys) for f, keys in state.touched.items()})
@@ -353,8 +358,9 @@ def kernel_view(state):
 
 def decode_everything(g, defects, kernel):
     """Run decode_region, FusionPlan.decode and Pipeline.run with kernel as
-    the UfState of every module that builds one; returns their results and
-    the final view of every state built, in the order they were built."""
+    the UfState of every module that builds one; returns their results,
+    the final kernel_view of every state built, in the order they were
+    built, and the edges each of the three decoders grew (grown_union)."""
     built = []
 
     class Recorded(kernel):
@@ -366,10 +372,14 @@ def decode_everything(g, defects, kernel):
             mock.patch.object(fusion, "UfState", Recorded), \
             mock.patch.object(windows, "UfState", Recorded):
         glob = uf.decode_region(g, defects)
+        cuts = [len(built)]
         fused = FusionPlan(g).decode(defects)
+        cuts.append(len(built))
         res = Pipeline(g).run(defects)
+    grown = [grown_union(states) for states in (built[:cuts[0]], built[cuts[0]:cuts[1]],
+                                                built[cuts[1]:])]
     return ((glob.correction, glob.grow_iterations, fused, res.correction, res.iters,
-             res.commits, res.sends), [kernel_view(s) for s in built])
+             res.commits, res.sends), [kernel_view(s) for s in built], grown)
 
 
 @settings(max_examples=160, derandomize=True, deadline=None)
@@ -386,9 +396,10 @@ def test_kernel_matches_the_reference_kernel(rows, cols, d, epochs, every_seam, 
                 else random_merge_schedule(lay, epochs, 0.6, seed))
     g = apply_merge_schedule(DecodingGraph(lay, epochs * d), schedule)
     defects = sorted(EdgeTable(g).sample(p, derived_rng(seed)).defects)
-    got, got_states = decode_everything(g, defects, UfState)
-    want, want_states = decode_everything(g, defects, RefUfState)
+    got, got_states, got_grown = decode_everything(g, defects, UfState)
+    want, want_states, want_grown = decode_everything(g, defects, RefUfState)
     assert got == want
+    assert got_grown == want_grown
     assert len(got_states) == len(want_states)
     for mine, ref in zip(got_states, want_states):
         assert mine == ref

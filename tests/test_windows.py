@@ -23,7 +23,8 @@ from surgedec import uf, windows
 from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
                               assign_groups)
 
-from .helpers import decode_block, fuse_states, rank_of, toggled_defects
+from .helpers import (RefUfState, decode_block, fuse_states, grown_union, rank_of,
+                      toggled_defects)
 from .test_uf import kernel_view
 
 
@@ -341,6 +342,57 @@ def test_a_unit_walled_in_without_a_boundary_fails_loudly():
         Pipeline(g).run(sorted(defects))
 
 
+def run_views(pipe, defects):
+    """A run's result fields, the kernel_view of each unit's state and
+    every edge the units grew (grown_union)."""
+    res = pipe.run(defects)
+    return ((res.correction, res.iters, res.commits, res.sends),
+            {u: kernel_view(st) for u, st in pipe._states.items()},
+            grown_union(pipe._states.values()))
+
+
+def test_a_run_after_a_failed_run_starts_clean():
+    # the walled-in layout above: a run that raises mid-cascade leaves its
+    # units' states half grown in the pipeline's shared tables, and the
+    # next run must clear them without that run having finished
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    g = apply_merge_schedule(DecodingGraph(lay, 3), [frozenset(lay.seams)])
+    table = EdgeTable(g)
+    bad = sorted(table.sample(0.1, derived_rng(1)).defects)
+    good = sorted(table.sample(0.1, derived_rng(0)).defects)
+    want = run_views(Pipeline(g), good)
+    assert any(info.committed_crossings for *_, info in want[0][3])
+    pipe = Pipeline(g)
+    with pytest.raises(ValueError, match="walled in"):
+        pipe.run(bad)
+    assert any(pipe._tables.growth) and max(pipe._tables.parent) >= 0
+    assert run_views(pipe, good) == want
+    held = {v for st in pipe._states.values() for v in st.taken}
+    assert held == {v for v, up in enumerate(pipe._tables.parent) if up >= 0}
+
+
+def test_decoders_of_one_graph_never_share_tables():
+    # two pipelines and a fusion plan of one graph, their decodes
+    # interleaved, give what each gives when it decodes alone
+    lay = grid_layout()
+    g = apply_merge_schedule(DecodingGraph(lay, 9), random_merge_schedule(lay, 3, 0.6, 4))
+    table = EdgeTable(g)
+    samples = [sorted(table.sample(0.05, derived_rng(4, t)).defects) for t in range(9)]
+
+    def outcome(decoder, defects):
+        if isinstance(decoder, FusionPlan):
+            return decoder.decode(defects)
+        res = decoder.run(defects)
+        return res.correction, res.iters, res.commits, res.sends
+
+    kinds = (Pipeline, Pipeline, FusionPlan)
+    decoders = [kind(g) for kind in kinds]
+    together = [outcome(decoders[t % 3], s) for t, s in enumerate(samples)]
+    for i, kind in enumerate(kinds):
+        alone = kind(g)
+        assert together[i::3] == [outcome(alone, s) for s in samples[i::3]]
+
+
 def test_crossings_are_oriented_without_vertex_sets(monkeypatch):
     lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
     g = apply_merge_schedule(DecodingGraph(lay, 9),
@@ -385,11 +437,12 @@ class TwoStatePipeline(Pipeline):
     """The window path that in-place blocks replaced: each window after its
     unit's first decodes in a state of its own (decode_block), which
     fuse_states merges into the unit's rolling state before it joins the
-    temporal face."""
+    temporal face.  Every state is a RefUfState, with dict maps."""
 
     def _decode_window(self, unit, epoch):
         rolling = self._states.get(unit)
         if rolling is None:
+            self._states[unit] = RefUfState(self.graph, (), self.statuses[unit])
             return super()._decode_window(unit, epoch)
         bid = (unit, epoch)
         win = self.windows[bid]
@@ -408,14 +461,16 @@ class TwoStatePipeline(Pipeline):
 
 
 def window_views(pipe, defects):
-    """Run pipe on defects; returns the result and the kernel_view of the
-    decoding unit's rolling state after each window."""
+    """Run pipe on defects; returns the result and, after each window, the
+    kernel_view of the decoding unit's rolling state and the edges every
+    unit grew so far (grown_union)."""
     views = []
     decode = pipe._decode_window
 
     def viewed(unit, epoch):
         decode(unit, epoch)
-        views.append((unit, epoch, kernel_view(pipe._states[unit])))
+        views.append((unit, epoch, kernel_view(pipe._states[unit]),
+                      grown_union(pipe._states.values())))
 
     pipe._decode_window = viewed
     return pipe.run(defects), views
