@@ -94,7 +94,8 @@ def _cmd_scalability(args) -> int:
     print(f"inv_throughput_ns mean={rep.inv_throughput_mean_ns:.2f} "
           f"sd={rep.inv_throughput_sd_ns:.2f}")
     print(f"backlog={rep.backlog} max_queue_depth={rep.max_queue_depth} "
-          f"logical_failures={rep.logical_failures}")
+          f"logical_failures={rep.logical_failures} "
+          f"global_failures={rep.global_failures}")
     if rep.first_g3_latency_ns is not None:
         print(f"first_group3_commit_latency_ns={rep.first_g3_latency_ns}")
     if args.out:

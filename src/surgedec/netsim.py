@@ -37,7 +37,7 @@ from . import wire
 from .graph import DecodingGraph
 from .noise import EdgeTable, derived_rng
 from .topology import Topology, route
-from .uf import cut_parities
+from .uf import cut_parities, decode_region
 from .windows import Pipeline
 
 @dataclass(frozen=True)
@@ -104,6 +104,7 @@ class MetricsReport:
     first_g3_commit_ns: int | None
     first_g3_latency_ns: int | None
     logical_failures: int
+    global_failures: int   # the same samples decoded by decode_region
     patch_failures: dict
     backlog: bool
     max_queue_depth: int
@@ -368,7 +369,9 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     Aggregates latency and inverse throughput over every decoded block
     of every trial; rows holds the per-block records of the first trial
     for CSV export.  A trial counts as a logical failure when any
-    patch's corrected observable disagrees with the sampled truth.
+    patch's corrected observable disagrees with the sampled truth;
+    global_failures counts the trials where the global decode of the same
+    sample (decode_region) fails that way.
     Units sit on the leaves that node_of names, or on default_placement's
     leaves when it is None.
     """
@@ -381,6 +384,7 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     lat_hist = _Hist()
     inv_hist = _Hist()
     failures = 0
+    global_failures = 0
     patch_failures = Counter()
     first_rows = []
     first_g3 = None
@@ -407,6 +411,9 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
         if bad:
             failures += 1
             patch_failures.update(bad)
+        glob = cut_parities(graph, decode_region(graph, sample.defects).correction)
+        if any(sample.true_logical[pid] ^ glob.get(pid, 0) for pid in sample.true_logical):
+            global_failures += 1
 
         tr = rep.trace(result)
         for row in tr.rows:
@@ -436,6 +443,7 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
         first_g3_commit_ns=first_g3,
         first_g3_latency_ns=g3_lat,
         logical_failures=failures,
+        global_failures=global_failures,
         patch_failures=dict(patch_failures),
         backlog=backlog,
         max_queue_depth=max_depth,

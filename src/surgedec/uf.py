@@ -76,9 +76,12 @@ added, since its faces already hold their statuses.  The fusion plan
 builds one state with every face open, adds each block with defects and
 then joins every face; the window pipeline builds each unit's rolling
 state with the statuses of all the unit's windows, adds each window that
-has defects and joins the temporal face to the window before, so an idle
-window costs only that join.  grow_iterations counts every round the
-state grew.
+has defects and joins the temporal face to the window before.  A face the
+state never grew onto has no touch list, so joining it only drops its
+status and absorbing it only walls it; the pipeline does that itself for
+an idle window's face and an untouched outbound face, with the checks
+fuse and absorb_face make, so an idle window costs one status change.
+grow_iterations counts every round the state grew.
 
 One state holds both sides of a face that is not joined yet, so a block
 must decode as it would alone, blind to whatever the far side grew.  Two

@@ -18,18 +18,21 @@ and the rest open), and, per slot, a schedule of (unit, decoded window,
 committed window) records.  It also builds what the schedule alone fixes
 of a result: every commit's slot, zero growth rounds for every window, and
 one send record per outbound face with no crossings.  A run copies those
-and walks the schedule.  A unit builds one decoder state, at its first
-window, and every window decodes inside it: the window's defects after its
-inbound flips, if any, are added to the state as a block
-(UfState.add_block), and its temporal face is fused.  Fusing wakes, grows
-and peels only the clusters suspended on that face, so an idle window
-costs the join of its temporal face and the commits of its outbound faces,
-and the run writes into its result only the windows that grew and the
-commits that carried crossings.  A run groups the defects by block, as
-ranks, in one numpy pass (defects_by_block); only inbound crossings call
-block_of.  The dataflow is deterministic and independent of wall-clock
-timing, so the network simulator replays the same schedule under any
-latency model.
+and walks the schedule in one loop (run_epoch).  A unit builds one decoder
+state, at its first window, and every window decodes inside it: the
+window's defects after its inbound flips, if any, are added to the state
+as a block (UfState.add_block), its temporal face is fused (fusion.fuse),
+which wakes, grows and peels only the clusters suspended on that face,
+and its commit absorbs its outbound faces (UfState.absorb_face).  Work
+follows the syndrome: an idle window, with no defects and a temporal face
+its state never grew onto, only drops that face's status, and a commit
+only walls an outbound face its state never grew onto; that is all fuse
+and absorb_face would do there, so the loop does it without calling them.
+The run writes into its result only the windows that grew and the commits
+that carried crossings.  A run groups the defects by block, as ranks, in
+one numpy pass (defects_by_block); only inbound crossings call block_of.
+The dataflow is deterministic and independent of wall-clock timing, so
+the network simulator replays the same schedule under any latency model.
 
 Every unit's state shares the pipeline's one set of decoder tables
 (uf.UfTables: each vertex's parent and each edge's growth), built with the
@@ -192,65 +195,82 @@ class Pipeline:
         self._result = PipelineResult(set(), dict(self._commits), dict(self._iters),
                                       list(self._sends))
 
-    def _decode_window(self, unit: int, epoch: int):
-        bid = (unit, epoch)
-        win = self.windows[bid]
-        defects = self._block_defects.get(bid, ())
-        if win.walls:
-            # upstream commits toggle the defects their crossings end on
-            # here; a seam vertex goes with patch_a in both block_of and
-            # carving
-            block_of = self.graph.block_of
-            flips = set()
-            for face in win.walls:
-                info = self._inbox.pop(face, None)
-                if info is None:
-                    raise PipelineStallError(
-                        f"window ({unit}, {epoch}) lacks boundary info for {face}")
-                for u, w in info.committed_crossings:
-                    flips.symmetric_difference_update((u if block_of(u) == bid else w,))
-            if flips:
-                defects = set(self.graph.ranks(flips)).symmetric_difference(defects)
-        rolling = self._states.get(unit)
-        if rolling is None:
-            rolling = self._states[unit] = UfState(self.graph, (), self.statuses[unit],
-                                                   self._tables)
-        pre = rolling.grow_iterations
-        if defects:
-            rolling.add_block(sorted(defects))
-        if win.face is not None:
-            fuse(rolling, win.face)
-        if rolling.grow_iterations != pre:
-            self._result.iters[bid] = rolling.grow_iterations - pre
-
-    def _commit_window(self, unit: int, epoch: int, cascade: int):
-        """Seal the window's outbound faces; a face whose commit carries
-        crossings replaces its empty record in the send log."""
-        st = self._states.get(unit)
-        if st is None:
-            raise PipelineStallError(
-                f"window ({unit}, {epoch}) committed before it decoded")
-        win = self.windows[(unit, epoch)]
-        log = self._result.sends
-        for i, (face, dst) in enumerate(win.sends, win.send_index):
-            crossings = st.absorb_face(face)
-            if crossings:
-                log[i] = (cascade, unit, dst, BoundaryInfo(face, frozenset(crossings)))
-
     def run_epoch(self, cascade: int) -> list:
         """One cascade slot; returns the (slot, src unit, dst unit,
-        BoundaryInfo) records sent."""
-        log = self._result.sends
+        BoundaryInfo) records sent.
+
+        Each record decodes, then commits.  A window adds its defects after
+        its inbound flips as a block and fuses its temporal face; an idle
+        window, with no defects and a face its state never grew onto, only
+        drops the face's status, as fuse would.  A commit absorbs each
+        outbound face its state grew onto, and one with crossings replaces
+        its record in the send log; a face never grown onto is only walled,
+        as absorb_face would, and keeps its empty record.  Both shortcuts
+        raise where fuse and absorb_face would: on a face that is not
+        open, and for the commit, on a state with live clusters.
+        """
+        graph = self.graph
+        states = self._states
+        by_block = self._block_defects
         inbox = self._inbox
+        result = self._result
+        log = result.sends
         for unit, dec, com in self.schedule[cascade]:
+            st = states.get(unit)
             if dec is not None:
-                self._decode_window(unit, dec.block.epoch)
+                blk, face, walls, _, _ = dec
+                bid = (unit, blk.epoch)
+                if st is None:
+                    st = states[unit] = UfState(graph, (), self.statuses[unit], self._tables)
+                defects = by_block.get(bid, ())
+                if walls:
+                    # upstream commits toggle the defects their crossings end
+                    # on here; a seam vertex goes with patch_a in both
+                    # block_of and carving
+                    flips = set()
+                    for wall in walls:
+                        info = inbox.pop(wall, None)
+                        if info is None:
+                            raise PipelineStallError(
+                                f"window {bid} lacks boundary info for {wall}")
+                        for u, w in info.committed_crossings:
+                            flips.symmetric_difference_update(
+                                (u if graph.block_of(u) == bid else w,))
+                    if flips:
+                        defects = set(graph.ranks(flips)).symmetric_difference(defects)
+                if defects or face in st.touched:
+                    pre = st.grow_iterations
+                    if defects:
+                        st.add_block(sorted(defects))
+                    if face is not None:
+                        fuse(st, face)
+                    if st.grow_iterations != pre:
+                        result.iters[bid] = st.grow_iterations - pre
+                elif face is not None:
+                    fs = st.face_status
+                    if fs.get(face) != 'open':
+                        raise ValueError(f"face {face} is not open")
+                    del fs[face]
             if com is not None:
-                self._commit_window(unit, com.block.epoch, cascade)
-                if com.sends:
-                    i = com.send_index
-                    for rec in log[i:i + len(com.sends)]:
-                        inbox[rec[3].face] = rec[3]
+                if st is None:
+                    raise PipelineStallError(
+                        f"window ({unit}, {com.block.epoch}) committed before it decoded")
+                i = com.send_index
+                for face, dst in com.sends:
+                    if face in st.touched:
+                        crossings = st.absorb_face(face)
+                        if crossings:
+                            log[i] = (cascade, unit, dst,
+                                      BoundaryInfo(face, frozenset(crossings)))
+                    else:
+                        fs = st.face_status
+                        if fs.get(face) != 'open':
+                            raise ValueError(f"face {face} is not open")
+                        if st.live:
+                            raise ValueError("absorb_face needs a settled state")
+                        fs[face] = 'wall'
+                    inbox[face] = log[i][3]
+                    i += 1
         return log[self._bounds[cascade]:self._bounds[cascade + 1]]
 
     def run(self, defects) -> PipelineResult:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -35,6 +36,7 @@ def test_scalability_with_config(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "qubits=4 d=3 epochs=4 trials=2" in text
+    assert re.search(r"logical_failures=\d+ global_failures=\d+\n", text)
     assert "first_group3_commit_latency_ns" in text
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 16  # 4 patches x 4 epochs, first trial

@@ -15,6 +15,7 @@ the flat tables against the dict maps they replaced.
 import contextlib
 import copy
 import hashlib
+import re
 from unittest import mock
 
 import pytest
@@ -23,10 +24,10 @@ from hypothesis import strategies as st
 
 from surgedec import fusion, windows
 from surgedec.fusion import FusionPlan
-from surgedec.graph import DecodingGraph, Layout, face_edges
+from surgedec.graph import DecodingGraph, Layout, face_edges, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.uf import face_statuses
+from surgedec.uf import UfState, face_statuses
 from surgedec.windows import BoundaryInfo, Pipeline, PipelineResult, PipelineStallError
 
 from .helpers import RefUfState, map_view, ref_edge_id, ref_tables, toggled_defects
@@ -109,13 +110,17 @@ class ReferencePipeline(Pipeline):
     records each commit returns.  Each window's state is built with that
     window's statuses alone, and merges the next window's in as it fuses.
     decoded and committed count the windows its hooks handled, so a test
-    can tell that run_epoch called them for every window.
+    can tell that run_epoch called them for every window.  joined counts
+    the temporal faces a run must fuse: those of the windows with defects
+    after their inbound flips, and those the unit's state grew onto before
+    the window, read from the growth of the face's edges.  An idle window
+    whose face was never grown onto joins nothing.
     """
 
     def _reset(self, defects):
         super()._reset(defects)
         self._result = PipelineResult(set(), {}, {}, [])
-        self.decoded = self.committed = 0
+        self.decoded = self.committed = self.joined = 0
 
     def run_epoch(self, cascade):
         sent = []
@@ -148,8 +153,13 @@ class ReferencePipeline(Pipeline):
         if rolling is state:
             self._result.iters[bid] = state.grow_iterations
         else:
+            face = ("t", unit, epoch)
+            ranks = ref_tables(self.graph).ranks
+            if defects or any(rolling.growth.get(ref_edge_id(self.graph, k, ranks))
+                              for k in face_edges(self.graph, face)):
+                self.joined += 1
             pre = rolling.grow_iterations
-            ref_fuse(rolling, state, ("t", unit, epoch))
+            ref_fuse(rolling, state, face)
             self._result.iters[bid] = rolling.grow_iterations - pre
         self.decoded += 1
 
@@ -256,17 +266,20 @@ def check_partition(pipe, ref):
     assert taken == {v for v, up in enumerate(states[0].parent) if up >= 0}
 
 
-def assert_same_runs(g, p, seed, trials=2):
-    table = EdgeTable(g)
+def assert_same_decodes(g, samples):
+    """Decode each defect set of samples with a Pipeline, the reference
+    and a FusionPlan of g, and check that they agree; returns the
+    pipeline's result and the faces it fused, per sample."""
     pipe, ref = Pipeline(g), ReferencePipeline(g)
     plan = FusionPlan(g)
     # the prebuilt face-status maps every run shares, as they were built
     statuses = {unit: dict(fs) for unit, fs in pipe.statuses.items()}
     plan_statuses = dict(plan._open)
-    for trial in range(trials):
-        defects = table.sample(p, derived_rng(seed, trial)).defects
+    out = []
+    for defects in samples:
         with touch_lists_checked() as joins:
             got = pipe.run(sorted(defects))
+        with touch_lists_checked() as plan_joins:
             fused = plan.decode(sorted(defects))
         want = ref.run(sorted(defects))
         # the reference's hooks handled every window and every commit
@@ -279,12 +292,21 @@ def assert_same_runs(g, p, seed, trials=2):
         for unit, state in pipe._states.items():
             assert held_view(state) == held_view(ref._states[unit])
         check_partition(pipe, ref)
-        assert toggled_defects(got.correction) == defects
+        assert toggled_defects(got.correction) == set(defects)
         assert fused == ref_plan_decode(plan, sorted(defects))
-        assert len(joins) == len(plan.fuse_order) + len(got.iters) - len(pipe._states)
+        assert len(joins) == ref.joined
+        assert plan_joins == plan.fuse_order
         # no run leaves its mark on a map the next run starts from
         assert pipe.statuses == statuses
         assert plan._open == plan_statuses
+        out.append((got, joins))
+    return out
+
+
+def assert_same_runs(g, p, seed, trials=2):
+    table = EdgeTable(g)
+    assert_same_decodes(g, [table.sample(p, derived_rng(seed, trial)).defects
+                            for trial in range(trials)])
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -397,3 +419,65 @@ def test_plan_matches_the_two_state_plan_on_ns_merged_pairs(d, epochs, p, seed):
             else:
                 merged.face_status.update(face_statuses(blk, ()))
         assert first == [(state_view(merged), touched)]
+
+
+def test_an_idle_window_fuses_a_face_grown_onto_from_below():
+    # one defect in the last round of epoch 0 of a d=3 stream: its first
+    # round touches the open temporal face to epoch 1 and suspends it.
+    # Epoch 1 holds no defect, but its face was grown onto, so its window
+    # fuses the face, which wakes the cluster and grows it to the boundary
+    g = DecodingGraph(Layout(3, {0: (0, 0)}), 3 * 3)
+    v = pack_vid(0, 2, 1, 0)
+    [(got, joins)] = assert_same_decodes(g, [{v}])
+    assert joins == [("t", 0, 1)]
+    assert got.iters[(0, 1)] > 0 and got.iters[(0, 2)] == 0
+
+
+def test_a_face_grown_onto_commits_no_crossing_beside_an_untouched_face():
+    # every seam of a 2x2 grid merged for one epoch: unit 0 commits its
+    # east and its south seam face.  One error on the edge from the east
+    # seam's row-0 vertex, which unit 0 holds, into the patch: its two
+    # defects touch the east face and pair up in the same round, so the
+    # east face is absorbed with no crossing, and the south face, never
+    # grown onto, is only walled
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    g = apply_merge_schedule(DecodingGraph(lay, 3), [frozenset(lay.seams)])
+    east, south = (face for face, _ in Pipeline(g).windows[(0, 0)].sends)
+    s = face_edges(g, east)[0][1]
+    it = iter(g.neighbors(s))
+    x = next(o for _, o, f in zip(it, it, it) if f is None and o >= 0 and o >> 40 == 0)
+    absorbed = []
+    real = UfState.absorb_face
+
+    def recorded(state, face):
+        absorbed.append(face)
+        return real(state, face)
+
+    with mock.patch.object(UfState, "absorb_face", recorded):
+        [(got, _)] = assert_same_decodes(g, [{s, x}])
+    assert absorbed == [east]
+    assert [info for _, src, _, info in got.sends if src == 0] == [
+        BoundaryInfo(east, frozenset()), BoundaryInfo(south, frozenset())]
+    assert got.correction == {tuple(sorted((s, x)))}
+
+
+@pytest.mark.parametrize("face", [("t", 0, 1), ("s", 0, 0)])
+def test_a_corrupt_status_map_raises_on_the_inline_paths(face):
+    # an idle window joins its untouched temporal face, and a commit walls
+    # an untouched outbound face, without fuse or absorb_face; both make
+    # their checks: a face that is not open raises
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    g = apply_merge_schedule(DecodingGraph(lay, 6), [frozenset(lay.seams)] * 2)
+    pipe = Pipeline(g)
+    assert pipe.statuses[0][face] == "open"
+    pipe.statuses[0][face] = "wall"
+    with pytest.raises(ValueError, match=re.escape(f"face {face} is not open")):
+        pipe.run([])
+    # and a commit from a state with a live cluster raises, as absorb_face
+    # does: unit 0 commits epoch 0 in slot 1
+    pipe = Pipeline(g)
+    pipe._reset([])
+    pipe.run_epoch(0)
+    pipe._states[0].live.add(0)
+    with pytest.raises(ValueError, match="settled"):
+        pipe.run_epoch(1)

@@ -16,6 +16,7 @@ from surgedec.netsim import (
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.topology import build_topology
+from surgedec.uf import decode_region
 from surgedec.windows import Pipeline
 
 from .helpers import ref_trace
@@ -325,3 +326,30 @@ def test_trace_matches_the_reference_on_a_two_word_commit():
                     Instruction("cond_merge", 0, 0, seam=lay.seams[0], merge_epoch=2)]
     for lat in LATENCIES:
         assert_same_trace(pipe, top, lat, instructions, [res])
+
+
+def test_simulate_counts_the_global_decodes_failures_on_the_same_samples():
+    # a 2x2 grid of d=3 patches under a random merge schedule: each trial's
+    # sample is decoded again by decode_region, and a trial fails when the
+    # flipped edges and that correction together cross some patch's cut an
+    # odd number of times
+    lay = Layout(3, {i: (i // 2, i % 2) for i in range(4)})
+    g = apply_merge_schedule(DecodingGraph(lay, 9), random_merge_schedule(lay, 3, 0.5, 1))
+    top = build_topology(4, 25, (2, 2))
+    rep = simulate(g, top, LatencyModel(), p=0.015, trials=40, seed=1)
+    table = EdgeTable(g)
+    failures = {"pipeline": 0, "global": 0}
+    pipe = Pipeline(g)
+    for trial in range(40):
+        sample = table.sample(0.015, derived_rng(1, trial))
+        for name, corr in (("pipeline", pipe.run(sorted(sample.defects)).correction),
+                           ("global", decode_region(g, sorted(sample.defects)).correction)):
+            crossed = {}
+            for ekey in sample.flipped_edges ^ corr:
+                pid = g.cut_patch(ekey)
+                if pid is not None:
+                    crossed[pid] = crossed.get(pid, 0) + 1
+            failures[name] += any(n % 2 for n in crossed.values())
+    assert rep.global_failures == failures["global"] > 0
+    assert rep.logical_failures == failures["pipeline"]
+    assert rep.global_failures != rep.logical_failures

@@ -17,8 +17,10 @@ import pytest
 
 from surgedec.fusion import FusionPlan
 from surgedec.graph import DecodingGraph, Layout, merge_patches
+from surgedec.netsim import LatencyModel, Replayer, default_placement
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
+from surgedec.topology import build_topology
 from surgedec.uf import decode_region
 from surgedec.windows import Pipeline
 
@@ -61,6 +63,28 @@ def stream_pipeline_d5():
     return run_pipeline(DecodingGraph(Layout(5, {0: (0, 0)}), 100 * 5), 0.01, 1)
 
 
+def field_pipeline():
+    # the benchmark's field workload, its first 2 trials at seed 1: a 10x10
+    # grid of d=5 patches over 6 epochs at merge_prob 0.5, p=0.001, replayed
+    # on the 2x2-leaf, fanout-25 network.  Most of its windows are idle
+    lay = Layout(5, {i: (i // 10, i % 10) for i in range(100)})
+    g = apply_merge_schedule(DecodingGraph(lay, 6 * 5),
+                             random_merge_schedule(lay, 6, 0.5, seed=1))
+    table, pipe = EdgeTable(g), Pipeline(g)
+    top = build_topology(4, 25, (2, 2))
+    rep = Replayer(pipe, top, LatencyModel(), default_placement(lay, top))
+    parts = []
+    for i in range(2):
+        defects = table.sample(0.001, derived_rng(1, i)).defects
+        res = pipe.run(sorted(defects))
+        assert toggled_defects(res.correction) == defects
+        sends = [(k, src, dst, info.face, sorted(info.committed_crossings))
+                 for k, src, dst, info in res.sends]
+        parts.append((sorted(res.correction), sorted(res.iters.items()), sends,
+                      rep.trace(res).rows))
+    return digest(*parts)
+
+
 def merged_pair():
     lay = Layout(5, {0: (0, 0), 1: (0, 1)})
     g = merge_patches(DecodingGraph(lay, 3 * 5), lay.seams[0], (5, 10))
@@ -97,6 +121,7 @@ RECORDED = {
     stream_pipeline_d5: "2abf4de47cfd11ea",
     accuracy_trials: "49fe119e649f7b1c",
     idle_grid_pipeline: "7f48ea121ad775df",
+    field_pipeline: "2529d25fccbd4a5b",
 }
 
 

@@ -165,16 +165,22 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
 
     # each unit's first window builds its rolling state, with the face
     # statuses of all the unit's windows; nothing else builds one.  Only a
-    # window with defects is added to its unit's state, and every window
-    # after the first fuses its temporal face there
-    joins = [(u, ("t", u, e)) for u in range(4) for e in (1, 2)]
+    # window with defects is added to its unit's state, and only a window
+    # with defects, or whose temporal face its state grew onto, fuses that
+    # face there.  An idle window drops its face's status and a commit
+    # walls the outbound faces, so every unit ends with its seam faces
+    # walled and no temporal face left
     assert pipe.run([]).correction == set()
     assert added == []
-    assert by_unit() == ([0, 1, 2, 3], joins, [])
+    assert by_unit() == ([0, 1, 2, 3], [], [])
     assert all(len(pipe.statuses[u]) == len({f for e in range(3)
                                               for f in pipe.windows[(u, e)].block.faces})
                for u in range(4))
+    walled = {u: {f: "wall" for f in pipe.statuses[u] if f[0] == "s"} for u in range(4)}
+    assert {u: st.face_status for u, st in pipe._states.items()} == walled
     # one defect in the middle epoch decodes inside unit 2's rolling state
+    # and fuses that window's temporal face; its cluster drains to the real
+    # boundary without reaching the next epoch, which joins nothing
     for log in (built, added, fused):
         log.clear()
     v = pack_vid(2, 7, 2, 1)
@@ -182,7 +188,8 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
     assert toggled_defects(res.correction) == {v}
     assert len(added) == 1
     # the block's defects arrive as ranks
-    assert by_unit() == ([0, 1, 2, 3], joins, [(2, [rank_of(g, v)])])
+    assert by_unit() == ([0, 1, 2, 3], [(2, ("t", 2, 1))], [(2, [rank_of(g, v)])])
+    assert {u: st.face_status for u, st in pipe._states.items()} == walled
 
 
 def test_a_run_finds_each_defects_block_once(monkeypatch):
@@ -252,13 +259,15 @@ def test_stall_surfaces_as_error():
     lay = row_layout(2)
     g = merged_graph(lay, 3)
     pipe = Pipeline(g)
-    pipe._reset([])
-    # downstream leaf 1 asked to decode before leaf 0 committed
-    with pytest.raises(PipelineStallError):
-        pipe._decode_window(1, 0)
+    # a schedule that drops leaf 0's commit: downstream leaf 1 decodes in
+    # slot 1 without the boundary info that commit would have sent
+    pipe.schedule = tuple(tuple((u, dec, None if u == 0 else com) for u, dec, com in records)
+                          for records in pipe.schedule)
+    with pytest.raises(PipelineStallError, match="lacks boundary info"):
+        pipe.run([])
     pipe = Pipeline(g)
     # commit scheduled before its own decode ever ran
-    with pytest.raises(PipelineStallError):
+    with pytest.raises(PipelineStallError, match="committed before it decoded"):
         pipe.run_epoch(1)
 
 
@@ -434,16 +443,29 @@ def test_pipeline_set_up_holds_no_per_vertex_state():
 
 
 class TwoStatePipeline(Pipeline):
-    """The window path that in-place blocks replaced: each window after its
-    unit's first decodes in a state of its own (decode_block), which
-    fuse_states merges into the unit's rolling state before it joins the
-    temporal face.  Every state is a RefUfState, with dict maps."""
+    """The window path that in-place blocks replaced: a unit's first window
+    adds its defects to the unit's rolling state, and each later window
+    decodes in a state of its own (decode_block), which fuse_states merges
+    into the rolling state before it joins the temporal face.  Every
+    commit absorbs each outbound face.  It walks the schedule one record
+    at a time with no shortcut for idle windows or untouched faces, and
+    every state is a RefUfState, with dict maps."""
+
+    def run_epoch(self, cascade):
+        log = self._result.sends
+        for unit, dec, com in self.schedule[cascade]:
+            if dec is not None:
+                self._decode_window(unit, dec.block.epoch)
+            if com is not None:
+                st = self._states[unit]
+                for i, (face, dst) in enumerate(com.sends, com.send_index):
+                    crossings = st.absorb_face(face)
+                    if crossings:
+                        log[i] = (cascade, unit, dst, BoundaryInfo(face, frozenset(crossings)))
+                    self._inbox[face] = log[i][3]
+        return log[self._bounds[cascade]:self._bounds[cascade + 1]]
 
     def _decode_window(self, unit, epoch):
-        rolling = self._states.get(unit)
-        if rolling is None:
-            self._states[unit] = RefUfState(self.graph, (), self.statuses[unit])
-            return super()._decode_window(unit, epoch)
         bid = (unit, epoch)
         win = self.windows[bid]
         flips = set()
@@ -451,28 +473,37 @@ class TwoStatePipeline(Pipeline):
             for u, w in self._inbox.pop(face).committed_crossings:
                 flips.symmetric_difference_update((u if self.graph.block_of(u) == bid else w,))
         item = self.graph.vertex_array().item
-        defects = flips.symmetric_difference(
-            item(r) for r in self._block_defects.get(bid, ()))
+        defects = sorted(flips.symmetric_difference(
+            item(r) for r in self._block_defects.get(bid, ())))
+        rolling = self._states.get(unit)
+        if rolling is None:
+            rolling = self._states[unit] = RefUfState(self.graph, (), self.statuses[unit])
+            if defects:
+                rolling.add_block(sorted(self.graph.ranks(defects)))
+            self._result.iters[bid] = rolling.grow_iterations
+            return
         pre = rolling.grow_iterations
-        st = decode_block(self.graph, win.block, sorted(defects),
-                          face_statuses(win.block, win.walls))
+        st = decode_block(self.graph, win.block, defects, face_statuses(win.block, win.walls))
         fuse_states(rolling, st, win.face)
         self._result.iters[bid] = rolling.grow_iterations - pre
 
 
-def window_views(pipe, defects):
-    """Run pipe on defects; returns the result and, after each window, the
-    kernel_view of the decoding unit's rolling state and the edges every
-    unit grew so far (grown_union)."""
+def slot_views(pipe, defects):
+    """Run pipe on defects; returns the result and, after each cascade
+    slot, the kernel_view of every unit's rolling state and the edges
+    every unit grew so far (grown_union).  A unit decodes at most one
+    window and commits at most one per slot, so each view follows one
+    window of each unit."""
     views = []
-    decode = pipe._decode_window
+    run_epoch = pipe.run_epoch
 
-    def viewed(unit, epoch):
-        decode(unit, epoch)
-        views.append((unit, epoch, kernel_view(pipe._states[unit]),
+    def viewed(cascade):
+        sent = run_epoch(cascade)
+        views.append((cascade, {u: kernel_view(st) for u, st in pipe._states.items()},
                       grown_union(pipe._states.values())))
+        return sent
 
-    pipe._decode_window = viewed
+    pipe.run_epoch = viewed
     return pipe.run(defects), views
 
 
@@ -481,8 +512,8 @@ def window_views(pipe, defects):
        every_seam=st.booleans(), p=st.sampled_from((0.01, 0.05, 0.1, 0.15)),
        seed=st.integers(0, 2**16))
 def test_in_place_blocks_match_fused_blocks(d, grid, epochs, every_seam, p, seed):
-    # window by window, a block added in place and joined by fuse leaves
-    # the rolling state as the two-state decode_block and fuse_states do,
+    # slot by slot, a block added in place and joined by fuse leaves each
+    # rolling state as the two-state decode_block and fuse_states do,
     # iteration orders included; a stream runs ten times the epochs
     if grid:
         lay = grid_layout(d)
@@ -492,8 +523,8 @@ def test_in_place_blocks_match_fused_blocks(d, grid, epochs, every_seam, p, seed
     else:
         g = DecodingGraph(Layout(d, {0: (0, 0)}), 10 * epochs * d)
     defects = sorted(EdgeTable(g).sample(p, derived_rng(seed)).defects)
-    got, got_views = window_views(Pipeline(g), defects)
-    want, want_views = window_views(TwoStatePipeline(g), defects)
+    got, got_views = slot_views(Pipeline(g), defects)
+    want, want_views = slot_views(TwoStatePipeline(g), defects)
     assert toggled_defects(got.correction) == set(defects)
     assert (got.correction, got.iters, got.commits, got.sends) == (
         want.correction, want.iters, want.commits, want.sends)
