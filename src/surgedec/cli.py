@@ -112,7 +112,7 @@ def _cmd_microbench(args) -> int:
         print(f"{name:22s} qubits={qubits:2d} epochs={epochs} "
               f"latency_ns mean={rep.latency_mean_ns:8.1f} min={rep.latency_min_ns:6d} "
               f"p95={rep.latency_p95_ns:6d} inv={rep.inv_throughput_mean_ns:6.1f} "
-              f"failures={rep.logical_failures}")
+              f"failures={rep.logical_failures} global_failures={rep.global_failures}")
         summary.append({
             "name": name, "qubits": qubits, "epochs": epochs,
             "latency_mean_ns": rep.latency_mean_ns,
@@ -120,6 +120,7 @@ def _cmd_microbench(args) -> int:
             "latency_p95_ns": rep.latency_p95_ns,
             "inv_throughput_mean_ns": rep.inv_throughput_mean_ns,
             "logical_failures": rep.logical_failures,
+            "global_failures": rep.global_failures,
             "trials": rep.trials,
         })
     if args.out:

@@ -363,7 +363,7 @@ def _backlog(depths: list) -> bool:
 
 def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
              p: float, trials: int = 1, seed: int = 0,
-             node_of=None, instructions=()) -> MetricsReport:
+             instructions=()) -> MetricsReport:
     """Sample noise, decode through the pipeline, replay the timing.
 
     Aggregates latency and inverse throughput over every decoded block
@@ -371,14 +371,13 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
     for CSV export.  A trial counts as a logical failure when any
     patch's corrected observable disagrees with the sampled truth;
     global_failures counts the trials where the global decode of the same
-    sample (decode_region) fails that way.
-    Units sit on the leaves that node_of names, or on default_placement's
-    leaves when it is None.
+    sample (decode_region) fails that way.  Units sit on
+    default_placement's leaves.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     pipe = Pipeline(graph)
-    rep = Replayer(pipe, topology, latency, node_of, instructions)
+    rep = Replayer(pipe, topology, latency, instructions=instructions)
     table = EdgeTable(graph)
 
     lat_hist = _Hist()

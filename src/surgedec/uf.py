@@ -17,9 +17,9 @@ committed.
 
 Each open face the state grew onto has a touch list (touched): the edges
 grown onto it, appended by grow_round as it suspends the cluster.  Every
-face edge with growth 1 or 2 is on the list, so joining a face
-(fusion.fuse) unions only the listed edges that reached a full edge, in
-edge id order, and never reads the face's edge table; absorbing a face
+face edge with growth 1 or 2 is on the list, so joining a face (fuse)
+unions only the listed edges that reached a full edge, in edge id order,
+and never reads the face's edge table; absorbing a face
 reads its committed crossings from the list too.  A face with no list was
 never reached: joining or absorbing it only changes its status, so an
 empty block costs nothing beyond its faces.
@@ -40,11 +40,11 @@ indexed by rank, growth by edge id, so growth holds len(vertex_array()) << 3
 entries.  parent[v] is -1 while no state holds v.  size and parity are read
 only at roots; a non-root's entry is stale, left from when it was a root or
 from an earlier decode.  Each state lists the vertices it takes (taken), in
-the order it takes them.  A bare UfState, decode_region and
-FusionPlan.decode build their own tables.  The window pipeline builds one
-set per Pipeline and hands it to every unit's rolling state; a run clears
-it first, growth with one zero fill and parent over the last run's taken
-lists, so clearing never depends on the last run having finished.  The
+the order it takes them.  A bare UfState and decode_region build their own
+tables.  The window pipeline, and the fusion plan that runs on its loop,
+build one set per decoder and hand it to every unit's rolling state; a run
+clears it first, growth with one zero fill and parent over the last run's
+taken lists, so clearing never depends on the last run having finished.  The
 sharing is sound because a pipeline's unit states partition the graph: an
 inbound seam face is walled on the downstream unit and open only on the
 upstream one, which grows its edges and absorbs it, and a temporal face
@@ -72,16 +72,16 @@ disagree on).  Every block decodes inside a settled state that may already
 hold other blocks (add_block): its defects seed new clusters, and only
 they grow, because the state has no live cluster and a face open on both
 sides stays open until fuse joins it.  A block with no defects is never
-added, since its faces already hold their statuses.  The fusion plan
-builds one state with every face open, adds each block with defects and
-then joins every face; the window pipeline builds each unit's rolling
-state with the statuses of all the unit's windows, adds each window that
-has defects and joins the temporal face to the window before.  A face the
-state never grew onto has no touch list, so joining it only drops its
-status and absorbing it only walls it; the pipeline does that itself for
-an idle window's face and an untouched outbound face, with the checks
-fuse and absorb_face make, so an idle window costs one status change.
-grow_iterations counts every round the state grew.
+added, since its faces already hold their statuses.  The window
+pipeline builds each unit's rolling state with the statuses of all the
+unit's windows, adds each window that has defects and then joins the
+faces the window fuses: the temporal face to the window before, or, in
+the fusion plan's one state with every face open, every face after the
+last block.  A face the state never grew onto has no touch list, so
+joining it only drops its status and absorbing it only walls it; the
+pipeline does that itself, with the checks fuse and absorb_face make, so
+an idle window costs one status change.  grow_iterations counts every
+round the state grew.
 
 One state holds both sides of a face that is not joined yet, so a block
 must decode as it would alone, blind to whatever the far side grew.  Two
@@ -495,6 +495,41 @@ class UfState:
                 emitted |= self._peel(root, defs, held[root])
         # a crossing is a contact on the face, so it is on the touch list
         return set(self.graph.edge_keys(emitted.intersection(eids)))
+
+
+def fuse(state: UfState, face):
+    """Join an open face whose two sides both decoded in state.
+
+    The face leaves the status map.  The edges on its touch list that
+    reached a full edge are unioned in edge id order (on a face, sorted key
+    order), the clusters suspended on the face wake, and the state settles
+    and peels if anything was unioned or woke.  A face the state never grew
+    onto costs only its status.
+    """
+    fs = state.face_status
+    if fs.get(face) != 'open':
+        raise ValueError(f"face {face} is not open")
+    del fs[face]
+    keys = state.touched.pop(face, None)
+    grown = ()
+    if keys:
+        growth = state.growth
+        grown = sorted({k for k in keys if growth[k] >= 2})
+        adj = state.grown_adj
+        ends = state.graph.edge_ends
+        for eid in grown:
+            u, w = ends(eid)
+            state._adopt(u)
+            state._adopt(w)
+            adj.setdefault(u, []).append((w, eid))
+            adj.setdefault(w, []).append((u, eid))
+            state._union(u, w)
+        for root in state._drop_face(face):
+            if state._alive(root):
+                state.live.add(root)
+    if grown or state.live:
+        state.settle()
+        state.peel_resolved()
 
 
 def region_vids(graph: DecodingGraph) -> dict:

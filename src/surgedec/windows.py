@@ -11,28 +11,29 @@ flipped defects before decoding; the endpoint that flips is the one whose
 block_of is the receiving window, so the pipeline keeps no vertex sets.
 
 The cascade depends on the layout and the merge schedule, never on the
-syndrome, so set-up computes it once: one Window per block (its temporal
-face, inbound walls and outbound sends), per unit the face-status map its
-decoder state starts from (every face of its windows, inbound walls sealed
-and the rest open), and, per slot, a schedule of (unit, decoded window,
-committed window) records.  It also builds what the schedule alone fixes
-of a result: every commit's slot, zero growth rounds for every window, and
-one send record per outbound face with no crossings.  A run copies those
-and walks the schedule in one loop (run_epoch).  A unit builds one decoder
+syndrome, so set-up computes it once: one Window per block (the faces it
+fuses, here its temporal face to the epoch before, its inbound walls and
+its outbound sends) and, per slot, a schedule of (unit, decoded window,
+committed window) records.  Set-up also builds per unit the face-status
+map its decoder state starts from (every face of its windows, inbound
+walls sealed and the rest open), and what the schedule alone fixes of a
+result: every commit's slot, zero growth rounds for every window, and one
+send record per outbound face with no crossings.  A run copies those and
+walks the schedule in one loop (run_epoch).  A unit builds one decoder
 state, at its first window, and every window decodes inside it: the
 window's defects after its inbound flips, if any, are added to the state
-as a block (UfState.add_block), its temporal face is fused (fusion.fuse),
-which wakes, grows and peels only the clusters suspended on that face,
-and its commit absorbs its outbound faces (UfState.absorb_face).  Work
-follows the syndrome: an idle window, with no defects and a temporal face
-its state never grew onto, only drops that face's status, and a commit
-only walls an outbound face its state never grew onto; that is all fuse
-and absorb_face would do there, so the loop does it without calling them.
-The run writes into its result only the windows that grew and the commits
-that carried crossings.  A run groups the defects by block, as ranks, in
-one numpy pass (defects_by_block); only inbound crossings call block_of.
-The dataflow is deterministic and independent of wall-clock timing, so
-the network simulator replays the same schedule under any latency model.
+as a block (UfState.add_block), each face it fuses that the state grew
+onto is joined (uf.fuse), which wakes, grows and peels only the clusters
+suspended on that face, and its commit absorbs its outbound faces
+(UfState.absorb_face).  Work follows the syndrome: a face the state never
+grew onto only drops its status when fused, and is only walled when
+committed, as fuse and absorb_face would do there.  The run writes into
+its result only the windows that grew and the commits that carried
+crossings.  A run groups the defects by block, as ranks, in one numpy pass
+(defects_by_block); only inbound crossings call block_of.  The dataflow is
+deterministic and independent of wall-clock timing, so the network
+simulator replays the same schedule under any latency model.  The fusion
+plan (fusion.FusionPlan) is the same set-up and loop on another schedule.
 
 Every unit's state shares the pipeline's one set of decoder tables
 (uf.UfTables: each vertex's parent and each edge's growth), built with the
@@ -51,10 +52,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from . import uf
 from .graph import DecodingBlock, DecodingGraph, carve_blocks
-from .fusion import fuse
-from .uf import (UfState, UfTables, defects_by_block, face_statuses,
-                 merge_statuses, region_vids)
+from .uf import (UfState, UfTables, defects_by_block, face_statuses, fuse,
+                 merge_statuses)
+
+# the per-block vertex sets, which no decode reads; bench/test_bench.py
+# checks that its tracer patches and restores the name here too
+region_vids = uf.region_vids
 
 
 class PipelineStallError(RuntimeError):
@@ -77,16 +82,17 @@ class PipelineResult:
 
 
 class Window(NamedTuple):
-    """One block's part in the cascade, fixed at set-up.
+    """One block's part in a schedule, fixed at set-up.
 
-    face is the temporal face to the block's previous epoch (None at epoch
-    0).  walls are its inbound seam faces, sealed by the upstream
-    (lower-group) unit's commit.  sends pair each outbound seam face with
-    the downstream unit its commit goes to; their records sit in a run's
-    send log from send_index on.
+    fuses are the faces joined, in order, after the block is added: a
+    pipeline window's temporal face to its previous epoch (none at epoch
+    0), and every face for a fusion plan's last window.  walls are its
+    inbound seam faces, sealed by the upstream (lower-group) unit's commit.
+    sends pair each outbound seam face with the downstream unit its commit
+    goes to; their records sit in a run's send log from send_index on.
     """
     block: DecodingBlock
-    face: tuple | None
+    fuses: tuple
     walls: tuple
     sends: tuple
     send_index: int
@@ -115,15 +121,10 @@ class Pipeline:
     """
 
     def __init__(self, graph: DecodingGraph):
-        self.graph = graph
         layout = graph.layout
         self.groups = assign_groups(layout)
         self.epochs = graph.rounds // graph.d
-        # three extra slots drain the cascade: group 3 commits the last
-        # epoch at slot epochs + 2
-        self.slots = self.epochs + 3
         parts = {}
-        maps = {}
         for blk in carve_blocks(graph):
             walls, sends = [], []
             for face in blk.faces:
@@ -136,47 +137,48 @@ class Pipeline:
                     walls.append(face)
                 else:
                     sends.append((face, down))
-            walls = tuple(sorted(walls))
-            parts[blk.block_id] = (blk, ('t', blk.patch, blk.epoch) if blk.epoch else None,
-                                   walls, tuple(sorted(sends)))
-            maps.setdefault(blk.patch, []).append(face_statuses(blk, walls))
-        self.statuses = {u: merge_statuses(m) for u, m in maps.items()}
+            parts[blk.block_id] = (blk, (('t', blk.patch, blk.epoch),) if blk.epoch else (),
+                                   tuple(sorted(walls)), tuple(sorted(sends)))
         # slot k: group g decodes epoch k-(g-1) and commits epoch k-g, groups
-        # in order 1, 2, 3; a group with neither epoch in range sits out
+        # in order 1, 2, 3; a group with neither epoch in range sits out.
+        # Three extra slots drain the cascade: group 3 commits the last
+        # epoch at slot epochs + 2
         by_group = [sorted(u for u, gu in self.groups.items() if gu == g) for g in (1, 2, 3)]
-        cascade = [[(u, (u, k - g + 1), (u, k - g))
-                    for g, units in enumerate(by_group, 1) if -1 <= k - g < self.epochs
-                    for u in units]
-                   for k in range(self.slots)]
-        # what the schedule alone fixes of a run's result: every commit's
-        # slot, zero rounds for every window, and the send log, one record
-        # per outbound face in commit order with no crossings; slot k sends
-        # the log's records from _bounds[k] to _bounds[k + 1]
-        self.windows = dict.fromkeys(parts)
+        self._set_up(graph, parts, [[(u, (u, k - g + 1), (u, k - g))
+                                     for g, units in enumerate(by_group, 1)
+                                     if -1 <= k - g < self.epochs
+                                     for u in units]
+                                    for k in range(self.epochs + 3)])
+
+    def _set_up(self, graph, parts, cascade):
+        """The set-up a pipeline and a fusion plan share.  parts maps each
+        block id, in carve order, to its window's (block, fuses, walls,
+        sends); cascade[k] lists slot k's (unit, decoded id, committed id)
+        records, an id that parts lacks standing for no window.  Slot k
+        sends the send log's records from _bounds[k] to _bounds[k + 1]."""
+        self.graph = graph
+        self.slots = len(cascade)
+        maps, index = {}, {}
         self._commits, self._iters, self._sends, self._bounds = {}, {}, [], [0]
         for k, records in enumerate(cascade):
             for u, dec, com in records:
                 if dec in parts:
+                    blk, _, walls, _ = parts[dec]
+                    maps.setdefault(u, []).append(face_statuses(blk, walls))
                     self._iters[dec] = 0
                 if com in parts:
-                    blk, face, walls, sends = parts[com]
-                    self.windows[com] = Window(blk, face, walls, sends, len(self._sends))
+                    index[com] = len(self._sends)
                     self._commits[com] = k
                     self._sends += ((k, u, dst, BoundaryInfo(f, frozenset()))
-                                    for f, dst in sends)
+                                    for f, dst in parts[com][3])
             self._bounds.append(len(self._sends))
+        self.statuses = {u: merge_statuses(m) for u, m in maps.items()}
+        self.windows = {bid: Window(*part, index.get(bid, 0)) for bid, part in parts.items()}
         win = self.windows.get
         self.schedule = tuple(tuple((u, win(dec), win(com)) for u, dec, com in records)
                               for records in cascade)
         self._states = {}
         self._reset([])
-
-    @cached_property
-    def regions(self) -> dict:
-        """(patch, epoch) -> frozenset of the block's vertex ids, built on
-        first read.  Set-up and run never read it: they orient crossings
-        by graph.block_of, which tests check against these sets."""
-        return region_vids(self.graph)
 
     @cached_property
     def _tables(self) -> UfTables:
@@ -200,14 +202,16 @@ class Pipeline:
         BoundaryInfo) records sent.
 
         Each record decodes, then commits.  A window adds its defects after
-        its inbound flips as a block and fuses its temporal face; an idle
-        window, with no defects and a face its state never grew onto, only
-        drops the face's status, as fuse would.  A commit absorbs each
-        outbound face its state grew onto, and one with crossings replaces
-        its record in the send log; a face never grown onto is only walled,
-        as absorb_face would, and keeps its empty record.  Both shortcuts
-        raise where fuse and absorb_face would: on a face that is not
-        open, and for the commit, on a state with live clusters.
+        its inbound flips as a block, then walks its fuses: a face on the
+        state's touch list goes through fuse, and any other face, never
+        grown onto, only drops its status, as fuse would.  A commit absorbs
+        each outbound face its state grew onto, and one with crossings
+        replaces its record in the send log; a face never grown onto is
+        only walled, as absorb_face would, and keeps its empty record.
+        Both shortcuts raise where fuse and absorb_face would: on a face
+        that is not open, and for the commit, on a state with live
+        clusters.  A window is named by its block id, whatever its unit
+        holds.
         """
         graph = self.graph
         states = self._states
@@ -218,8 +222,8 @@ class Pipeline:
         for unit, dec, com in self.schedule[cascade]:
             st = states.get(unit)
             if dec is not None:
-                blk, face, walls, _, _ = dec
-                bid = (unit, blk.epoch)
+                blk, fuses, walls, _, _ = dec
+                bid = blk.block_id
                 if st is None:
                     st = states[unit] = UfState(graph, (), self.statuses[unit], self._tables)
                 defects = by_block.get(bid, ())
@@ -238,23 +242,23 @@ class Pipeline:
                                 (u if graph.block_of(u) == bid else w,))
                     if flips:
                         defects = set(graph.ranks(flips)).symmetric_difference(defects)
-                if defects or face in st.touched:
-                    pre = st.grow_iterations
-                    if defects:
-                        st.add_block(sorted(defects))
-                    if face is not None:
+                pre = st.grow_iterations
+                if defects:
+                    st.add_block(sorted(defects))
+                for face in fuses:
+                    if face in st.touched:
                         fuse(st, face)
-                    if st.grow_iterations != pre:
-                        result.iters[bid] = st.grow_iterations - pre
-                elif face is not None:
-                    fs = st.face_status
-                    if fs.get(face) != 'open':
-                        raise ValueError(f"face {face} is not open")
-                    del fs[face]
+                    else:
+                        fs = st.face_status
+                        if fs.get(face) != 'open':
+                            raise ValueError(f"face {face} is not open")
+                        del fs[face]
+                if st.grow_iterations != pre:
+                    result.iters[bid] = st.grow_iterations - pre
             if com is not None:
                 if st is None:
                     raise PipelineStallError(
-                        f"window ({unit}, {com.block.epoch}) committed before it decoded")
+                        f"window {com.block.block_id} committed before it decoded")
                 i = com.send_index
                 for face, dst in com.sends:
                     if face in st.touched:

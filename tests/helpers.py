@@ -7,7 +7,7 @@ import numpy as np
 
 from surgedec import wire
 from surgedec.fusion import fuse
-from surgedec.graph import EAST, WEST, _SEAM_COL, pack_vid, unpack_vid
+from surgedec.graph import EAST, WEST, _SEAM_COL, carve_blocks, pack_vid, unpack_vid
 from surgedec.netsim import TraceResult
 from surgedec.topology import route
 from surgedec.uf import UfState, face_statuses, merge_statuses
@@ -273,6 +273,26 @@ def decode_blocks(graph, parts):
         if defects:
             st.add_block(graph.ranks(defects))
     return st
+
+
+def one_state_plan(plan, defects):
+    """The loop FusionPlan.decode ran before the plan became a schedule of
+    the pipeline's slot loop, kept as the reference: one UfState in fresh
+    tables with every face open, each block with defects added in carve
+    order, then every face fused in the plan's fuse_order.  Returns the
+    state and the faces that had a touch list when they were fused."""
+    graph = plan.graph
+    by_block = {}
+    for v in defects:
+        by_block.setdefault(graph.block_of(v), []).append(v)
+    st = decode_blocks(graph, [(blk, by_block.get(blk.block_id, ()))
+                               for blk in carve_blocks(graph)])
+    touched = []
+    for face in plan.fuse_order:
+        if face in st.touched:
+            touched.append(face)
+        fuse(st, face)
+    return st, touched
 
 
 def rank_of(graph, vid):

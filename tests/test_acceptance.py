@@ -16,7 +16,7 @@ import pytest
 from surgedec import microbench
 from surgedec.cli import _accuracy_point
 from surgedec.graph import DecodingGraph, Layout, merge_patches
-from surgedec.netsim import LatencyModel, default_placement, simulate
+from surgedec.netsim import LatencyModel, simulate
 from surgedec.noise import EdgeTable, apply_merge_schedule, derived_rng, \
     random_merge_schedule
 from surgedec.oracle import oracle_mwpm
@@ -175,8 +175,7 @@ def test_hundred_qubits_sustain_throughput(capsys):
     g = DecodingGraph(lay, rounds=epochs * d)
     g = apply_merge_schedule(g, random_merge_schedule(lay, epochs, 0.5, 7))
     top = build_topology(4, 25, (2, 2))
-    rep = simulate(g, top, LatencyModel(), p=0.001, trials=1, seed=7,
-                   node_of=default_placement(lay, top))
+    rep = simulate(g, top, LatencyModel(), p=0.001, trials=1, seed=7)
     inv_max = max(r[3] for r in rep.rows)
     ok = (rep.blocks_per_trial == 100 * epochs
           and rep.inv_throughput_mean_ns < 1000

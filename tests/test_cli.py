@@ -49,11 +49,17 @@ def test_microbench_single_name(tmp_path, capsys):
     rc = main(["microbench", "--name", "merge_split", "--d", "3",
                "--trials", "20", "--p", "0.005", "--out", str(out)])
     assert rc == 0
-    assert "merge_split" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "merge_split" in text
+    # the global decode's failures on the same samples sit beside the
+    # pipeline's
+    printed = re.search(r" failures=(\d+) global_failures=(\d+)\n", text)
+    assert printed
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1
     assert rows[0]["qubits"] == "2"
     assert rows[0]["epochs"] == "3"
+    assert (rows[0]["logical_failures"], rows[0]["global_failures"]) == printed.groups()
 
 
 def test_zero_trials_is_rejected(tmp_path, monkeypatch):

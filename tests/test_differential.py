@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from surgedec import fusion, windows
+from surgedec import windows
 from surgedec.fusion import FusionPlan
 from surgedec.graph import DecodingGraph, Layout, face_edges, pack_vid
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
@@ -30,7 +30,8 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
 from surgedec.uf import UfState, face_statuses
 from surgedec.windows import BoundaryInfo, Pipeline, PipelineResult, PipelineStallError
 
-from .helpers import RefUfState, map_view, ref_edge_id, ref_tables, toggled_defects
+from .helpers import (RefUfState, map_view, one_state_plan, ref_edge_id, ref_region_vids,
+                      ref_tables, toggled_defects)
 
 RATES = (0.0, 0.001, 0.05, 0.08)
 
@@ -111,11 +112,16 @@ class ReferencePipeline(Pipeline):
     window's statuses alone, and merges the next window's in as it fuses.
     decoded and committed count the windows its hooks handled, so a test
     can tell that run_epoch called them for every window.  joined counts
-    the temporal faces a run must fuse: those of the windows with defects
-    after their inbound flips, and those the unit's state grew onto before
-    the window, read from the growth of the face's edges.  An idle window
-    whose face was never grown onto joins nothing.
+    the temporal faces a run must fuse: those grown onto, by the unit's
+    state before the window or by the window's own decode, read from the
+    growth of the face's edges.  A window whose face was never grown onto
+    joins nothing.  Inbound crossings are oriented by the blocks' vertex
+    sets, built one vertex at a time (ref_region_vids).
     """
+
+    def __init__(self, graph):
+        self.regions = ref_region_vids(graph)
+        super().__init__(graph)
 
     def _reset(self, defects):
         super()._reset(defects)
@@ -155,8 +161,8 @@ class ReferencePipeline(Pipeline):
         else:
             face = ("t", unit, epoch)
             ranks = ref_tables(self.graph).ranks
-            if defects or any(rolling.growth.get(ref_edge_id(self.graph, k, ranks))
-                              for k in face_edges(self.graph, face)):
+            eids = [ref_edge_id(self.graph, k, ranks) for k in face_edges(self.graph, face)]
+            if any(rolling.growth.get(e) or state.growth.get(e) for e in eids):
                 self.joined += 1
             pre = rolling.grow_iterations
             ref_fuse(rolling, state, face)
@@ -176,16 +182,17 @@ class ReferencePipeline(Pipeline):
 
 def ref_plan_decode(plan, defects):
     graph = plan.graph
+    blocks = {bid: win.block for bid, win in plan.windows.items()}
     by_block = {}
     for v in defects:
         by_block.setdefault(graph.block_of(v), []).append(v)
     states = {bid: ref_decode_block(graph, blk, by_block.get(bid, ()))
-              for bid, blk in plan.blocks.items()}
+              for bid, blk in blocks.items()}
     sides = {}
-    for bid, blk in plan.blocks.items():
+    for bid, blk in blocks.items():
         for f in blk.faces:
             sides.setdefault(f, []).append(bid)
-    rep = {bid: bid for bid in plan.blocks}
+    rep = {bid: bid for bid in blocks}
     for face in plan.fuse_order:
         ba, bb = sorted(sides[face])
         ra, rb = rep[ba], rep[bb]
@@ -214,7 +221,7 @@ def check_touch_lists(state):
 @contextlib.contextmanager
 def touch_lists_checked():
     """Check every state's touch lists after each face it fuses."""
-    fuse = fusion.fuse
+    fuse = windows.fuse
     calls = []
 
     def checked(state, face):
@@ -222,8 +229,7 @@ def touch_lists_checked():
         check_touch_lists(state)
         calls.append(face)
 
-    with mock.patch.object(fusion, "fuse", checked), \
-            mock.patch.object(windows, "fuse", checked):
+    with mock.patch.object(windows, "fuse", checked):
         yield calls
 
 
@@ -266,6 +272,18 @@ def check_partition(pipe, ref):
     assert taken == {v for v, up in enumerate(states[0].parent) if up >= 0}
 
 
+def assert_plan_matches_its_old_loop(plan, defects, fused, plan_joins):
+    """The plan's correction fused and its one state equal what the
+    one-state loop it replaced leaves (one_state_plan), and the faces it
+    fused (plan_joins) are exactly those that loop found touched, in
+    fuse_order: the plan only drops the status of every other face."""
+    want, touched = one_state_plan(plan, defects)
+    assert fused == want.correction
+    (state,) = plan._states.values()
+    assert state_view(state) == state_view(want)
+    assert plan_joins == touched
+
+
 def assert_same_decodes(g, samples):
     """Decode each defect set of samples with a Pipeline, the reference
     and a FusionPlan of g, and check that they agree; returns the
@@ -274,7 +292,7 @@ def assert_same_decodes(g, samples):
     plan = FusionPlan(g)
     # the prebuilt face-status maps every run shares, as they were built
     statuses = {unit: dict(fs) for unit, fs in pipe.statuses.items()}
-    plan_statuses = dict(plan._open)
+    plan_statuses = {unit: dict(fs) for unit, fs in plan.statuses.items()}
     out = []
     for defects in samples:
         with touch_lists_checked() as joins:
@@ -295,10 +313,10 @@ def assert_same_decodes(g, samples):
         assert toggled_defects(got.correction) == set(defects)
         assert fused == ref_plan_decode(plan, sorted(defects))
         assert len(joins) == ref.joined
-        assert plan_joins == plan.fuse_order
+        assert_plan_matches_its_old_loop(plan, sorted(defects), fused, plan_joins)
         # no run leaves its mark on a map the next run starts from
         assert pipe.statuses == statuses
-        assert plan._open == plan_statuses
+        assert plan.statuses == plan_statuses
         out.append((got, joins))
     return out
 
@@ -384,40 +402,42 @@ def test_plan_matches_the_two_state_plan_on_ns_merged_pairs(d, epochs, p, seed):
     # the pinned sample above, generalised to two patches merged north to
     # south in every epoch, at rates where clusters of both blocks grow onto
     # the same face edges before the plan fuses them.  Those touches rarely
-    # change a correction, so the one state is also checked just before its
-    # first fuse: it must hold what the blocks decoded apart hold, merged,
-    # which fails whenever a touch from the far side suspends a cluster
+    # change a correction, so the one state is also checked after its last
+    # block is added, just before its last window fuses the faces: it must
+    # hold what the blocks decoded apart hold, merged, which fails whenever
+    # a touch from the far side suspends a cluster
     lay = Layout(d, {0: (0, 0), 1: (1, 0)})
     g = apply_merge_schedule(DecodingGraph(lay, epochs * d),
                              random_merge_schedule(lay, epochs, 1.0, seed))
     table, plan = EdgeTable(g), FusionPlan(g)
-    real_fuse = fusion.fuse
+    real_add = UfState.add_block
     for trial in range(4):
         defects = sorted(table.sample(p, derived_rng(seed, trial)).defects)
         first = []
 
-        def viewed(state, face):
-            if not first:
-                first.append(copy.deepcopy((state_view(state), state.touched)))
-            real_fuse(state, face)
+        def viewed(state, ranks):
+            real_add(state, ranks)
+            first[:] = [copy.deepcopy((state_view(state), state.touched))]
 
-        with mock.patch.object(fusion, "fuse", viewed):
+        with mock.patch.object(UfState, "add_block", viewed), \
+                touch_lists_checked() as plan_joins:
             c = plan.decode(defects)
         assert c == ref_plan_decode(plan, defects)
         assert toggled_defects(c) == set(defects)
+        assert_plan_matches_its_old_loop(plan, defects, c, plan_joins)
         by_block = {}
         for v in defects:
             by_block.setdefault(g.block_of(v), []).append(v)
         merged = RefUfState(g, ())
         touched = {}
-        for bid, blk in plan.blocks.items():
+        for bid, win in plan.windows.items():
             if bid in by_block:
-                alone = ref_decode_block(g, blk, by_block[bid])
+                alone = ref_decode_block(g, win.block, by_block[bid])
                 ref_merge(merged, alone)
                 for f, eids in alone.touched.items():
                     touched.setdefault(f, []).extend(eids)
             else:
-                merged.face_status.update(face_statuses(blk, ()))
+                merged.face_status.update(face_statuses(win.block, ()))
         assert first == [(state_view(merged), touched)]
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from surgedec import uf, windows
 from surgedec.graph import (DecodingGraph, Layout, carve_blocks, merge_patches,
                             pack_vid)
 from surgedec.fusion import FusionPlan, fuse
@@ -71,7 +72,7 @@ def test_plan_decode_valid_on_grid():
     for s in lay.seams:
         merge_patches(g, s, (0, 6))
     plan = FusionPlan(g)
-    assert len(plan.blocks) == 8
+    assert len(plan.windows) == 8
     ekeys = list(g.edges())
     rng = random.Random(31)
     for _ in range(25):
@@ -154,6 +155,7 @@ def test_fuse_and_absorb_keep_live_exact():
     for s in lay.seams:
         merge_patches(g, s, (0, 9))
     plan = FusionPlan(g)
+    blocks = blocks_by_id(g)
     ekeys = list(g.edges())
     rng = random.Random(2718)
     for _ in range(15):
@@ -162,7 +164,7 @@ def test_fuse_and_absorb_keep_live_exact():
         for v in sorted(defects):
             by_block.setdefault(g.block_of(v), []).append(v)
         # absorb every open face of one block decoded alone, one at a time
-        lone = plan.blocks[(1, 1)]
+        lone = blocks[(1, 1)]
         st = decode_blocks(g, [(lone, by_block.get((1, 1), ()))])
         for f in lone.faces:
             st.absorb_face(f)
@@ -170,7 +172,7 @@ def test_fuse_and_absorb_keep_live_exact():
         assert st.defects == set()
         # decode the rest in one state and fuse them along the plan's order
         st = decode_blocks(g, [(blk, by_block.get(bid, ()))
-                               for bid, blk in plan.blocks.items() if bid != (1, 1)])
+                               for bid, blk in blocks.items() if bid != (1, 1)])
         check_maps(st)
         for face in plan.fuse_order:
             if face not in lone.faces:
@@ -209,7 +211,7 @@ def test_faces_bound_block_growth():
         rng = random.Random(seed)
         for walled in (False, True):
             parts = {}
-            for bid, blk in plan.blocks.items():
+            for bid, blk in blocks_by_id(g).items():
                 walls = tuple(f for f in blk.faces if walled and rng.random() < 0.5)
                 parts[bid] = (blk, by_block.get(bid, ()), face_statuses(blk, walls))
                 st = decode_blocks(g, [parts[bid]])
@@ -241,3 +243,30 @@ def test_fuse_errors():
                                 face_statuses(blocks[(0, 2)], blocks[(0, 2)].faces))])
     with pytest.raises(ValueError, match="not open"):
         fuse(walled, ("t", 0, 2))
+
+
+def test_a_plan_allocates_its_tables_once(monkeypatch):
+    # a plan builds its decoder tables at its first decode and clears them
+    # for every later one, as a pipeline does; a decode that raises (here a
+    # defect given twice) leaves the next decode as a fresh plan's
+    lay = Layout(3, {0: (0, 0), 1: (0, 1)})
+    g = apply_merge_schedule(DecodingGraph(lay, 9), random_merge_schedule(lay, 3, 1.0, 7))
+    table = EdgeTable(g)
+    samples = [sorted(table.sample(0.05, derived_rng(7, t)).defects) for t in range(3)]
+    want = [FusionPlan(g).decode(s) for s in samples]
+    built = []
+    monkeypatch.setattr(windows, "UfTables",
+                        lambda graph: built.append(uf.UfTables(graph)) or built[-1])
+    plan = FusionPlan(g)
+    assert [plan.decode(s) for s in samples[:2]] == want[:2]
+    assert len(built) == 1
+    (state,) = plan._states.values()
+    assert state.parent is built[0].parent and state.growth is built[0].growth
+    with pytest.raises(ValueError, match="given twice"):
+        plan.decode(samples[2] + samples[2][:1])
+    assert plan.decode(samples[2]) == want[2]
+    assert len(built) == 1
+    fresh = FusionPlan(g)
+    fresh.decode(samples[2])
+    assert [map_view(st) for st in plan._states.values()] == \
+        [map_view(st) for st in fresh._states.values()]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgedec import fusion, uf, windows
+from surgedec import uf, windows
 from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
                             carve_blocks, face_edges, merge_patches, pack_vid)
 from surgedec.fusion import FusionPlan, fuse
@@ -358,7 +358,8 @@ def kernel_view(state):
 
 def decode_everything(g, defects, kernel):
     """Run decode_region, FusionPlan.decode and Pipeline.run with kernel as
-    the UfState of every module that builds one; returns their results,
+    the UfState of every module that builds one (uf, and windows, whose
+    slot loop runs both the plan and the pipeline); returns their results,
     the final kernel_view of every state built, in the order they were
     built, and the edges each of the three decoders grew (grown_union)."""
     built = []
@@ -369,7 +370,6 @@ def decode_everything(g, defects, kernel):
             built.append(self)
 
     with mock.patch.object(uf, "UfState", Recorded), \
-            mock.patch.object(fusion, "UfState", Recorded), \
             mock.patch.object(windows, "UfState", Recorded):
         glob = uf.decode_region(g, defects)
         cuts = [len(built)]

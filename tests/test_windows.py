@@ -166,8 +166,8 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
     # each unit's first window builds its rolling state, with the face
     # statuses of all the unit's windows; nothing else builds one.  Only a
     # window with defects is added to its unit's state, and only a window
-    # with defects, or whose temporal face its state grew onto, fuses that
-    # face there.  An idle window drops its face's status and a commit
+    # whose temporal face its state grew onto, from either side, fuses that
+    # face there.  Every other window drops its face's status and a commit
     # walls the outbound faces, so every unit ends with its seam faces
     # walled and no temporal face left
     assert pipe.run([]).correction == set()
@@ -178,18 +178,21 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
                for u in range(4))
     walled = {u: {f: "wall" for f in pipe.statuses[u] if f[0] == "s"} for u in range(4)}
     assert {u: st.face_status for u, st in pipe._states.items()} == walled
-    # one defect in the middle epoch decodes inside unit 2's rolling state
-    # and fuses that window's temporal face; its cluster drains to the real
-    # boundary without reaching the next epoch, which joins nothing
-    for log in (built, added, fused):
-        log.clear()
-    v = pack_vid(2, 7, 2, 1)
-    res = pipe.run([v])
-    assert toggled_defects(res.correction) == {v}
-    assert len(added) == 1
-    # the block's defects arrive as ranks
-    assert by_unit() == ([0, 1, 2, 3], [(2, ("t", 2, 1))], [(2, [rank_of(g, v)])])
-    assert {u: st.face_status for u, st in pipe._states.items()} == walled
+    # one defect in round 2 of the middle epoch decodes inside unit 2's
+    # rolling state; its cluster drains to the real boundary two edges away
+    # before it reaches either temporal face, so no window fuses anything.
+    # One in round 0 of that epoch touches the face to the epoch before at
+    # once, so that window fuses it
+    for rnd, joined in ((7, []), (5, [(2, ("t", 2, 1))])):
+        for log in (built, added, fused):
+            log.clear()
+        v = pack_vid(2, rnd, 2, 1)
+        res = pipe.run([v])
+        assert toggled_defects(res.correction) == {v}
+        assert len(added) == 1
+        # the block's defects arrive as ranks
+        assert by_unit() == ([0, 1, 2, 3], joined, [(2, [rank_of(g, v)])])
+        assert {u: st.face_status for u, st in pipe._states.items()} == walled
 
 
 def test_a_run_finds_each_defects_block_once(monkeypatch):
@@ -413,6 +416,7 @@ def test_crossings_are_oriented_without_vertex_sets(monkeypatch):
     def no_vertex_sets(graph):
         raise AssertionError("region_vids called")
 
+    monkeypatch.setattr(uf, "region_vids", no_vertex_sets)
     monkeypatch.setattr(windows, "region_vids", no_vertex_sets)
     pipe = Pipeline(g)
     crossed = 0
@@ -484,7 +488,8 @@ class TwoStatePipeline(Pipeline):
             return
         pre = rolling.grow_iterations
         st = decode_block(self.graph, win.block, defects, face_statuses(win.block, win.walls))
-        fuse_states(rolling, st, win.face)
+        (face,) = win.fuses
+        fuse_states(rolling, st, face)
         self._result.iters[bid] = rolling.grow_iterations - pre
 
 
