@@ -22,8 +22,10 @@ Adjacency is built a slab at a time: the d(d-1) vertices of one (patch,
 round), or the vertices of one merged (seam, round).  A slab's edges follow
 from its shape (which sides are merged seams, which temporal faces it
 touches), so the builder looks those up once and computes every rank and
-edge id by arithmetic.  The edge walk fills every slab in vertex order, so
-a graph's first edge walk also warms its adjacency cache.  The cache is a
+edge id by arithmetic.  The edge walk is the only code that fills the
+adjacency cache: it fills every slab of a fresh cache in vertex order and
+makes it the graph's cache when it ends, so the cache is either absent or
+complete.  The first read of an absent cache runs the walk.  The cache is a
 list indexed by rank; a vertex's entry is one flat tuple of ints and faces
 (edge id, other rank, face, edge id, other rank, face, ...), which readers
 take three at a time.  It holds no edge key.
@@ -33,14 +35,15 @@ broadcasting patches x rounds x rows x cols, plus each merged seam
 interval, into a sorted numpy array, and keeps it until a merge.
 
 A shared face's edges are its sorted edge keys, so an edge's position on
-a face needs no lookup table.  A merge drops the adjacency cache, the
-vertex array and the face tables whole; the next read rebuilds what it
-needs.
+a face needs no lookup table; face_edges reads them off the cache's face
+tags.  A merge drops the adjacency cache, the vertex array and the face
+tables whole; the next read rebuilds what it needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,7 +173,7 @@ class DecodingBlock:
     epoch: int
     faces: tuple
 
-    @property
+    @cached_property
     def block_id(self) -> tuple[int, int]:
         return (self.patch, self.epoch)
 
@@ -180,11 +183,12 @@ class DecodingGraph:
 
     Adjacency is computed arithmetically from the lattice plus the current
     seam merge intervals and cached per vertex rank as one flat tuple, and
-    the vertex set is computed by vertex_array() alone.  edges() fills the
-    cache slab by slab in vertex order; a vertex missing from it (never
-    read, or dropped) is filled with the rest of its slab on first read
-    (adjacency).  Mutation (merge) requires exclusive access and drops the
-    cached adjacency, vertex array and face tables whole.
+    the vertex set is computed by vertex_array() alone.  The edge walk
+    (edge_rank_slabs, and edges() over it) builds the whole cache and
+    replaces the graph's when it ends; the first read of the cache when
+    there is none runs that walk.  Mutation (merge) requires exclusive
+    access and drops the cached adjacency, vertex array and face tables
+    whole.
     """
 
     def __init__(self, layout: Layout, rounds: int):
@@ -201,8 +205,7 @@ class DecodingGraph:
         # patch field of a vertex id -> the patch its block belongs to
         self._owner = np.array([*range(layout.n_patches),
                                 *(s.patch_a for s in layout.seams)], dtype=np.int64)
-        # rank -> flat entry tuple, None until its slab is filled; one slot
-        # per vertex, allocated on first fill
+        # rank -> flat entry tuple, every vertex's, or None until a walk ends
         self._adj: list | None = None
         self._vids: np.ndarray | None = None
         # per seam index, (start, stop, rank of row 0 at start) per interval
@@ -310,7 +313,7 @@ class DecodingGraph:
         return q, r
 
     def adjacency(self, rank: int) -> tuple:
-        """A vertex's cached entry, filling its slab on a miss.
+        """A vertex's cached entry.
 
         One flat tuple of (edge id, other rank, face_id) entries; read it
         three at a time.  other is WEST/EAST for boundary edges.  face_id
@@ -318,25 +321,7 @@ class DecodingGraph:
         edge belongs to.  Patch entries run west, east, north, south, past,
         future; seam entries a-side, b-side, past, future.
         """
-        adj = self._adj
-        nb = adj[rank] if adj is not None else None
-        if nb is None:
-            d = self.d
-            per_patch = self.rounds * d * (d - 1)
-            lay = self.layout
-            if rank < lay.n_patches * per_patch:
-                p, rem = divmod(rank, per_patch)
-                self._fill_patch_slab(p, rem // (d * (d - 1)), [])
-            else:
-                for si, ivs in enumerate(self._seam_interval_ranks()):
-                    nrows = d if lay.seams[si].orient == "ew" else d - 1
-                    for a, b, base in ivs:
-                        if rank < base + (b - a) * nrows:
-                            self._fill_seam_slab(lay.seams[si],
-                                                 a + (rank - base) // nrows, [])
-                            return self._adj[rank]
-            nb = self._adj[rank]
-        return nb
+        return self._cache()[rank]
 
     def edge_ends(self, eid: int) -> tuple[int, int]:
         """(lower rank, other rank or WEST/EAST) of an edge id."""
@@ -362,10 +347,10 @@ class DecodingGraph:
         miss = [i for i, key in enumerate(out) if key is None]
         new = [eids[i] for i in miss]
         va = self.vertex_array()
-        cache, adjacency = self._cache(), self.adjacency
+        cache = self._cache()
         other = []
         for eid in new:
-            nb = cache[eid >> 3] or adjacency(eid >> 3)
+            nb = cache[eid >> 3]
             other.append(nb[3 * nb[::3].index(eid) + 1])
         lower = va.take(np.array(new, dtype=np.int64) >> 3).tolist()
         other = np.array(other, dtype=np.int64)
@@ -395,8 +380,10 @@ class DecodingGraph:
         return tuple(out)
 
     def _cache(self) -> list:
+        """The adjacency cache, built by one edge walk if there is none."""
         if self._adj is None:
-            self._adj = [None] * len(self.vertex_array())
+            for _ in self.edge_rank_slabs():
+                pass
         return self._adj
 
     def _seam_interval_ranks(self) -> list:
@@ -428,19 +415,19 @@ class DecodingGraph:
                 return base + (rnd - a) * (self.d if s.orient == "ew" else self.d - 1)
         return None
 
-    def _fill_patch_slab(self, p: int, rnd: int, out: list) -> None:
-        """Cache the entries of all d(d-1) vertices of patch p at round rnd.
+    def _fill_patch_slab(self, adj: list, p: int, rnd: int, out: list) -> None:
+        """Put the entries of all d(d-1) vertices of patch p at round rnd
+        into adj, which already holds the slab below.
 
         Appends each of the slab's forward edges to out as two ints, its
         lower rank and its other rank (or WEST/EAST), in vertex order, so
         each edge is yielded once: at its lower endpoint within a round, at
         its earlier endpoint across rounds.  An edge with both ends in the
         slab gets one id object, and a vertex's rank and past edge id reuse
-        the objects cached at the vertex below.
+        the objects held at the vertex below.
         """
         lay = self.layout
         d = self.d
-        adj = self._cache()
         epoch = rnd // d
         n = d - 1
         size = d * n
@@ -456,16 +443,11 @@ class DecodingGraph:
         r0 = (p * self.rounds + rnd) * size
         past = None
         if rnd:
-            # a cached vertex below holds the time edge's id and this
-            # vertex's rank in its last entry; sharing them keeps one copy
-            past, ranks = [], []
-            for i, below in enumerate(adj[r0 - size:r0]):
-                if below is None:
-                    past.append((r0 + i - size) << 3 | 4)
-                    ranks.append(r0 + i)
-                else:
-                    past.append(below[-3])
-                    ranks.append(below[-2])
+            # the vertex below holds the time edge's id and this vertex's
+            # rank in its last entry; sharing them keeps one copy
+            below = adj[r0 - size:r0]
+            past = [nb[-3] for nb in below]
+            ranks = [nb[-2] for nb in below]
         else:
             ranks = list(range(r0, r0 + size))
         push = out.append
@@ -519,15 +501,15 @@ class DecodingGraph:
                 adj[r] = tuple(ent)
                 i += 1
 
-    def _fill_seam_slab(self, s: Seam, rnd: int, out: list) -> None:
-        """Cache the entries of the vertices of seam s at a merged round rnd.
+    def _fill_seam_slab(self, adj: list, s: Seam, rnd: int, out: list) -> None:
+        """Put the entries of the vertices of seam s at a merged round rnd
+        into adj.
 
         Appends the slab's forward edges, its future time edges, to out as
         rank pairs.
         """
         lay = self.layout
         d = self.d
-        adj = self._cache()
         epoch = rnd // d
         fseam = _face_seam(lay.seam_index(s), epoch)
         has_past = rnd > 0 and self.is_merged(s, rnd - 1)
@@ -594,37 +576,38 @@ class DecodingGraph:
         return arr
 
     def edges(self):
-        """All edge keys, deduplicated, in deterministic order."""
-        return self.edges_in_rounds(0, self.rounds)
-
-    def edges_in_rounds(self, r0: int, r1: int):
-        """Edges attributed to rounds [r0, r1).
-
-        Same-round edges belong to their round; a time edge (r, r+1) belongs
-        to round r, so the slices partition the full edge set and a slice is
-        complete once the seam schedule up to round r1 is fixed.  The walk
-        fills the adjacency cache slab by slab in vertex order.
-        """
+        """All edge keys, deduplicated, in deterministic order: the keys of
+        edge_rank_slabs' pairs, so a walk run to its end also builds the
+        adjacency cache."""
         vids = self.vertex_array().tolist()
-        for out in self.edge_rank_slabs(r0, r1):
+        for out in self.edge_rank_slabs():
             it = iter(out)
             for u, w in zip(it, it):
                 yield vids[u], vids[w] if w >= 0 else w
 
-    def edge_rank_slabs(self, r0: int, r1: int):
-        """The walk behind edges_in_rounds: one flat list of (lower rank,
-        other rank or WEST/EAST) pairs per slab, in the same edge order."""
+    def edge_rank_slabs(self):
+        """The edge walk: one flat list of (lower rank, other rank or
+        WEST/EAST) pairs per slab, patches then merged seams, each round by
+        round.  Each edge comes once: at its lower endpoint within a round,
+        at its earlier endpoint across rounds.
+
+        The walk fills a fresh adjacency cache slab by slab in vertex order
+        and makes it the graph's cache when it ends; a walk left unfinished
+        leaves the graph's cache as it was.
+        """
+        adj = [None] * len(self.vertex_array())
         for p in range(self.layout.n_patches):
-            for rnd in range(r0, r1):
+            for rnd in range(self.rounds):
                 out = []
-                self._fill_patch_slab(p, rnd, out)
+                self._fill_patch_slab(adj, p, rnd, out)
                 yield out
         for s in self.layout.seams:
-            for rnd in range(r0, r1):
-                if self.is_merged(s, rnd):
+            for a, b in self._merged[s]:
+                for rnd in range(a, b):
                     out = []
-                    self._fill_seam_slab(s, rnd, out)
+                    self._fill_seam_slab(adj, s, rnd, out)
                     yield out
+        self._adj = adj
 
     # --- edge metadata ------------------------------------------------
 
@@ -740,44 +723,41 @@ def face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
     """
     edges = graph._faces.get(face_id)
     if edges is None:
-        edges = graph._faces[face_id] = tuple(sorted(_build_face_edges(graph, face_id)))
+        edges = graph._faces[face_id] = tuple(graph.edge_keys(_face_edge_ids(graph, face_id)))
     return edges
 
 
-def _build_face_edges(graph: DecodingGraph, face_id: tuple) -> list:
+def _face_edge_ids(graph: DecodingGraph, face_id: tuple) -> list:
+    """Sorted ids of the edges the adjacency cache tags with a face, which
+    on a face sort as their keys do.
+
+    Only a few vertices can hold them: a seam face's edges are tagged at
+    the seam's rows over its epoch, and a temporal face's, once each, at
+    the vertices of the round below it, in the patch's slab and in the
+    rows of the seams whose a-side the patch is.
+    """
     lay = graph.layout
     d = graph.d
-    out = []
-    if face_id[0] == "s":
-        _, si, epoch = face_id
-        s = lay.seams[si]
-        spid = graph.seam_pid(s)
-        nrows = d if s.orient == "ew" else d - 1
-        for rnd in range(epoch * d, (epoch + 1) * d):
-            if not graph.is_merged(s, rnd):
-                continue
-            for row in range(nrows):
-                u = pack_vid(spid, rnd, row, _SEAM_COL)
-                if s.orient == "ew":
-                    ub = pack_vid(s.patch_b, rnd, row, 0)
-                else:
-                    ub = pack_vid(s.patch_b, rnd, 0, row)
-                out.append((ub, u))
+    kind, i, epoch = face_id
+    if kind == "s":
+        rows = [(lay.seams[i], rnd) for rnd in range(epoch * d, (epoch + 1) * d)]
+        spans = []
     else:
-        _, p, epoch = face_id
         rnd = epoch * d
         if rnd <= 0 or rnd >= graph.rounds:
             raise ValueError(f"temporal face {face_id} outside the graph")
-        for row in range(d):
-            for col in range(d - 1):
-                out.append((pack_vid(p, rnd - 1, row, col), pack_vid(p, rnd, row, col)))
-        for side in ("e", "s"):
-            s = lay.side_seam(p, side)
-            if s is not None and graph.is_merged(s, rnd - 1) and graph.is_merged(s, rnd):
-                spid = graph.seam_pid(s)
-                nrows = d if s.orient == "ew" else d - 1
-                for row in range(nrows):
-                    out.append(
-                        (pack_vid(spid, rnd - 1, row, _SEAM_COL), pack_vid(spid, rnd, row, _SEAM_COL))
-                    )
-    return out
+        size = d * (d - 1)
+        r0 = (i * graph.rounds + rnd - 1) * size
+        rows = [(lay.side_seam(i, side), rnd - 1) for side in ("e", "s")]
+        spans = [(r0, r0 + size)]
+    for s, rnd in rows:
+        base = graph._seam_row0(s, rnd)
+        if base is not None:
+            spans.append((base, base + (d if s.orient == "ew" else d - 1)))
+    cache = graph._cache()
+    ids = []
+    for a, b in spans:
+        for nb in cache[a:b]:
+            it = iter(nb)
+            ids += [eid for eid, _, face in zip(it, it, it) if face == face_id]
+    return sorted(ids)

@@ -56,11 +56,10 @@ class EdgeTable:
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        # one walk over the graph's slabs fills its adjacency cache in
-        # vertex order, which the decodes that follow read, and yields
-        # each edge once as its two endpoint ranks, in graph.edges() order
-        ends = np.fromiter(chain.from_iterable(graph.edge_rank_slabs(0, graph.rounds)),
-                           dtype=np.int64)
+        # one walk over the graph's slabs builds its adjacency cache, which
+        # the decodes that follow read, and yields each edge once as its
+        # two endpoint ranks, in graph.edges() order
+        ends = np.fromiter(chain.from_iterable(graph.edge_rank_slabs()), dtype=np.int64)
         vids = graph.vertex_array()
         n = self._n = len(vids)
         self._vid_arr = np.concatenate((vids, (WEST, EAST)))

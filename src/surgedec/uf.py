@@ -26,13 +26,15 @@ empty block costs nothing beyond its faces.
 
 Dense ids.  A vertex is its rank and an edge its id, the graph's small
 ints (see graph); a vertex's neighbours are read from the graph's
-rank-indexed cache.  Callers pass vertex ids to the constructor, which
-converts them with one numpy search (graph.ranks), and ranks to add_block,
-as defects_by_block groups them.  defects, correction and absorb_face hand
-vertex ids and (u, v) edge keys back.  Wherever the kernel breaks a tie by
-edge it uses the edge id order, which on a face is the sorted key order:
-contacts keep the smallest (vertex, edge) pair, fuse unions a face's grown
-edges in id order, and touch lists keep the order the edges were grown in.
+rank-indexed cache, which one edge walk builds whole, so no read checks
+for a missing entry.  Callers pass vertex ids to the constructor, which
+converts them with one numpy search (graph.ranks), and ranks to
+add_block, as graph.ranks_by_block groups them.  defects, correction and
+absorb_face hand vertex ids and (u, v) edge keys back.  Wherever the
+kernel breaks a tie by edge it uses the edge id order, which on a face is
+the sorted key order: contacts keep the smallest (vertex, edge) pair, fuse
+unions a face's grown edges in id order, and touch lists keep the order
+the edges were grown in.
 
 Tables.  A cluster's parent and each edge's growth live in flat tables
 (UfTables), as a hardware unit's memories do: parent, size and parity are
@@ -287,7 +289,7 @@ class UfState:
         if not live:
             return False
         graph = self.graph
-        cache = graph._cache()  # adjacency() fills a vertex missing from it
+        cache = graph._cache()  # every vertex's entry, built whole
         fs = self.face_status
         growth = self.growth
         frontier = self.frontier
@@ -297,11 +299,8 @@ class UfState:
             keep = []
             for v in frontier[root]:
                 pending = False
-                nb = cache[v]
-                if nb is None:
-                    nb = graph.adjacency(v)
                 # boundary entries never carry a face
-                it = iter(nb)
+                it = iter(cache[v])
                 for eid, other, face in zip(it, it, it):
                     if face is not None:
                         status = fs.get(face)
@@ -543,23 +542,6 @@ def region_vids(graph: DecodingGraph) -> dict:
     for v in graph.vertex_array().tolist():
         out.setdefault(block_of(v), []).append(v)
     return {bid: frozenset(out[bid]) for bid in sorted(out)}
-
-
-def defects_by_block(graph: DecodingGraph, blocks, defects) -> dict:
-    """Block id -> the ranks of the defects in that block, each list in
-    input order (graph.ranks_by_block).
-
-    blocks holds the carved block ids; a defect the graph does not hold,
-    such as one at a round past the graph or with a patch id past the
-    layout's patches and seams, one given twice, or one whose block is not
-    one of them, raises ValueError naming it.
-    """
-    out = graph.ranks_by_block(defects)
-    for bid, ranks in out.items():
-        if bid not in blocks:
-            vid = graph.vertex_array().item(ranks[0])
-            raise ValueError(f"defect {vid:#x} outside the carved blocks")
-    return out
 
 
 def face_statuses(block, walls) -> dict:

@@ -29,11 +29,12 @@ suspended on that face, and its commit absorbs its outbound faces
 grew onto only drops its status when fused, and is only walled when
 committed, as fuse and absorb_face would do there.  The run writes into
 its result only the windows that grew and the commits that carried
-crossings.  A run groups the defects by block, as ranks, in one numpy pass
-(defects_by_block); only inbound crossings call block_of.  The dataflow is
-deterministic and independent of wall-clock timing, so the network
-simulator replays the same schedule under any latency model.  The fusion
-plan (fusion.FusionPlan) is the same set-up and loop on another schedule.
+crossings.  A run groups the defects by block, as ranks, in one numpy
+pass (graph.ranks_by_block); only inbound crossings call block_of.  The
+dataflow is deterministic and independent of wall-clock timing, so the
+network simulator replays the same schedule under any latency model.  The
+fusion plan (fusion.FusionPlan) is the same set-up and loop on another
+schedule.
 
 Every unit's state shares the pipeline's one set of decoder tables
 (uf.UfTables: each vertex's parent and each edge's growth), built with the
@@ -54,8 +55,7 @@ from typing import NamedTuple
 
 from . import uf
 from .graph import DecodingBlock, DecodingGraph, carve_blocks
-from .uf import (UfState, UfTables, defects_by_block, face_statuses, fuse,
-                 merge_statuses)
+from .uf import UfState, UfTables, face_statuses, fuse, merge_statuses
 
 # the per-block vertex sets, which no decode reads; bench/test_bench.py
 # checks that its tracer patches and restores the name here too
@@ -192,7 +192,7 @@ class Pipeline:
         if self._states:
             self._tables.clear(self._states.values())
         self._states = {}      # unit -> rolling UfState
-        self._block_defects = defects_by_block(self.graph, self.windows, defects)
+        self._block_defects = self.graph.ranks_by_block(defects)
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
         self._result = PipelineResult(set(), dict(self._commits), dict(self._iters),
                                       list(self._sends))

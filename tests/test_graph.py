@@ -20,8 +20,10 @@ from surgedec.graph import (
     pack_vid,
     unpack_vid,
 )
-from surgedec.noise import EdgeTable, apply_merge_schedule, random_merge_schedule
+from surgedec.fusion import FusionPlan
+from surgedec.noise import EdgeTable, apply_merge_schedule, derived_rng, random_merge_schedule
 from surgedec.uf import decode_region, region_vids
+from surgedec.windows import Pipeline
 
 from .helpers import (
     ref_adjacency,
@@ -198,11 +200,10 @@ def test_remerge_after_split_counts():
     merge_patches(g, seam, (10, 15))
     seam_vertices = [v for v in g.vertex_array().tolist() if unpack_vid(v)[0] >= 2]
     assert len(seam_vertices) == (3 + 5) * 5
-    # the full enumerators match the reference and the round-slice walk
+    # the full enumerators match the reference
     vs = g.vertex_array().tolist()
     es = list(g.edges())
     assert vs == sorted(vs) == list(ref_vertices(g))
-    assert es == list(g.edges_in_rounds(0, g.rounds))
     assert len(set(es)) == len(es)
     assert set(es) == {k for v in vs for k in g.neighbors(v)[0::3]}
 
@@ -279,6 +280,8 @@ def test_carve_merge_middle_epoch():
     blocks = carve_blocks(g)
     assert len(blocks) == 6
     by_id = {b.block_id: b for b in blocks}
+    # a block's id is built once and kept
+    assert all(b.block_id is b.block_id for b in blocks)
     assert by_id[(0, 1)].faces == (("s", 0, 1), ("t", 0, 1), ("t", 0, 2))
     assert by_id[(1, 1)].faces == (("s", 0, 1), ("t", 1, 1), ("t", 1, 2))
     for p in (0, 1):
@@ -502,6 +505,7 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
         fresh = _fresh_copy(g)
         vids = g.vertex_array().tolist()
         ranks = {v: r for r, v in enumerate(vids)}
+        tagged = {}
         for r, v in enumerate(vids):
             want = ref_adjacency(g, v)
             assert g.neighbors(v) == want
@@ -511,7 +515,49 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
                    for k, o, f in triples(want)]
             assert triples(g.adjacency(r)) == ids
             assert g.edge_keys(e for e, _, _ in ids) == [k for k, _, _ in triples(want)]
+            for k, _, f in triples(want):
+                tagged.setdefault(f, set()).add(k)
         assert list(g.edges()) == ref_edges(g)
+        # a face's table is the sorted keys the reference tags with it
+        for f in all_faces(g):
+            want = tuple(sorted(tagged.get(f, ())))
+            assert face_edges(g, f) == want
+            assert face_edges(fresh, f) == want
+
+
+def test_a_graph_never_walked_decodes_as_a_walked_copy():
+    lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+
+    def merged():
+        g = DecodingGraph(lay, 9)
+        g.merge(Seam(0, 1, "ew"), 0, 6)
+        g.merge(Seam(2, 3, "ew"), 0, 3)
+        g.merge(Seam(0, 2, "ns"), 6, 9)
+        g.merge(Seam(1, 3, "ns"), 6, 9)
+        return g
+
+    walked = merged()
+    table = EdgeTable(walked)
+    samples = [table.sample(0.04, derived_rng(6, t)).defects for t in range(8)]
+    assert all(samples)
+    faces = all_faces(walked)
+    decoders = {
+        "pipeline": lambda g, ds: Pipeline(g).run(ds),
+        "plan": lambda g, ds: FusionPlan(g).decode(ds),
+        "global": lambda g, ds: decode_region(g, ds).correction,
+        "faces": lambda g, ds: [face_edges(g, f) for f in faces],
+    }
+    for name, decode in decoders.items():
+        fresh = merged()
+        # a walk left after its first slab leaves no cache behind
+        assert next(fresh.edges()) and fresh._adj is None
+        for ds in samples:
+            assert decode(fresh, ds) == decode(walked, ds), name
+    # a merge drops the cache, and the next read rebuilds it whole
+    walked.merge(Seam(2, 3, "ew"), 3, 6)
+    assert walked._adj is None
+    assert walked.adjacency(0)
+    assert len(walked._adj) == len(walked.vertex_array()) and None not in walked._adj
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -239,8 +239,8 @@ def test_repeat_runs_build_no_face_table(monkeypatch):
     rep = Replayer(pipe, build_topology(4, 25, (2, 2)), LatencyModel())
     table = EdgeTable(g)
     built = []
-    build = graph_mod._build_face_edges
-    monkeypatch.setattr(graph_mod, "_build_face_edges",
+    build = graph_mod._face_edge_ids
+    monkeypatch.setattr(graph_mod, "_face_edge_ids",
                         lambda graph, face: built.append(face) or build(graph, face))
     counts = []
     for _ in range(2):

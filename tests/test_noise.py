@@ -90,18 +90,6 @@ def test_sample_self_consistent_and_parity():
         assert defects == bflips
 
 
-def test_edge_slices_partition_graph():
-    lay = Layout(3, {0: (0, 0), 1: (0, 1)})
-    g = DecodingGraph(lay, 9)
-    merge_patches(g, Seam(0, 1, "ew"), (3, 9))
-    whole = sorted(g.edges())
-    sliced = []
-    for e in range(3):
-        sliced.extend(g.edges_in_rounds(3 * e, 3 * e + 3))
-    assert sorted(sliced) == whole
-    assert len(sliced) == len(set(sliced))
-
-
 def test_noise_params_validation():
     g = DecodingGraph(Layout(3, {0: (0, 0)}), 1)
     table = EdgeTable(g)

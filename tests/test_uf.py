@@ -18,8 +18,8 @@ from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.oracle import oracle_mwpm
-from surgedec.uf import (UfState, cut_parities, decode_region, defects_by_block,
-                         face_statuses, merge_statuses)
+from surgedec.uf import (UfState, cut_parities, decode_region, face_statuses,
+                         merge_statuses)
 from surgedec.windows import Pipeline
 
 from .helpers import (RefUfState, decode_blocks, grown_union, map_view, rank_of,
@@ -212,11 +212,10 @@ def test_wall_face_is_never_grown_or_suspended_on():
 
 def test_defect_outside_region_rejected():
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 10)
-    blocks = {b.block_id: b for b in carve_blocks(g)}
     inside, outside = pack_vid(0, 2, 0, 0), pack_vid(0, 12, 0, 0)
-    assert defects_by_block(g, blocks, [inside]) == {(0, 0): [rank_of(g, inside)]}
+    assert g.ranks_by_block([inside]) == {(0, 0): [rank_of(g, inside)]}
     with pytest.raises(ValueError, match=f"{outside:#x}"):
-        defects_by_block(g, blocks, [inside, outside])
+        g.ranks_by_block([inside, outside])
 
 
 _SEAM = 2  # the seam's patch id: patches 0 and 1 come first
