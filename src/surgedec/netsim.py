@@ -282,9 +282,6 @@ class Replayer:
         graph = self.pipe.graph
         d = graph.d
         lat = self.lat
-        # LatencyModel.decode_ns, inline
-        base_ns = lat.decode_base_cycles * lat.t_cycle_ns
-        iter_ns = lat.decode_per_iter_cycles * lat.t_cycle_ns
         cycle = lat.t_cycle_ns
         slot_ns = self.slot_ns
         iters = result.iters
@@ -316,7 +313,7 @@ class Replayer:
                                 f"unit {u} stalled at slot {k} without {f}")
                         if t > start:
                             start = t
-                    dur = base_ns + iter_ns * iters[bid]
+                    dur = lat.decode_ns(iters[bid])
                     depth = (start - due) // slot_ns
                     if depth > deepest:
                         deepest = depth

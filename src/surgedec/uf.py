@@ -80,10 +80,9 @@ unit's windows, adds each window that has defects and then joins the
 faces the window fuses: the temporal face to the window before, or, in
 the fusion plan's one state with every face open, every face after the
 last block.  A face the state never grew onto has no touch list, so
-joining it only drops its status and absorbing it only walls it; the
-pipeline does that itself, with the checks fuse and absorb_face make, so
-an idle window costs one status change.  grow_iterations counts every
-round the state grew.
+joining it only drops its status and absorbing it only walls it: an idle
+window costs one status change.  grow_iterations counts every round the
+state grew.
 
 One state holds both sides of a face that is not joined yet, so a block
 must decode as it would alone, blind to whatever the far side grew.  Two
@@ -561,7 +560,11 @@ def merge_statuses(maps) -> dict:
 
 
 def decode_region(graph: DecodingGraph, defects) -> UfState:
-    """Decode the whole graph as a single region (the global baseline)."""
+    """Decode the whole graph as a single region (the global baseline).
+
+    On a graph that was never walked, the first call pays the edge walk
+    that fills the adjacency cache (DecodingGraph): 0.25-0.33 s on a
+    1600-epoch d=5 stream graph (2-vCPU VM) against about 1 ms after."""
     state = UfState(graph, defects)
     state.settle()
     state.peel_resolved()

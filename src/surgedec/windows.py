@@ -17,24 +17,23 @@ its outbound sends) and, per slot, a schedule of (unit, decoded window,
 committed window) records.  Set-up also builds per unit the face-status
 map its decoder state starts from (every face of its windows, inbound
 walls sealed and the rest open), and what the schedule alone fixes of a
-result: every commit's slot, zero growth rounds for every window, and one
-send record per outbound face with no crossings.  A run copies those and
-walks the schedule in one loop (run_epoch).  A unit builds one decoder
-state, at its first window, and every window decodes inside it: the
-window's defects after its inbound flips, if any, are added to the state
-as a block (UfState.add_block), each face it fuses that the state grew
-onto is joined (uf.fuse), which wakes, grows and peels only the clusters
+result: every commit's slot and zero growth rounds for every window.  A
+run copies those and walks the schedule in one loop (run_epoch).  A unit
+builds one decoder state, at its first window, and every window decodes
+inside it: the window's defects after its inbound flips, if any, are
+added to the state as a block (UfState.add_block), each face it fuses is
+joined (uf.fuse), which wakes, grows and peels only the clusters
 suspended on that face, and its commit absorbs its outbound faces
-(UfState.absorb_face).  Work follows the syndrome: a face the state never
-grew onto only drops its status when fused, and is only walled when
-committed, as fuse and absorb_face would do there.  The run writes into
-its result only the windows that grew and the commits that carried
-crossings.  A run groups the defects by block, as ranks, in one numpy
-pass (graph.ranks_by_block); only inbound crossings call block_of.  The
-dataflow is deterministic and independent of wall-clock timing, so the
-network simulator replays the same schedule under any latency model.  The
-fusion plan (fusion.FusionPlan) is the same set-up and loop on another
-schedule.
+(UfState.absorb_face) and appends one send record per face.  Work follows
+the syndrome: joining or absorbing a face the state never grew onto only
+changes its status, and a send with no crossings carries the face's one
+empty record, built at set-up.  A run writes growth rounds only for the
+windows that grew.  A run groups the defects by block, as ranks, in one
+numpy pass (graph.ranks_by_block); only inbound crossings call block_of.
+The dataflow is deterministic and independent of wall-clock timing, so
+the network simulator replays the same schedule under any latency model.
+The fusion plan (fusion.FusionPlan) is the same set-up and loop on
+another schedule.
 
 Every unit's state shares the pipeline's one set of decoder tables
 (uf.UfTables: each vertex's parent and each edge's growth), built with the
@@ -89,13 +88,12 @@ class Window(NamedTuple):
     0), and every face for a fusion plan's last window.  walls are its
     inbound seam faces, sealed by the upstream (lower-group) unit's commit.
     sends pair each outbound seam face with the downstream unit its commit
-    goes to; their records sit in a run's send log from send_index on.
+    goes to.
     """
     block: DecodingBlock
     fuses: tuple
     walls: tuple
     sends: tuple
-    send_index: int
 
 
 def assign_groups(layout) -> dict:
@@ -154,12 +152,11 @@ class Pipeline:
         """The set-up a pipeline and a fusion plan share.  parts maps each
         block id, in carve order, to its window's (block, fuses, walls,
         sends); cascade[k] lists slot k's (unit, decoded id, committed id)
-        records, an id that parts lacks standing for no window.  Slot k
-        sends the send log's records from _bounds[k] to _bounds[k + 1]."""
+        records, an id that parts lacks standing for no window."""
         self.graph = graph
         self.slots = len(cascade)
-        maps, index = {}, {}
-        self._commits, self._iters, self._sends, self._bounds = {}, {}, [], [0]
+        maps = {}
+        self._commits, self._iters = {}, {}
         for k, records in enumerate(cascade):
             for u, dec, com in records:
                 if dec in parts:
@@ -167,13 +164,12 @@ class Pipeline:
                     maps.setdefault(u, []).append(face_statuses(blk, walls))
                     self._iters[dec] = 0
                 if com in parts:
-                    index[com] = len(self._sends)
                     self._commits[com] = k
-                    self._sends += ((k, u, dst, BoundaryInfo(f, frozenset()))
-                                    for f, dst in parts[com][3])
-            self._bounds.append(len(self._sends))
+        # the record a send with no crossings carries, one per outbound face
+        self._empty = {f: BoundaryInfo(f, frozenset())
+                       for part in parts.values() for f, _ in part[3]}
         self.statuses = {u: merge_statuses(m) for u, m in maps.items()}
-        self.windows = {bid: Window(*part, index.get(bid, 0)) for bid, part in parts.items()}
+        self.windows = {bid: Window(*part) for bid, part in parts.items()}
         win = self.windows.get
         self.schedule = tuple(tuple((u, win(dec), win(com)) for u, dec, com in records)
                               for records in cascade)
@@ -194,35 +190,31 @@ class Pipeline:
         self._states = {}      # unit -> rolling UfState
         self._block_defects = self.graph.ranks_by_block(defects)
         self._inbox = {}       # face -> BoundaryInfo not yet consumed
-        self._result = PipelineResult(set(), dict(self._commits), dict(self._iters),
-                                      list(self._sends))
+        self._result = PipelineResult(set(), dict(self._commits), dict(self._iters), [])
 
     def run_epoch(self, cascade: int) -> list:
         """One cascade slot; returns the (slot, src unit, dst unit,
         BoundaryInfo) records sent.
 
         Each record decodes, then commits.  A window adds its defects after
-        its inbound flips as a block, then walks its fuses: a face on the
-        state's touch list goes through fuse, and any other face, never
-        grown onto, only drops its status, as fuse would.  A commit absorbs
-        each outbound face its state grew onto, and one with crossings
-        replaces its record in the send log; a face never grown onto is
-        only walled, as absorb_face would, and keeps its empty record.
-        Both shortcuts raise where fuse and absorb_face would: on a face
-        that is not open, and for the commit, on a state with live
-        clusters.  A window is named by its block id, whatever its unit
-        holds.
+        its inbound flips as a block, then joins each face it fuses (fuse).
+        A commit absorbs each outbound face (absorb_face) and appends its
+        send record to the run's log: a fresh BoundaryInfo for a face with
+        crossings, the face's empty record otherwise.  A window is named by
+        its block id, whatever its unit holds.
         """
         graph = self.graph
         states = self._states
         by_block = self._block_defects
         inbox = self._inbox
+        empty = self._empty
         result = self._result
         log = result.sends
+        start = len(log)
         for unit, dec, com in self.schedule[cascade]:
             st = states.get(unit)
             if dec is not None:
-                blk, fuses, walls, _, _ = dec
+                blk, fuses, walls, _ = dec
                 bid = blk.block_id
                 if st is None:
                     st = states[unit] = UfState(graph, (), self.statuses[unit], self._tables)
@@ -246,43 +238,26 @@ class Pipeline:
                 if defects:
                     st.add_block(sorted(defects))
                 for face in fuses:
-                    if face in st.touched:
-                        fuse(st, face)
-                    else:
-                        fs = st.face_status
-                        if fs.get(face) != 'open':
-                            raise ValueError(f"face {face} is not open")
-                        del fs[face]
+                    fuse(st, face)
                 if st.grow_iterations != pre:
                     result.iters[bid] = st.grow_iterations - pre
             if com is not None:
                 if st is None:
                     raise PipelineStallError(
                         f"window {com.block.block_id} committed before it decoded")
-                i = com.send_index
                 for face, dst in com.sends:
-                    if face in st.touched:
-                        crossings = st.absorb_face(face)
-                        if crossings:
-                            log[i] = (cascade, unit, dst,
-                                      BoundaryInfo(face, frozenset(crossings)))
-                    else:
-                        fs = st.face_status
-                        if fs.get(face) != 'open':
-                            raise ValueError(f"face {face} is not open")
-                        if st.live:
-                            raise ValueError("absorb_face needs a settled state")
-                        fs[face] = 'wall'
-                    inbox[face] = log[i][3]
-                    i += 1
-        return log[self._bounds[cascade]:self._bounds[cascade + 1]]
+                    crossings = st.absorb_face(face)
+                    info = BoundaryInfo(face, frozenset(crossings)) if crossings else empty[face]
+                    log.append((cascade, unit, dst, info))
+                    inbox[face] = info
+        return log[start:]
 
     def run(self, defects) -> PipelineResult:
         """Full run over all cascade slots; returns corrections and the log.
 
-        The result is the run's own: its commits, iters and sends start as
-        copies of what set-up built, and the run writes only the windows
-        that grew and the commits that carried crossings."""
+        The result is the run's own: its commits and iters start as copies
+        of what set-up built, the run writes only the windows that grew,
+        and its send log starts empty and gets every commit's records."""
         self._reset(defects)
         for k in range(self.slots):
             self.run_epoch(k)

@@ -220,14 +220,17 @@ def check_touch_lists(state):
 
 @contextlib.contextmanager
 def touch_lists_checked():
-    """Check every state's touch lists after each face it fuses."""
+    """Check every state's touch lists after each face it fuses; yields the
+    faces that had a touch list when they were fused, in order."""
     fuse = windows.fuse
     calls = []
 
     def checked(state, face):
+        grown_onto = face in state.touched
         fuse(state, face)
         check_touch_lists(state)
-        calls.append(face)
+        if grown_onto:
+            calls.append(face)
 
     with mock.patch.object(windows, "fuse", checked):
         yield calls
@@ -275,8 +278,8 @@ def check_partition(pipe, ref):
 def assert_plan_matches_its_old_loop(plan, defects, fused, plan_joins):
     """The plan's correction fused and its one state equal what the
     one-state loop it replaced leaves (one_state_plan), and the faces it
-    fused (plan_joins) are exactly those that loop found touched, in
-    fuse_order: the plan only drops the status of every other face."""
+    had a touch list when the plan fused them (plan_joins) are exactly
+    those that loop found touched, in fuse_order."""
     want, touched = one_state_plan(plan, defects)
     assert fused == want.correction
     (state,) = plan._states.values()
@@ -466,11 +469,13 @@ def test_a_face_grown_onto_commits_no_crossing_beside_an_untouched_face():
     s = face_edges(g, east)[0][1]
     it = iter(g.neighbors(s))
     x = next(o for _, o, f in zip(it, it, it) if f is None and o >= 0 and o >> 40 == 0)
+    # the faces absorbed with a touch list
     absorbed = []
     real = UfState.absorb_face
 
     def recorded(state, face):
-        absorbed.append(face)
+        if face in state.touched:
+            absorbed.append(face)
         return real(state, face)
 
     with mock.patch.object(UfState, "absorb_face", recorded):
@@ -482,22 +487,28 @@ def test_a_face_grown_onto_commits_no_crossing_beside_an_untouched_face():
 
 
 @pytest.mark.parametrize("face", [("t", 0, 1), ("s", 0, 0)])
-def test_a_corrupt_status_map_raises_on_the_inline_paths(face):
-    # an idle window joins its untouched temporal face, and a commit walls
-    # an untouched outbound face, without fuse or absorb_face; both make
-    # their checks: a face that is not open raises
+def test_a_corrupt_status_map_raises_from_fuse_and_absorb_face(face):
+    # the slot loop joins every face through fuse and commits every face
+    # through absorb_face, grown onto or not, so their checks are the only
+    # ones: unit 0 fuses its temporal face to epoch 1 and commits its seam
+    # faces, and one that is not open raises from the call that meets it
     lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
     g = apply_merge_schedule(DecodingGraph(lay, 6), [frozenset(lay.seams)] * 2)
     pipe = Pipeline(g)
     assert pipe.statuses[0][face] == "open"
     pipe.statuses[0][face] = "wall"
-    with pytest.raises(ValueError, match=re.escape(f"face {face} is not open")):
+    with pytest.raises(ValueError, match=re.escape(f"face {face} is not open")) as err:
         pipe.run([])
-    # and a commit from a state with a live cluster raises, as absorb_face
-    # does: unit 0 commits epoch 0 in slot 1
+    assert err.traceback[-1].name == ("fuse" if face[0] == "t" else "absorb_face")
+    # and a commit from a state with a live cluster raises from absorb_face:
+    # in slot 2 unit 0 decodes nothing, since its patch has two epochs, and
+    # commits epoch 1 first of all the slot's records
     pipe = Pipeline(g)
     pipe._reset([])
     pipe.run_epoch(0)
+    pipe.run_epoch(1)
+    assert pipe.schedule[2][0] == (0, None, pipe.windows[(0, 1)])
     pipe._states[0].live.add(0)
-    with pytest.raises(ValueError, match="settled"):
-        pipe.run_epoch(1)
+    with pytest.raises(ValueError, match="settled") as err:
+        pipe.run_epoch(2)
+    assert err.traceback[-1].name == "absorb_face"

@@ -84,7 +84,6 @@ READ_OUTSIDE = {
     "graph.face_of": "tests check the cache's face tags edge by edge against it",
     "graph.kind_of": "tests count edges by kind with it",
     "graph.pack_vid": "tests build vertex ids with it; unpack_vid is its inverse",
-    "netsim.decode_ns": "tests compare the replay's decode charge against it",
     "noise.flipped_edges": "tests compare a sample's flipped edges against the graph's",
     "oracle.oracle_mwpm": "tests bound the decoders' correction weight with it",
     "stats.intervals_overlap": "bench/run.py imports it to compare runs",

@@ -153,7 +153,14 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
 
     real_fuse = windows.fuse
     monkeypatch.setattr(windows, "UfState", Recorded)
-    monkeypatch.setattr(windows, "fuse", lambda *a: fused.append(a) or real_fuse(*a))
+
+    def recorded_fuse(st, face):
+        # only a face the state grew onto counts as fused here
+        if face in st.touched:
+            fused.append((st, face))
+        real_fuse(st, face)
+
+    monkeypatch.setattr(windows, "fuse", recorded_fuse)
 
     def by_unit():
         """The units of the built states, the (unit, face) of each fuse
@@ -167,9 +174,9 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
     # statuses of all the unit's windows; nothing else builds one.  Only a
     # window with defects is added to its unit's state, and only a window
     # whose temporal face its state grew onto, from either side, fuses that
-    # face there.  Every other window drops its face's status and a commit
-    # walls the outbound faces, so every unit ends with its seam faces
-    # walled and no temporal face left
+    # face there.  Every other window's fuse only drops its face's status
+    # and a commit walls the outbound faces, so every unit ends with its
+    # seam faces walled and no temporal face left
     assert pipe.run([]).correction == set()
     assert added == []
     assert by_unit() == ([0, 1, 2, 3], [], [])
@@ -309,33 +316,47 @@ def test_pipeline_plan_and_global_valid_under_random_schedules():
             assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects
 
 
+# the errors whose logical outcome the pipeline gets wrong, by (d, epochs,
+# weight).  A commit peels through its seam contact as if the seam were a
+# free boundary (ROADMAP item 1); the fix for that lowers this count and
+# must record the new value here
+PIPELINE_WRONG = {(3, 2, 2): 54}
+
+
 @pytest.mark.parametrize("d, epochs, weight, errors", [
     (3, 2, 1, 231),
+    (3, 2, 2, 26565),
     (5, 2, 1, 1225),
     pytest.param(5, 1, 2, 173755, marks=pytest.mark.slow),
 ])
 def test_pipeline_plan_and_global_keep_the_code_distance(d, epochs, weight, errors):
     # two EW-merged patches, merged in every epoch: each error of weight at
-    # most (d-1)/2 must come back as a valid correction with the true
-    # logical outcome, whichever decoder runs
+    # most (d-1)/2 must come back as a valid correction, and with the true
+    # logical outcome from the plan and the global decode.  The pipeline's
+    # wrong outcomes are counted against PIPELINE_WRONG
     lay = row_layout(2, d)
     g = merged_graph(lay, epochs * d)
     table = EdgeTable(g)
     pipe, plan = Pipeline(g), FusionPlan(g)
     decoders = (lambda ds: pipe.run(ds).correction, plan.decode,
                 lambda ds: decode_region(g, ds).correction)
-    seen = 0
+    seen = wrong = 0
     for flips in itertools.combinations(range(table.n_edges), weight):
         flips = np.array(flips)
         defects = table.defects_of(flips)
         truth = table.logical_of(flips)
-        for decode in decoders:
+        for i, decode in enumerate(decoders):
             corr = decode(defects)
             assert toggled_defects(corr) == set(defects), flips
             cp = cut_parities(g, corr)
-            assert all(cp.get(p, 0) == truth.get(p, 0) for p in lay.positions), flips
+            right = all(cp.get(p, 0) == truth.get(p, 0) for p in lay.positions)
+            if i == 0:
+                wrong += not right
+            else:
+                assert right, flips
         seen += 1
     assert seen == errors
+    assert wrong == PIPELINE_WRONG.get((d, epochs, weight), 0)
 
 
 def test_a_unit_walled_in_without_a_boundary_fails_loudly():
@@ -456,18 +477,18 @@ class TwoStatePipeline(Pipeline):
     every state is a RefUfState, with dict maps."""
 
     def run_epoch(self, cascade):
-        log = self._result.sends
+        sent = []
         for unit, dec, com in self.schedule[cascade]:
             if dec is not None:
                 self._decode_window(unit, dec.block.epoch)
             if com is not None:
                 st = self._states[unit]
-                for i, (face, dst) in enumerate(com.sends, com.send_index):
-                    crossings = st.absorb_face(face)
-                    if crossings:
-                        log[i] = (cascade, unit, dst, BoundaryInfo(face, frozenset(crossings)))
-                    self._inbox[face] = log[i][3]
-        return log[self._bounds[cascade]:self._bounds[cascade + 1]]
+                for face, dst in com.sends:
+                    info = BoundaryInfo(face, frozenset(st.absorb_face(face)))
+                    sent.append((cascade, unit, dst, info))
+                    self._inbox[face] = info
+        self._result.sends.extend(sent)
+        return sent
 
     def _decode_window(self, unit, epoch):
         bid = (unit, epoch)
