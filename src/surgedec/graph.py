@@ -18,17 +18,19 @@ the edge keys (lower id, higher id) do.  WEST and EAST stay negative.
 Edge keys and vertex ids are for callers: ranks() turns ids into ranks
 and edge_keys() edge ids into keys.
 
-Adjacency is built a slab at a time: the d(d-1) vertices of one (patch,
-round), or the vertices of one merged (seam, round).  A slab's edges follow
-from its shape (which sides are merged seams, which temporal faces it
-touches), so the builder looks those up once and computes every rank and
-edge id by arithmetic.  The edge walk is the only code that fills the
-adjacency cache: it fills every slab of a fresh cache in vertex order and
-makes it the graph's cache when it ends, so the cache is either absent or
-complete.  The first read of an absent cache runs the walk.  The cache is a
+A slab is the d(d-1) vertices of one (patch, round), or the vertices of
+one merged (seam, round), and its edges follow from its shape (which sides
+are merged seams, which temporal faces it touches).  Two things are built
+from that, for two readers.  The decoder's set-up fills the adjacency
+cache: one fill, slab by slab in vertex order, into a fresh list that
+becomes the graph's cache when it is whole, so the cache is either absent
+or complete; any first read of an absent cache runs it.  The cache is a
 list indexed by rank; a vertex's entry is one flat tuple of ints and faces
 (edge id, other rank, face, edge id, other rank, face, ...), which readers
-take three at a time.  It holds no edge key.
+take three at a time.  It holds no edge key.  The sampler's arrays come
+from templates: edge_rank_pairs broadcasts one offset template per slab
+shape over the rounds that share it into int32 rank rows, without the
+cache and without a Python object per edge.
 
 The vertex set needs no walk at all: vertex_array() builds it by
 broadcasting patches x rounds x rows x cols, plus each merged seam
@@ -43,7 +45,7 @@ tables whole; the next read rebuilds what it needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,6 +160,47 @@ def _face_time(patch: int, epoch: int) -> tuple:
     return ("t", patch, epoch)
 
 
+# a process that sets up many graphs of one distance, such as a sweep,
+# builds each shape's template once
+@lru_cache(maxsize=64)
+def _slab_template(d: int, west: bool, east: bool, north: bool, south: bool,
+                   future: bool) -> tuple:
+    """(kinds, offsets), two read-only (K, 2) int32 arrays: one row per edge
+    a patch slab of this shape lists, in edge_rank_pairs order, and per
+    row its lower end's and its other end's kind and offset.
+
+    An end of kind 0 is a patch vertex, offset from the slab's first rank;
+    kind 1 is the boundary, its offset WEST or EAST; kinds 2-5 are the
+    west, east, north and south seams, offset from the seam's row-0 rank.
+    Each side flag says whether that side's seam is merged at the slab's
+    round; future whether the slab has time edges to the round above.
+    """
+    n = d - 1
+    rows = []
+    for row in range(d):
+        for col in range(n):
+            i = row * n + col
+            if col == 0:
+                rows.append((i, 2, row) if west else (i, 1, WEST))
+            if col < n - 1:
+                rows.append((i, 0, i + 1))
+            else:
+                rows.append((i, 3, row) if east else (i, 1, EAST))
+            if row == 0 and north:
+                rows.append((i, 4, col))
+            if row < n:
+                rows.append((i, 0, i + n))
+            elif south:
+                rows.append((i, 5, col))
+            if future:
+                rows.append((i, 0, i + d * n))
+    low, kind, off = np.array(rows, dtype=np.int32).T
+    kinds = np.stack((np.zeros_like(kind), kind), axis=1)
+    offs = np.stack((low, off), axis=1)
+    kinds.flags.writeable = offs.flags.writeable = False
+    return kinds, offs
+
+
 @dataclass(frozen=True)
 class DecodingBlock:
     """One patch over one epoch of d rounds, bounded by its shared faces.
@@ -183,16 +226,13 @@ class DecodingGraph:
 
     Adjacency is computed arithmetically from the lattice plus the current
     seam merge intervals and cached per vertex rank as one flat tuple, and
-    the vertex set is computed by vertex_array() alone.  The edge walk
-    (edge_rank_slabs, and edges() over it) builds the whole cache and
-    replaces the graph's when it ends; the first read of the cache when
-    there is none runs that walk.  So the first decode on a graph that was
-    never walked pays the whole walk, not just the part it reads: 0.25-0.33 s
-    on a 1600-epoch d=5 stream graph (2-vCPU VM), where a later decode of
-    the same defects takes about 1 ms.  EdgeTable walks at set-up, so a
-    decode of its samples never pays it.  Mutation (merge) requires exclusive
-    access and drops the cached adjacency, vertex array and face tables
-    whole.
+    the vertex set is computed by vertex_array() alone.  The first read of
+    the cache when there is none fills all of it, not just the part it
+    reads; a Pipeline's and a FusionPlan's set-up make that read, so their
+    decodes never pay the fill.  The edge list (edge_rank_pairs, and
+    edges() over it) is built from slab templates and neither reads nor
+    fills the cache.  Mutation (merge) requires exclusive access and drops
+    the cached adjacency, vertex array and face tables whole.
     """
 
     def __init__(self, layout: Layout, rounds: int):
@@ -209,7 +249,7 @@ class DecodingGraph:
         # patch field of a vertex id -> the patch its block belongs to
         self._owner = np.array([*range(layout.n_patches),
                                 *(s.patch_a for s in layout.seams)], dtype=np.int64)
-        # rank -> flat entry tuple, every vertex's, or None until a walk ends
+        # rank -> flat entry tuple, every vertex's, or None until filled
         self._adj: list | None = None
         self._vids: np.ndarray | None = None
         # per seam index, (start, stop, rank of row 0 at start) per interval
@@ -384,10 +424,9 @@ class DecodingGraph:
         return tuple(out)
 
     def _cache(self) -> list:
-        """The adjacency cache, built by one edge walk if there is none."""
+        """The adjacency cache, filled whole if there is none."""
         if self._adj is None:
-            for _ in self.edge_rank_slabs():
-                pass
+            self._adj = self._fill_cache()
         return self._adj
 
     def _seam_interval_ranks(self) -> list:
@@ -419,15 +458,27 @@ class DecodingGraph:
                 return base + (rnd - a) * (self.d if s.orient == "ew" else self.d - 1)
         return None
 
-    def _fill_patch_slab(self, adj: list, p: int, rnd: int, out: list) -> None:
-        """Put the entries of all d(d-1) vertices of patch p at round rnd
-        into adj, which already holds the slab below.
+    def _fill_cache(self) -> list:
+        """Every vertex's entry, filled slab by slab in vertex order: each
+        patch round by round, then each merged seam interval."""
+        adj = [None] * len(self.vertex_array())
+        for p in range(self.layout.n_patches):
+            ranks = None
+            for rnd in range(self.rounds):
+                ranks = self._fill_patch_slab(adj, p, rnd, ranks)
+        for s in self.layout.seams:
+            for a, b in self._merged[s]:
+                for rnd in range(a, b):
+                    self._fill_seam_slab(adj, s, rnd)
+        return adj
 
-        Appends each of the slab's forward edges to out as two ints, its
-        lower rank and its other rank (or WEST/EAST), in vertex order, so
-        each edge is yielded once: at its lower endpoint within a round, at
-        its earlier endpoint across rounds.  An edge with both ends in the
-        slab gets one id object, and a vertex's rank and past edge id reuse
+    def _fill_patch_slab(self, adj: list, p: int, rnd: int, below) -> list:
+        """Put the entries of all d(d-1) vertices of patch p at round rnd
+        into adj, which already holds the slab below; below is that slab's
+        list of ranks, None at round 0.  Returns this slab's ranks.
+
+        An edge with both ends in the slab gets one id object, and a
+        vertex's rank, its past edge's id and that edge's other end reuse
         the objects held at the vertex below.
         """
         lay = self.layout
@@ -446,15 +497,14 @@ class DecodingGraph:
         has_future = rnd < self.rounds - 1
         r0 = (p * self.rounds + rnd) * size
         past = None
-        if rnd:
+        if below is not None:
             # the vertex below holds the time edge's id and this vertex's
             # rank in its last entry; sharing them keeps one copy
-            below = adj[r0 - size:r0]
-            past = [nb[-3] for nb in below]
-            ranks = [nb[-2] for nb in below]
+            below_adj = adj[r0 - size:r0]
+            past = [nb[-3] for nb in below_adj]
+            ranks = [nb[-2] for nb in below_adj]
         else:
             ranks = list(range(r0, r0 + size))
-        push = out.append
         ups = [None] * n  # south edge ids of the row above, per col
         i = 0
         for row in range(d):
@@ -463,10 +513,7 @@ class DecodingGraph:
                 if col:
                     ent = [weid, ranks[i - 1], None]
                 else:
-                    u = WEST if west is None else west + row
-                    push(r)
-                    push(u)
-                    ent = [r << 3, u, fw]
+                    ent = [r << 3, WEST if west is None else west + row, fw]
                 weid = r << 3 | 1
                 if col < n - 1:
                     u = ranks[i + 1]
@@ -474,44 +521,27 @@ class DecodingGraph:
                     u = east + row
                 else:
                     u = EAST
-                push(r)
-                push(u)
                 ent += weid, u, None
                 if row:
                     ent += ups[col], ranks[i - n], None
                 elif north is not None:
-                    u = north + col
-                    push(r)
-                    push(u)
-                    ent += r << 3 | 2, u, fn
+                    ent += r << 3 | 2, north + col, fn
                 if row < n:
-                    u = ranks[i + n]
                     ueid = ups[col] = r << 3 | 3
-                    push(r)
-                    push(u)
-                    ent += ueid, u, None
+                    ent += ueid, ranks[i + n], None
                 elif south is not None:
-                    u = south + col
-                    push(r)
-                    push(u)
-                    ent += r << 3 | 3, u, None
+                    ent += r << 3 | 3, south + col, None
                 if past is not None:
-                    ent += past[i], r - size, fpast
+                    ent += past[i], below[i], fpast
                 if has_future:
-                    u = r + size
-                    push(r)
-                    push(u)
-                    ent += r << 3 | 4, u, ffut
+                    ent += r << 3 | 4, r + size, ffut
                 adj[r] = tuple(ent)
                 i += 1
+        return ranks
 
-    def _fill_seam_slab(self, adj: list, s: Seam, rnd: int, out: list) -> None:
+    def _fill_seam_slab(self, adj: list, s: Seam, rnd: int) -> None:
         """Put the entries of the vertices of seam s at a merged round rnd
-        into adj.
-
-        Appends the slab's forward edges, its future time edges, to out as
-        rank pairs.
-        """
+        into adj."""
         lay = self.layout
         d = self.d
         epoch = rnd // d
@@ -543,8 +573,6 @@ class DecodingGraph:
                 ent += u << 3 | 4, u, fpast
             if has_future:
                 u = v + nrows
-                out.append(v)
-                out.append(u)
                 ent += v << 3 | 4, u, ffut
             adj[v] = tuple(ent)
 
@@ -581,37 +609,77 @@ class DecodingGraph:
 
     def edges(self):
         """All edge keys, deduplicated, in deterministic order: the keys of
-        edge_rank_slabs' pairs, so a walk run to its end also builds the
-        adjacency cache."""
+        edge_rank_pairs' rows."""
         vids = self.vertex_array().tolist()
-        for out in self.edge_rank_slabs():
-            it = iter(out)
-            for u, w in zip(it, it):
-                yield vids[u], vids[w] if w >= 0 else w
+        for u, w in self.edge_rank_pairs().tolist():
+            yield vids[u], vids[w] if w >= 0 else w
 
-    def edge_rank_slabs(self):
-        """The edge walk: one flat list of (lower rank, other rank or
-        WEST/EAST) pairs per slab, patches then merged seams, each round by
-        round.  Each edge comes once: at its lower endpoint within a round,
-        at its earlier endpoint across rounds.
+    def edge_rank_pairs(self) -> np.ndarray:
+        """Every edge once, as an int32 row (lower rank, other rank or
+        WEST/EAST): patch slabs, patch by patch and round by round, then
+        the future time edges of each merged seam interval, round by round.
+        Within a slab the rows run in vertex order, each vertex's in the
+        order of its adjacency entry (west, east, north, south, future),
+        listing only the edges it is the lower end of; a seam-to-patch
+        edge is listed at the patch vertex, which ranks below every seam
+        vertex.
 
-        The walk fills a fresh adjacency cache slab by slab in vertex order
-        and makes it the graph's cache when it ends; a walk left unfinished
-        leaves the graph's cache as it was.
+        No walk: a patch slab's rows follow from its shape (which sides are
+        merged seams, and whether a future edge exists) as one template of
+        offsets.  Over a run of rounds that share a shape, every end moves
+        by a fixed step per round (the slab size, or a seam's row count),
+        so a run is one broadcast into its own contiguous part of the
+        output.  A patch's runs split at every merge-interval end of its
+        sides and before the last round.  Reads neither the adjacency
+        cache nor any vertex id.
         """
-        adj = [None] * len(self.vertex_array())
-        for p in range(self.layout.n_patches):
-            for rnd in range(self.rounds):
-                out = []
-                self._fill_patch_slab(adj, p, rnd, out)
-                yield out
-        for s in self.layout.seams:
-            for a, b in self._merged[s]:
-                for rnd in range(a, b):
-                    out = []
-                    self._fill_seam_slab(adj, s, rnd, out)
-                    yield out
-        self._adj = adj
+        d = self.d
+        size = d * (d - 1)
+        lay = self.layout
+        seam_ranks = self._seam_interval_ranks()
+        # (first round, stop round, step, start): the rows of round rnd are
+        # step * rnd + start
+        runs = []
+        for p in range(lay.n_patches):
+            # per side (w, e, n, s), its seam's row count and intervals
+            sides = []
+            for side in ("w", "e", "n", "s"):
+                s = lay.side_seam(p, side)
+                if s is None:
+                    sides.append((0, ()))
+                else:
+                    sides.append((d if s.orient == "ew" else d - 1,
+                                  seam_ranks[lay.seam_index(s)]))
+            cuts = sorted({0, self.rounds - 1, self.rounds,
+                           *(r for _, ivs in sides for a, b, _ in ivs for r in (a, b))})
+            for lo, hi in zip(cuts, cuts[1:]):
+                # per end kind (patch, boundary, then the w, e, n, s seam
+                # rows), its rank step per round and its rank at round 0
+                step, start = [size, 0], [p * self.rounds * size, 0]
+                shape = []
+                for rows, ivs in sides:
+                    base = next((r0 - a * rows for a, b, r0 in ivs if a <= lo < b), None)
+                    shape.append(base is not None)
+                    step.append(rows)
+                    start.append(0 if base is None else base)
+                kinds, offs = _slab_template(d, *shape, lo < self.rounds - 1)
+                runs.append((lo, hi, np.array(step, dtype=np.int32)[kinds],
+                             np.array(start, dtype=np.int32)[kinds] + offs))
+        for s, ivs in zip(lay.seams, seam_ranks):
+            rows = d if s.orient == "ew" else d - 1
+            for a, b, base in ivs:
+                # rounds a..b-2 of an interval have a future edge per row
+                low = np.arange(base - a * rows, base - a * rows + rows, dtype=np.int32)
+                runs.append((a, b - 1, np.full((rows, 2), rows, dtype=np.int32),
+                             np.stack((low, low + rows), axis=1)))
+        out = np.empty((sum((hi - lo) * len(st) for lo, hi, _, st in runs), 2), dtype=np.int32)
+        at = 0
+        for lo, hi, step, start in runs:
+            block = out[at:at + (hi - lo) * len(start)].reshape(hi - lo, len(start), 2)
+            np.multiply(np.arange(lo, hi, dtype=np.int32)[:, None, None], step, out=block)
+            block += start
+            at += (hi - lo) * len(start)
+        return out
 
     # --- edge metadata ------------------------------------------------
 

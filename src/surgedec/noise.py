@@ -7,12 +7,13 @@ with an odd number of flipped incident edges; the true logical observable of
 a patch is the flip parity across its west cut.  EdgeTable holds the edges
 as int32 endpoint-slot and cut arrays, not as a list of edge keys, and a
 sample rebuilds the keys of the edges it flips only when they are read.
+The arrays come from the graph's slab templates (edge_rank_pairs); the
+decoder's set-up, not the sampler, fills the graph's adjacency cache.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -49,26 +50,24 @@ class EdgeTable:
     int32 _ends holds two slots into _vid_arr, the n sorted vertex ids
     followed by WEST at slot n and EAST at n + 1 (_u and _v are its
     columns), and int32 _cut is the patch whose cut the edge crosses, -1
-    for none.  A sample finds its defects and rebuilds the keys of the
-    edges it flips from their slots, so per-trial cost scales with the
-    flip count.
+    for none.  The rows are graph.edge_rank_pairs(), in graph.edges()
+    order, built from slab templates, so the table neither reads nor
+    fills the graph's adjacency cache.  A sample finds its defects and
+    rebuilds the keys of the edges it flips from their slots, so
+    per-trial cost scales with the flip count.
     """
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        # one walk over the graph's slabs builds its adjacency cache, which
-        # the decodes that follow read, and yields each edge once as its
-        # two endpoint ranks, in graph.edges() order
-        ends = np.fromiter(chain.from_iterable(graph.edge_rank_slabs()), dtype=np.int64)
+        ends = self._ends = graph.edge_rank_pairs()
         vids = graph.vertex_array()
-        n = self._n = len(vids)
+        n = len(vids)
         self._vid_arr = np.concatenate((vids, (WEST, EAST)))
-        self._ends = ends.reshape(-1, 2).astype(np.int32)
-        self._u, self._v = self._ends[:, 0], self._ends[:, 1]
-        self.n_edges = len(self._u)
-        v = ends[1::2]
-        self._v[v == WEST] = n
-        self._v[v == EAST] = n + 1
+        self._u, self._v = ends[:, 0], ends[:, 1]
+        self.n_edges = len(ends)
+        # WEST (-1) goes to slot n and EAST (-2) to slot n + 1
+        bnd = self._v < 0
+        self._v[bnd] = n - 1 - self._v[bnd]
         self._cut = graph.cut_patches(vids[self._u], self._vid_arr[self._v]).astype(np.int32)
 
     def sample_flips(self, p: float, rng: np.random.Generator) -> np.ndarray:

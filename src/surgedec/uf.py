@@ -26,7 +26,7 @@ empty block costs nothing beyond its faces.
 
 Dense ids.  A vertex is its rank and an edge its id, the graph's small
 ints (see graph); a vertex's neighbours are read from the graph's
-rank-indexed cache, which one edge walk builds whole, so no read checks
+rank-indexed cache, which one fill builds whole, so no read checks
 for a missing entry.  Callers pass vertex ids to the constructor, which
 converts them with one numpy search (graph.ranks), and ranks to
 add_block, as graph.ranks_by_block groups them.  defects, correction and
@@ -562,9 +562,10 @@ def merge_statuses(maps) -> dict:
 def decode_region(graph: DecodingGraph, defects) -> UfState:
     """Decode the whole graph as a single region (the global baseline).
 
-    On a graph that was never walked, the first call pays the edge walk
-    that fills the adjacency cache (DecodingGraph): 0.25-0.33 s on a
-    1600-epoch d=5 stream graph (2-vCPU VM) against about 1 ms after."""
+    It has no set-up, so on a graph whose adjacency cache no decoder's
+    set-up has filled, its first call pays the whole fill (DecodingGraph):
+    0.21-0.26 s on a 1600-epoch d=5 stream graph (2-vCPU VM) against about
+    1 ms after.  Sampling (EdgeTable) does not fill the cache."""
     state = UfState(graph, defects)
     state.settle()
     state.peel_resolved()

@@ -14,7 +14,8 @@ The cascade depends on the layout and the merge schedule, never on the
 syndrome, so set-up computes it once: one Window per block (the faces it
 fuses, here its temporal face to the epoch before, its inbound walls and
 its outbound sends) and, per slot, a schedule of (unit, decoded window,
-committed window) records.  Set-up also builds per unit the face-status
+committed window) records.  Set-up fills the graph's adjacency cache,
+which every decode reads.  It also builds per unit the face-status
 map its decoder state starts from (every face of its windows, inbound
 walls sealed and the rest open), and what the schedule alone fixes of a
 result: every commit's slot and zero growth rounds for every window.  A
@@ -154,6 +155,9 @@ class Pipeline:
         sends); cascade[k] lists slot k's (unit, decoded id, committed id)
         records, an id that parts lacks standing for no window."""
         self.graph = graph
+        # the decodes read every vertex's adjacency entry, so set-up fills
+        # the cache whole, in vertex order, before any run
+        graph._cache()
         self.slots = len(cascade)
         maps = {}
         self._commits, self._iters = {}, {}

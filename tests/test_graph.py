@@ -439,16 +439,25 @@ def test_neighbors_rejects_vertices_outside_the_graph():
     assert g.neighbors(pack_vid(spid, 1, 2, _SEAM_COL))
 
 
-def test_edge_table_fills_the_cache_in_vertex_order():
+def test_decoder_set_up_fills_the_cache_in_vertex_order():
     lay = Layout(3, {r * 3 + c: (r, c) for r in range(3) for c in range(3)})
-    g = apply_merge_schedule(DecodingGraph(lay, 9),
-                             random_merge_schedule(lay, 3, 0.6, seed=2))
-    assert {s.orient for s in lay.seams if g.merge_intervals(s)} == {"ew", "ns"}
-    # the cache is indexed by rank, so it is in vertex order by
-    # construction; the edge walk fills every entry
+
+    def merged():
+        return apply_merge_schedule(DecodingGraph(lay, 9),
+                                    random_merge_schedule(lay, 3, 0.6, seed=2))
+
+    assert {s.orient for s in lay.seams if merged().merge_intervals(s)} == {"ew", "ns"}
+    # the sampler's arrays come from templates and leave the cache alone
+    g = merged()
     EdgeTable(g)
-    assert len(g._adj) == len(g.vertex_array())
-    assert all(isinstance(entry, tuple) for entry in g._adj)
+    assert g._adj is None
+    # the decoders' set-up fills it whole; the cache is indexed by rank, so
+    # it is in vertex order by construction
+    for decoder in (Pipeline, FusionPlan):
+        g = merged()
+        decoder(g)
+        assert len(g._adj) == len(g.vertex_array())
+        assert all(isinstance(entry, tuple) for entry in g._adj)
 
 
 def _fresh_copy(g):
@@ -457,6 +466,34 @@ def _fresh_copy(g):
         for a, b in g.merge_intervals(s):
             fresh.merge(s, a, b)
     return fresh
+
+
+def _assert_rows_match_reference(g):
+    """The sampler's rows on a fresh copy of g are the slots of the
+    reference edges' ends, row by row, and leave the copy's cache unfilled."""
+    fresh = _fresh_copy(g)
+    slot = {v: r for r, v in enumerate(ref_vertices(g))}
+    slot[WEST], slot[EAST] = len(slot), len(slot) + 1
+    assert EdgeTable(fresh)._ends.tolist() == [[slot[u], slot[w]] for u, w in ref_edges(g)]
+    assert fresh._adj is None
+
+
+@pytest.mark.parametrize("d, rounds", [(3, 1), (5, 1), (3, 7), (5, 12)])
+def test_edge_rows_match_reference_on_short_and_ragged_graphs(d, rounds):
+    # one round (no time edges at all) and rounds that end mid-epoch, each
+    # with both seam orientations merged over unaligned, back-to-back and
+    # final-round intervals
+    lay = Layout(d, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    g = DecodingGraph(lay, rounds)
+    ew, ns = Seam(0, 1, "ew"), Seam(0, 2, "ns")
+    g.merge(ew, 0, 1)
+    g.merge(ns, rounds - 1, rounds)
+    if rounds > 1:
+        g.merge(ew, 1, 2)
+        g.merge(Seam(2, 3, "ew"), 1, rounds)
+        g.merge(Seam(1, 3, "ns"), rounds // 2, rounds - 1)
+    assert list(g.edges()) == ref_edges(g)
+    _assert_rows_match_reference(g)
 
 
 def _draw_step(data, g):
@@ -518,6 +555,7 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
             for k, _, f in triples(want):
                 tagged.setdefault(f, set()).add(k)
         assert list(g.edges()) == ref_edges(g)
+        _assert_rows_match_reference(g)
         # a face's table is the sorted keys the reference tags with it
         for f in all_faces(g):
             want = tuple(sorted(tagged.get(f, ())))
@@ -549,7 +587,9 @@ def test_a_graph_never_walked_decodes_as_a_walked_copy():
     }
     for name, decode in decoders.items():
         fresh = merged()
-        # a walk left after its first slab leaves no cache behind
+        # listing the edges reads no cache, so the decoder meets a graph
+        # whose cache its own set-up (or, for a bare decode_region or face
+        # table, the first read) fills
         assert next(fresh.edges()) and fresh._adj is None
         for ds in samples:
             assert decode(fresh, ds) == decode(walked, ds), name

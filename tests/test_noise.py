@@ -146,7 +146,7 @@ def test_apply_schedule_merges_epochs():
 @pytest.mark.parametrize("d", [3, 5])
 def test_edge_table_matches_per_edge_reference(d):
     # the per-edge loop the vectorised table replaced, over the reference
-    # edge walk rather than the graph's own
+    # edge list rather than the graph's templates
     lay = grid_layout(3, 3, d)
     g = apply_merge_schedule(DecodingGraph(lay, 4 * d),
                              random_merge_schedule(lay, 4, 0.5, seed=d))
@@ -191,16 +191,17 @@ def test_full_flip_sample_rebuilds_every_edge_key():
 
 
 def test_edge_table_memory_per_vertex():
-    # one d=5 patch over 100 epochs: the adjacency cache, edge keys and
-    # per-edge arrays EdgeTable leaves behind, per vertex.  The bound sits
-    # between a tuple of (key, other, face) tuples per vertex (725-790 B
-    # measured) and one flat tuple per vertex (430-520 B).  Allocation
-    # tracing makes the fill about 15x slower, so the graph is kept small
-    # enough to trace in under 1 s.
+    # one d=5 patch over 100 epochs: the adjacency cache, which a decoder's
+    # set-up fills, and the per-edge arrays EdgeTable leaves behind, per
+    # vertex.  The bound sits between a tuple of (key, other, face) tuples
+    # per vertex (725-790 B measured) and one flat tuple per vertex
+    # (360-520 B).  Allocation tracing makes the fill about 15x slower, so
+    # the graph is kept small enough to trace in under 1 s.
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 5 * 100)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        g._cache()
         table = EdgeTable(g)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -208,3 +209,20 @@ def test_edge_table_memory_per_vertex():
     n = len(g.vertex_array())
     assert len(g._adj) == n == 10_000 and table.n_edges
     assert held / n < 620
+
+
+def test_edge_table_peak_memory_stays_near_its_arrays():
+    # one d=5 patch over 400 epochs with its cache filled: building the
+    # table allocates little beyond the arrays it keeps.  Streaming edge
+    # pairs through Python lists peaked at 11.3x them; the templates' int32
+    # rows and the cut pass peak at about 2.6x.
+    g = DecodingGraph(Layout(5, {0: (0, 0)}), 5 * 400)
+    g._cache()
+    tracemalloc.start()
+    try:
+        table = EdgeTable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = table._ends.nbytes + table._cut.nbytes + table._vid_arr.nbytes
+    assert peak < 4 * kept

@@ -454,8 +454,11 @@ def test_pipeline_set_up_holds_no_per_vertex_state():
     # one d=5 patch over 200 epochs (20,000 vertices): what Pipeline keeps
     # grows with its blocks, not its vertices.  A frozenset of every
     # block's vertices held about 120 B per vertex; blocks, walls and
-    # sends alone hold under 5.
+    # sends alone hold under 5.  The adjacency cache, which set-up reads
+    # to fill, is the graph's: it is filled before tracing, and set-up
+    # keeps it as it is.
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 5 * 200)
+    cache = g._cache()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -463,7 +466,7 @@ def test_pipeline_set_up_holds_no_per_vertex_state():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert pipe.epochs == 200
+    assert pipe.epochs == 200 and g._adj is cache
     assert held / len(g.vertex_array()) < 20
 
 
