@@ -28,6 +28,15 @@ _TOPO_KEYS = {"fanout", "leaf_grid"}
 _LAT_KEYS = {f.name for f in dataclasses.fields(LatencyModel)}
 
 
+def _grid_shape(value, key: str) -> tuple:
+    """(rows, cols) of a grid given as two positive integers; anything
+    else raises ValueError naming key."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(x) is int and x >= 1 for x in value)):
+        raise ValueError(f"{key} must be two positive integers, got {value!r}")
+    return tuple(value)
+
+
 def parse_config(data: dict) -> RunConfig:
     bad = set(data) - _TOP_KEYS
     if bad:
@@ -37,9 +46,7 @@ def parse_config(data: dict) -> RunConfig:
         if key in data:
             kwargs[key] = data[key]
     if "qubit_grid" in data:
-        kwargs["qubit_grid"] = tuple(data["qubit_grid"])
-        if min(kwargs["qubit_grid"]) < 1:
-            raise ValueError(f"qubit_grid dimensions must be at least 1, got {data['qubit_grid']}")
+        kwargs["qubit_grid"] = _grid_shape(data["qubit_grid"], "qubit_grid")
     topo = data.get("topology", {})
     bad = set(topo) - _TOPO_KEYS
     if bad:
@@ -47,7 +54,7 @@ def parse_config(data: dict) -> RunConfig:
     if "fanout" in topo:
         kwargs["fanout"] = topo["fanout"]
     if "leaf_grid" in topo:
-        kwargs["leaf_grid"] = tuple(topo["leaf_grid"])
+        kwargs["leaf_grid"] = _grid_shape(topo["leaf_grid"], "topology.leaf_grid")
     lat = data.get("latency", {})
     bad = set(lat) - _LAT_KEYS
     if bad:

@@ -20,17 +20,21 @@ and edge_keys() edge ids into keys.
 
 A slab is the d(d-1) vertices of one (patch, round), or the vertices of
 one merged (seam, round), and its edges follow from its shape (which sides
-are merged seams, which temporal faces it touches).  Two things are built
-from that, for two readers.  The decoder's set-up fills the adjacency
-cache: one fill, slab by slab in vertex order, into a fresh list that
-becomes the graph's cache when it is whole, so the cache is either absent
-or complete; any first read of an absent cache runs it.  The cache is a
-list indexed by rank; a vertex's entry is one flat tuple of ints and faces
-(edge id, other rank, face, edge id, other rank, face, ...), which readers
-take three at a time.  It holds no edge key.  The sampler's arrays come
-from templates: edge_rank_pairs broadcasts one offset template per slab
-shape over the rounds that share it into int32 rank rows, without the
-cache and without a Python object per edge.
+are merged seams, which time edges it has).  A patch slab's shape is
+written down once, as a template that lists each vertex's adjacency entry
+as indices into the slab's atoms (its ranks and its neighbours', its edge
+ids, its faces), and both readers of the lattice take it from there.  Both
+walk a patch's rounds as runs that share a shape.  The decoder's set-up
+fills the adjacency cache by applying each slab's template to its atoms:
+one fill, slab by slab in vertex order, into a fresh list that becomes the
+graph's cache when it is whole, so the cache is either absent or complete;
+any first read of an absent cache runs it.  The cache is a list indexed by
+rank; a vertex's entry is one flat tuple of ints and faces (edge id, other
+rank, face, edge id, other rank, face, ...), which readers take three at a
+time.  It holds no edge key.  The sampler's arrays come from the same
+templates applied to labels in place of atoms, which give one offset row
+per edge: edge_rank_pairs broadcasts them over each run into int32 rank
+rows, without the cache and without a Python object per edge.
 
 The vertex set needs no walk at all: vertex_array() builds it by
 broadcasting patches x rounds x rows x cols, plus each merged seam
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -162,43 +167,95 @@ def _face_time(patch: int, epoch: int) -> tuple:
 
 # a process that sets up many graphs of one distance, such as a sweep,
 # builds each shape's template once
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _slab_template(d: int, west: bool, east: bool, north: bool, south: bool,
-                   future: bool) -> tuple:
-    """(kinds, offsets), two read-only (K, 2) int32 arrays: one row per edge
-    a patch slab of this shape lists, in edge_rank_pairs order, and per
-    row its lower end's and its other end's kind and offset.
+                   past: bool, future: bool) -> tuple:
+    """(entries, owned, futures, kinds, offsets): a patch slab of this
+    shape, described once.  Each side flag says whether that side's seam
+    is merged at the slab's round; past and future whether the slab has
+    time edges to the rounds below and above.
 
-    An end of kind 0 is a patch vertex, offset from the slab's first rank;
-    kind 1 is the boundary, its offset WEST or EAST; kinds 2-5 are the
-    west, east, north and south seams, offset from the seam's row-0 rank.
-    Each side flag says whether that side's seam is merged at the slab's
-    round; future whether the slab has time edges to the round above.
+    entries holds one itemgetter per slab vertex, which picks the vertex's
+    adjacency entry out of the slab's atoms: None, WEST, EAST, the west
+    seam, north seam, past and future faces, then these segments, each
+    only where the shape has it: the slab's ranks, the ranks below and
+    above it, the west, east, north and south seams' row ranks, its past
+    edge ids, and last the edge ids the slab owns, in entry order.  owned
+    lists those as (vertex, direction) pairs, so an owned id is the
+    vertex's rank << 3 | direction, and futures gives the positions of
+    its future edge ids among them, which the slab above takes as its past
+    edge ids.
+
+    kinds and offsets, two read-only (K, 2) int32 arrays, are the rows
+    edge_rank_pairs broadcasts: the getters applied to labels in place of
+    the atoms, one row per edge a vertex owns, in entry order, with its
+    lower end's and its other end's kind and offset.  An end of kind 0 is
+    a patch vertex, offset from the slab's first rank; kind 1 is the
+    boundary, its offset WEST or EAST; kinds 2-5 are the west, east,
+    north and south seams, offset from the seam's row-0 rank.
     """
     n = d - 1
-    rows = []
+    size = d * n
+    # a rank atom is labelled with its (kind, offset), an owned edge id
+    # with its vertex, so a row is an entry whose id label is the vertex
+    segments = (
+        [(0, i) for i in range(size)],
+        [(0, i - size) for i in range(size * past)],
+        [(0, i + size) for i in range(size * future)],
+        [(2, row) for row in range(d * west)],
+        [(3, row) for row in range(d * east)],
+        [(4, col) for col in range(n * north)],
+        [(5, col) for col in range(n * south)],
+        [None] * (size * past),
+    )
+    labels = [None, (1, WEST), (1, EAST), None, None, None, None]
+    starts = []
+    for seg in segments:
+        starts.append(len(labels))
+        labels += seg
+    rank, below, above, wrow, erow, nrow, srow, pid = starts
+    none, w, e, fw, fn, fp, ff = range(7)
+    # (vertex, direction) of each edge id the slab owns, in entry order,
+    # and each one's atom index: the owned ids are the atoms' last segment
+    owned = {}
+
+    def own(i, k):
+        owned[i, k] = len(labels) + len(owned)
+        return owned[i, k]
+    ents = []
     for row in range(d):
         for col in range(n):
             i = row * n + col
-            if col == 0:
-                rows.append((i, 2, row) if west else (i, 1, WEST))
-            if col < n - 1:
-                rows.append((i, 0, i + 1))
+            if col:
+                ent = [owned[i - 1, 1], rank + i - 1, none]
             else:
-                rows.append((i, 3, row) if east else (i, 1, EAST))
-            if row == 0 and north:
-                rows.append((i, 4, col))
+                ent = [own(i, 0), wrow + row if west else w, fw]
+            ent += own(i, 1), rank + i + 1 if col < n - 1 else erow + row if east else e, none
+            if row:
+                ent += owned[i - n, 3], rank + i - n, none
+            elif north:
+                ent += own(i, 2), nrow + col, fn
             if row < n:
-                rows.append((i, 0, i + n))
+                ent += own(i, 3), rank + i + n, none
             elif south:
-                rows.append((i, 5, col))
+                ent += own(i, 3), srow + col, none
+            if past:
+                ent += pid + i, below + i, fp
             if future:
-                rows.append((i, 0, i + d * n))
-    low, kind, off = np.array(rows, dtype=np.int32).T
-    kinds = np.stack((np.zeros_like(kind), kind), axis=1)
-    offs = np.stack((low, off), axis=1)
-    kinds.flags.writeable = offs.flags.writeable = False
-    return kinds, offs
+                ent += own(i, 4), above + i, ff
+            ents.append(ent)
+    labels += [i for i, _ in owned]
+    entries = [itemgetter(*ent) for ent in ents]
+    rows = []
+    for i, get in enumerate(entries):
+        it = iter(get(labels))
+        rows += [((0, i), other) for owner, other, _ in zip(it, it, it) if owner == i]
+    futures = [j for j, (_, k) in enumerate(owned) if k == 4]
+    # (K, lower end and other end, kind and offset)
+    ends = np.array(rows, dtype=np.int32)
+    ends.flags.writeable = False
+    return (tuple(entries), tuple(owned), tuple(futures),
+            ends[..., 0], ends[..., 1])
 
 
 @dataclass(frozen=True)
@@ -224,13 +281,14 @@ class DecodingBlock:
 class DecodingGraph:
     """Dynamic decoding graph of a layout over a number of rounds.
 
-    Adjacency is computed arithmetically from the lattice plus the current
-    seam merge intervals and cached per vertex rank as one flat tuple, and
-    the vertex set is computed by vertex_array() alone.  The first read of
-    the cache when there is none fills all of it, not just the part it
-    reads; a Pipeline's and a FusionPlan's set-up make that read, so their
+    Adjacency follows from the lattice plus the current seam merge
+    intervals: each patch slab's entries are its shape's template applied
+    to the slab's atoms, cached per vertex rank as one flat tuple, and the
+    vertex set is computed by vertex_array() alone.  The first read of the
+    cache when there is none fills all of it, not just the part it reads;
+    a Pipeline's and a FusionPlan's set-up make that read, so their
     decodes never pay the fill.  The edge list (edge_rank_pairs, and
-    edges() over it) is built from slab templates and neither reads nor
+    edges() over it) is read off the same templates and neither reads nor
     fills the cache.  Mutation (merge) requires exclusive access and drops
     the cached adjacency, vertex array and face tables whole.
     """
@@ -447,134 +505,109 @@ class DecodingGraph:
             self._seam_ranks = out
         return self._seam_ranks
 
-    def _seam_row0(self, s, rnd: int):
-        """Rank of the row-0 vertex of seam s at rnd, or None if the seam is
-        not merged then."""
-        if s is None:
-            return None
-        si = self.layout.seam_index(s)
-        for a, b, base in self._seam_interval_ranks()[si]:
-            if a <= rnd < b:
-                return base + (rnd - a) * (self.d if s.orient == "ew" else self.d - 1)
-        return None
+    def _patch_runs(self):
+        """(patch, first round, stop round, sides) of each patch's runs of
+        rounds that share a slab shape, patch by patch, round by round.
+        A patch's runs split at every merge-interval end of its sides and
+        before the last round, so a run's rounds have the same merged
+        sides and the same future edges.  sides holds, per side (w, e, n,
+        s), None or its merged seam's (index, row count, base): the seam's
+        row-0 rank at round rnd is base + rnd * rows."""
+        d = self.d
+        lay = self.layout
+        seam_ranks = self._seam_interval_ranks()
+        for p in range(lay.n_patches):
+            # per side (w, e, n, s), its seam's index, row count and
+            # intervals, none where the patch has no seam
+            sides = []
+            for side in "wens":
+                s = lay.side_seam(p, side)
+                si = None if s is None else lay.seam_index(s)
+                ivs = () if s is None else seam_ranks[si]
+                sides.append((si, d if side in "we" else d - 1, ivs))
+            cuts = sorted({0, self.rounds - 1, self.rounds,
+                           *(r for _, _, ivs in sides for a, b, _ in ivs for r in (a, b))})
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield p, lo, hi, tuple(
+                    next(((si, rows, r0 - a * rows) for a, b, r0 in ivs if a <= lo < b), None)
+                    for si, rows, ivs in sides)
 
     def _fill_cache(self) -> list:
         """Every vertex's entry, filled slab by slab in vertex order: each
-        patch round by round, then each merged seam interval."""
+        patch round by round, run by run (_patch_runs), then each merged
+        seam interval.
+
+        A patch slab's entries are its shape's template applied to the
+        slab's atoms, built in the template's segment order.  Its ranks and
+        past edge ids are the atoms the slab below made as its future ends
+        and ids, so an edge id or a rank held at two entries is one object.
+        """
+        d = self.d
+        size = d * (d - 1)
+        rounds = self.rounds
         adj = [None] * len(self.vertex_array())
-        for p in range(self.layout.n_patches):
-            ranks = None
-            for rnd in range(self.rounds):
-                ranks = self._fill_patch_slab(adj, p, rnd, ranks)
-        for s in self.layout.seams:
-            for a, b in self._merged[s]:
-                for rnd in range(a, b):
-                    self._fill_seam_slab(adj, s, rnd)
+        for p, lo, hi, sides in self._patch_runs():
+            future = lo < rounds - 1
+            templates = [_slab_template(d, *(side is not None for side in sides), past, future)[:3]
+                         for past in (False, True)]
+            sw, _, sn, _ = sides
+            for rnd in range(lo, hi):
+                epoch = rnd // d
+                r0 = (p * rounds + rnd) * size
+                if rnd:
+                    below, ranks, pids = ranks, above, fids
+                else:
+                    below, ranks, pids = [], list(range(r0, r0 + size)), []
+                entries, owned, futures = templates[rnd > 0]
+                above = [r + size for r in ranks] if future else []
+                ids = [ranks[i] << 3 | k for i, k in owned]
+                fids = [ids[j] for j in futures]
+                atoms = [None, WEST, EAST,
+                         _face_seam(sw[0], epoch) if sw else None,
+                         _face_seam(sn[0], epoch) if sn else None,
+                         _face_time(p, epoch) if rnd and rnd % d == 0 else None,
+                         _face_time(p, epoch + 1) if (rnd + 1) % d == 0 else None,
+                         *ranks, *below, *above]
+                for _, nrows, base in filter(None, sides):
+                    atoms += range(base + rnd * nrows, base + (rnd + 1) * nrows)
+                atoms += pids
+                atoms += ids
+                adj[r0:r0 + size] = [get(atoms) for get in entries]
+        self._fill_seam_slabs(adj)
         return adj
 
-    def _fill_patch_slab(self, adj: list, p: int, rnd: int, below) -> list:
-        """Put the entries of all d(d-1) vertices of patch p at round rnd
-        into adj, which already holds the slab below; below is that slab's
-        list of ranks, None at round 0.  Returns this slab's ranks.
-
-        An edge with both ends in the slab gets one id object, and a
-        vertex's rank, its past edge's id and that edge's other end reuse
-        the objects held at the vertex below.
-        """
-        lay = self.layout
+    def _fill_seam_slabs(self, adj: list) -> None:
+        """Put the entries of every merged seam vertex into adj, interval
+        by interval and round by round.  Intervals are coalesced, so a
+        round has a past edge unless it starts its interval and a future
+        edge unless it ends it."""
         d = self.d
-        epoch = rnd // d
-        n = d - 1
-        size = d * n
-        sw, se = lay.side_seam(p, "w"), lay.side_seam(p, "e")
-        sn, ss = lay.side_seam(p, "n"), lay.side_seam(p, "s")
-        west, east = self._seam_row0(sw, rnd), self._seam_row0(se, rnd)
-        north, south = self._seam_row0(sn, rnd), self._seam_row0(ss, rnd)
-        fw = _face_seam(lay.seam_index(sw), epoch) if west is not None else None
-        fn = _face_seam(lay.seam_index(sn), epoch) if north is not None else None
-        fpast = _face_time(p, epoch) if rnd and rnd % d == 0 else None
-        ffut = _face_time(p, epoch + 1) if (rnd + 1) % d == 0 else None
-        has_future = rnd < self.rounds - 1
-        r0 = (p * self.rounds + rnd) * size
-        past = None
-        if below is not None:
-            # the vertex below holds the time edge's id and this vertex's
-            # rank in its last entry; sharing them keeps one copy
-            below_adj = adj[r0 - size:r0]
-            past = [nb[-3] for nb in below_adj]
-            ranks = [nb[-2] for nb in below_adj]
-        else:
-            ranks = list(range(r0, r0 + size))
-        ups = [None] * n  # south edge ids of the row above, per col
-        i = 0
-        for row in range(d):
-            for col in range(n):
-                r = ranks[i]
-                if col:
-                    ent = [weid, ranks[i - 1], None]
-                else:
-                    ent = [r << 3, WEST if west is None else west + row, fw]
-                weid = r << 3 | 1
-                if col < n - 1:
-                    u = ranks[i + 1]
-                elif east is not None:
-                    u = east + row
-                else:
-                    u = EAST
-                ent += weid, u, None
-                if row:
-                    ent += ups[col], ranks[i - n], None
-                elif north is not None:
-                    ent += r << 3 | 2, north + col, fn
-                if row < n:
-                    ueid = ups[col] = r << 3 | 3
-                    ent += ueid, ranks[i + n], None
-                elif south is not None:
-                    ent += r << 3 | 3, south + col, None
-                if past is not None:
-                    ent += past[i], below[i], fpast
-                if has_future:
-                    ent += r << 3 | 4, r + size, ffut
-                adj[r] = tuple(ent)
-                i += 1
-        return ranks
-
-    def _fill_seam_slab(self, adj: list, s: Seam, rnd: int) -> None:
-        """Put the entries of the vertices of seam s at a merged round rnd
-        into adj."""
-        lay = self.layout
-        d = self.d
-        epoch = rnd // d
-        fseam = _face_seam(lay.seam_index(s), epoch)
-        has_past = rnd > 0 and self.is_merged(s, rnd - 1)
-        has_future = rnd < self.rounds - 1 and self.is_merged(s, rnd + 1)
-        fpast = _face_time(s.patch_a, epoch) if has_past and rnd % d == 0 else None
-        ffut = _face_time(s.patch_a, epoch + 1) if (rnd + 1) % d == 0 else None
-        base = self._seam_row0(s, rnd)
         size = d * (d - 1)
-        a = (s.patch_a * self.rounds + rnd) * size
-        b = (s.patch_b * self.rounds + rnd) * size
-        # an ew seam row meets the patches' rows, on the a-side's east and
-        # the b-side's west; an ns seam row their columns, on the a-side's
-        # south and the b-side's north
-        if s.orient == "ew":
-            nrows, step, adir, bdir = d, d - 1, 1, 0
-            a += d - 2
-        else:
-            nrows, step, adir, bdir = d - 1, 1, 3, 2
-            a += (d - 1) * (d - 1)
-        for row in range(nrows):
-            v = base + row
-            ua = a + row * step
-            ub = b + row * step
-            ent = [ua << 3 | adir, ua, None, ub << 3 | bdir, ub, fseam]
-            if has_past:
-                u = v - nrows
-                ent += u << 3 | 4, u, fpast
-            if has_future:
-                u = v + nrows
-                ent += v << 3 | 4, u, ffut
-            adj[v] = tuple(ent)
+        for si, (s, ivs) in enumerate(zip(self.layout.seams, self._seam_interval_ranks())):
+            # an ew seam row meets the patches' rows, on the a-side's east and
+            # the b-side's west; an ns seam row their columns, on the a-side's
+            # south and the b-side's north
+            if s.orient == "ew":
+                nrows, step, adir, bdir, aoff = d, d - 1, 1, 0, d - 2
+            else:
+                nrows, step, adir, bdir, aoff = d - 1, 1, 3, 2, (d - 1) * (d - 1)
+            for lo, hi, base in ivs:
+                for rnd in range(lo, hi):
+                    epoch = rnd // d
+                    fseam = _face_seam(si, epoch)
+                    fpast = _face_time(s.patch_a, epoch) if rnd > lo and rnd % d == 0 else None
+                    ffut = _face_time(s.patch_a, epoch + 1) if (rnd + 1) % d == 0 else None
+                    a = (s.patch_a * self.rounds + rnd) * size + aoff
+                    b = (s.patch_b * self.rounds + rnd) * size
+                    v0 = base + (rnd - lo) * nrows
+                    for row in range(nrows):
+                        v, ua, ub = v0 + row, a + row * step, b + row * step
+                        ent = [ua << 3 | adir, ua, None, ub << 3 | bdir, ub, fseam]
+                        if rnd > lo:
+                            ent += (v - nrows) << 3 | 4, v - nrows, fpast
+                        if rnd < hi - 1:
+                            ent += v << 3 | 4, v + nrows, ffut
+                        adj[v] = tuple(ent)
 
     # --- enumeration --------------------------------------------------
 
@@ -624,14 +657,11 @@ class DecodingGraph:
         edge is listed at the patch vertex, which ranks below every seam
         vertex.
 
-        No walk: a patch slab's rows follow from its shape (which sides are
-        merged seams, and whether a future edge exists) as one template of
-        offsets.  Over a run of rounds that share a shape, every end moves
+        No walk: a patch slab's rows are its shape's template rows.  Over
+        a run of rounds that share a shape (_patch_runs), every end moves
         by a fixed step per round (the slab size, or a seam's row count),
         so a run is one broadcast into its own contiguous part of the
-        output.  A patch's runs split at every merge-interval end of its
-        sides and before the last round.  Reads neither the adjacency
-        cache nor any vertex id.
+        output.  Reads neither the adjacency cache nor any vertex id.
         """
         d = self.d
         size = d * (d - 1)
@@ -640,31 +670,17 @@ class DecodingGraph:
         # (first round, stop round, step, start): the rows of round rnd are
         # step * rnd + start
         runs = []
-        for p in range(lay.n_patches):
-            # per side (w, e, n, s), its seam's row count and intervals
-            sides = []
-            for side in ("w", "e", "n", "s"):
-                s = lay.side_seam(p, side)
-                if s is None:
-                    sides.append((0, ()))
-                else:
-                    sides.append((d if s.orient == "ew" else d - 1,
-                                  seam_ranks[lay.seam_index(s)]))
-            cuts = sorted({0, self.rounds - 1, self.rounds,
-                           *(r for _, ivs in sides for a, b, _ in ivs for r in (a, b))})
-            for lo, hi in zip(cuts, cuts[1:]):
-                # per end kind (patch, boundary, then the w, e, n, s seam
-                # rows), its rank step per round and its rank at round 0
-                step, start = [size, 0], [p * self.rounds * size, 0]
-                shape = []
-                for rows, ivs in sides:
-                    base = next((r0 - a * rows for a, b, r0 in ivs if a <= lo < b), None)
-                    shape.append(base is not None)
-                    step.append(rows)
-                    start.append(0 if base is None else base)
-                kinds, offs = _slab_template(d, *shape, lo < self.rounds - 1)
-                runs.append((lo, hi, np.array(step, dtype=np.int32)[kinds],
-                             np.array(start, dtype=np.int32)[kinds] + offs))
+        for p, lo, hi, sides in self._patch_runs():
+            *_, kinds, offs = _slab_template(d, *(side is not None for side in sides),
+                                             lo > 0, lo < self.rounds - 1)
+            # per end kind (patch, boundary, then the w, e, n, s seam
+            # rows), its rank step per round and its rank at round 0
+            step, start = [size, 0], [p * self.rounds * size, 0]
+            for side in sides:
+                step.append(0 if side is None else side[1])
+                start.append(0 if side is None else side[2])
+            runs.append((lo, hi, np.array(step, dtype=np.int32)[kinds],
+                         np.array(start, dtype=np.int32)[kinds] + offs))
         for s, ivs in zip(lay.seams, seam_ranks):
             rows = d if s.orient == "ew" else d - 1
             for a, b, base in ivs:
@@ -806,26 +822,31 @@ def _face_edge_ids(graph: DecodingGraph, face_id: tuple) -> list:
     Only a few vertices can hold them: a seam face's edges are tagged at
     the seam's rows over its epoch, and a temporal face's, once each, at
     the vertices of the round below it, in the patch's slab and in the
-    rows of the seams whose a-side the patch is.
+    rows of the seams whose a-side the patch is.  A seam's rows over a
+    span of rounds inside one merged interval are one span of ranks.
     """
     lay = graph.layout
     d = graph.d
     kind, i, epoch = face_id
     if kind == "s":
-        rows = [(lay.seams[i], rnd) for rnd in range(epoch * d, (epoch + 1) * d)]
+        lo, hi = epoch * d, (epoch + 1) * d
+        seams = [lay.seams[i]]
         spans = []
     else:
-        rnd = epoch * d
-        if rnd <= 0 or rnd >= graph.rounds:
+        hi = epoch * d
+        if hi <= 0 or hi >= graph.rounds:
             raise ValueError(f"temporal face {face_id} outside the graph")
+        lo = hi - 1
         size = d * (d - 1)
-        r0 = (i * graph.rounds + rnd - 1) * size
-        rows = [(lay.side_seam(i, side), rnd - 1) for side in ("e", "s")]
+        r0 = (i * graph.rounds + lo) * size
+        seams = [s for s in (lay.side_seam(i, "e"), lay.side_seam(i, "s")) if s is not None]
         spans = [(r0, r0 + size)]
-    for s, rnd in rows:
-        base = graph._seam_row0(s, rnd)
-        if base is not None:
-            spans.append((base, base + (d if s.orient == "ew" else d - 1)))
+    seam_ranks = graph._seam_interval_ranks()
+    for s in seams:
+        rows = d if s.orient == "ew" else d - 1
+        for a, b, base in seam_ranks[lay.seam_index(s)]:
+            if a < hi and b > lo:
+                spans.append((base + (max(a, lo) - a) * rows, base + (min(b, hi) - a) * rows))
     cache = graph._cache()
     ids = []
     for a, b in spans:

@@ -69,7 +69,10 @@ class Instruction:
     'cond_merge' sends merge-or-split configuration for a seam to both
     hosting units once the conditioning result reaches the root; the
     graph already reflects the branch taken, and the replay only checks
-    the instruction would have arrived in time.
+    the instruction would have arrived in time.  A Replayer rejects an
+    instruction whose (patch, epoch) the run does not decode, and a
+    cond_merge whose seam is not in the layout; a merge_epoch outside the
+    run is accepted and checks nothing.
     """
 
     op: str
@@ -191,12 +194,18 @@ class Replayer:
         meas = {}
         cond = {}
         for ins in instructions:
-            if ins.op == "measure":
-                meas.setdefault((ins.patch, ins.epoch), []).append(ins.forward_node)
-            elif ins.op == "cond_merge":
-                cond.setdefault((ins.patch, ins.epoch), []).append(ins)
-            else:
+            if ins.op not in ("measure", "cond_merge"):
                 raise ValueError(f"unknown instruction op {ins.op!r}")
+            bid = (ins.patch, ins.epoch)
+            # a result the run never commits would trigger nothing
+            if bid not in pipe.windows:
+                raise ValueError(f"{ins} is for block {bid}, which the run does not decode")
+            if ins.op == "measure":
+                meas.setdefault(bid, []).append(ins.forward_node)
+            elif ins.seam not in pipe.graph.layout.seams:
+                raise ValueError(f"{ins} names a seam that is not in the layout")
+            else:
+                cond.setdefault(bid, []).append(ins)
 
         leaves = set(topology.leaves)
         for u in units:

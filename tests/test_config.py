@@ -52,9 +52,17 @@ def test_load_from_file(tmp_path):
     ({"latency": {"t_round_ns": 0}}, "t_round_ns"),
     ({"latency": {"decode_base_cycles": -100}}, "decode_base_cycles"),
     ({"qubit_grid": [0, 3]}, "qubit_grid"),
+    ({"qubit_grid": [10]}, "qubit_grid"),
+    ({"qubit_grid": [2, 2.5]}, "qubit_grid"),
+    ({"qubit_grid": 4}, "qubit_grid"),
+    ({"topology": {"leaf_grid": [2, 2, 2]}}, "leaf_grid"),
+    ({"topology": {"leaf_grid": [2, 0]}}, "leaf_grid"),
+    ({"topology": {"leaf_grid": "22"}}, "leaf_grid"),
 ])
 def test_unrepresentable_values_rejected(data, field):
     # a zero round time divides by zero in the replay, a negative decode
-    # cost commits before the data exists, and an empty grid places nothing
+    # cost commits before the data exists, an empty grid places nothing,
+    # and a grid that is not two positive integers cannot be unpacked into
+    # rows and columns
     with pytest.raises(ValueError, match=field):
         parse_config(data)

@@ -556,11 +556,32 @@ def test_warm_cache_matches_reference_after_merges_and_splits(shape, d, epochs, 
                 tagged.setdefault(f, set()).add(k)
         assert list(g.edges()) == ref_edges(g)
         _assert_rows_match_reference(g)
-        # a face's table is the sorted keys the reference tags with it
+        # a face's table is the sorted keys the reference tags with it, and
+        # the reference tags no face outside the graph's in-range faces
+        assert tagged.keys() - {None} <= set(all_faces(g))
         for f in all_faces(g):
             want = tuple(sorted(tagged.get(f, ())))
             assert face_edges(g, f) == want
             assert face_edges(fresh, f) == want
+
+
+@pytest.mark.parametrize("d", (3, 5))
+def test_face_tables_match_reference_on_gapped_intervals(d):
+    # every seam, in both orientations, merged twice inside epochs 0 and 2
+    # with a gap between, and back to back across epochs 0 and 1, so one
+    # seam face spans two intervals and one interval spans two seam faces
+    lay = Layout(d, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
+    g = DecodingGraph(lay, 3 * d)
+    for s in lay.seams:
+        for a, b in ((0, 1), (2, d + 1), (d + 1, d + 2), (2 * d, 2 * d + 1), (3 * d - 1, 3 * d)):
+            g.merge(s, a, b)
+    tagged = {}
+    for v in g.vertex_array().tolist():
+        for k, _, f in triples(ref_adjacency(g, v)):
+            tagged.setdefault(f, set()).add(k)
+    assert tagged.keys() - {None} == set(all_faces(g))
+    for f in all_faces(g):
+        assert face_edges(g, f) == tuple(sorted(tagged[f]))
 
 
 def test_a_graph_never_walked_decodes_as_a_walked_copy():

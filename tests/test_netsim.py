@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -195,6 +196,30 @@ def test_cond_merge_instruction_arrives_with_slack():
     repl = Replayer(pipe, top, LatencyModel(), instructions=ins)
     tr = repl.trace(pipe.run(set()))
     assert tr.instr_margin_ns is not None and tr.instr_margin_ns > 0
+
+
+def test_instructions_outside_the_run_are_rejected():
+    # two EW-merged d=3 patches over two epochs: an instruction for a block
+    # the run never commits was accepted and changed nothing, and one for a
+    # seam the layout lacks died with a bare KeyError or AttributeError
+    g = row_graph(2, epochs=2)
+    pipe = Pipeline(g)
+    top = build_topology(2, 25, (1, 2))
+    lat = LatencyModel()
+    seam = g.layout.seams[0]
+    stray = [Instruction("measure", patch=0, epoch=5, forward_node=top.leaves[1]),
+             Instruction("measure", patch=7, epoch=0, forward_node=top.leaves[1]),
+             Instruction("cond_merge", patch=0, epoch=9, seam=seam, merge_epoch=1),
+             Instruction("cond_merge", patch=0, epoch=0, seam=graph_mod.Seam(5, 6, "ew"),
+                         merge_epoch=1),
+             Instruction("cond_merge", patch=0, epoch=0, merge_epoch=1)]
+    for ins in stray:
+        with pytest.raises(ValueError, match=re.escape(repr(ins))):
+            Replayer(pipe, top, lat, instructions=[ins])
+    # a configuration for a merge epoch outside the run still checks nothing
+    late = [Instruction("cond_merge", patch=0, epoch=1, seam=seam, merge_epoch=2)]
+    tr = Replayer(pipe, top, lat, instructions=late).trace(pipe.run(set()))
+    assert tr.instr_margin_ns is None
 
 
 def test_valid_decoding_under_partial_merges():

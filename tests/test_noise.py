@@ -1,5 +1,6 @@
 """Noise sampling, defect extraction, and random merge schedules."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -195,19 +196,28 @@ def test_edge_table_memory_per_vertex():
     # set-up fills, and the per-edge arrays EdgeTable leaves behind, per
     # vertex.  The bound sits between a tuple of (key, other, face) tuples
     # per vertex (725-790 B measured) and one flat tuple per vertex
-    # (360-520 B).  Allocation tracing makes the fill about 15x slower, so
-    # the graph is kept small enough to trace in under 1 s.
+    # (360-520 B).  The cache alone, with the vertex array its fill
+    # builds, holds about 320 B per vertex when a vertex's rank and its
+    # past edge's id are the objects held at the vertex below; a fill that
+    # makes fresh ones holds about 395 B.
+    # Allocation tracing makes the fill about 15x slower, so the graph is
+    # kept small enough to trace in under 1 s.
     g = DecodingGraph(Layout(5, {0: (0, 0)}), 5 * 100)
+    # a full collection empties the interpreter's free lists, so the fill
+    # cannot reuse tuples that earlier tests freed before tracing started
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         g._cache()
+        cache = tracemalloc.get_traced_memory()[0] - before
         table = EdgeTable(g)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     n = len(g.vertex_array())
     assert len(g._adj) == n == 10_000 and table.n_edges
+    assert cache / n < 340
     assert held / n < 620
 
 
