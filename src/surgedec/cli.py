@@ -23,7 +23,7 @@ from .netsim import simulate, write_rows_csv
 from .noise import EdgeTable, apply_merge_schedule, derived_rng, random_merge_schedule
 from .stats import wilson_interval
 from .topology import build_topology, max_tree_hops, route, tree_path
-from .uf import cut_parities, decode_region
+from .uf import decode_region, wrong_patches
 from .windows import BoundaryInfo
 from . import wire
 
@@ -42,9 +42,7 @@ def _accuracy_point(d: int, p: float, trials: int, seed: int) -> dict:
         sample = table.sample(p, rng)
         for i, corr in enumerate((plan.decode(sample.defects),
                                   decode_region(graph, sample.defects).correction)):
-            cp = cut_parities(graph, corr)
-            if any(sample.true_logical[pid] ^ cp.get(pid, 0)
-                   for pid in sample.true_logical):
+            if wrong_patches(graph, corr, sample.true_logical):
                 fails[i] += 1
     fails_fused, fails_global = fails
     lo_f, hi_f = wilson_interval(fails_fused, trials)

@@ -5,8 +5,12 @@ ancilla measurement round, one edge per independent error mechanism.  Logical
 patches sit on a 2D grid; merging two patches inserts a line of seam vertices
 per merged round and rewires the facing boundary edges.  A seam's merge
 intervals are the whole surgery schedule: a split is where an interval
-ends.  Vertex ids pack (patch, round, row, col) so that sorting ids gives the
-lexicographic order with seam vertices after all patches.
+ends.  Which patch holds a merged seam is a layout fact, Layout.owner:
+the owner's blocks hold the seam's vertices and its temporal faces the
+seam's time edges, so the seam face lies between the seam rows and the
+other patch.  The fill, block_of, ranks_by_block and the face tables all
+read it there.  Vertex ids pack (patch, round, row, col) so that sorting
+ids gives the lexicographic order with seam vertices after all patches.
 
 Inside the library a vertex is its rank: its index in vertex_array(), the
 sorted vertex ids, so ranks order vertices as ids do.  An edge is one
@@ -103,7 +107,12 @@ class Layout:
         positions: patch id -> (grid_row, grid_col), both >= 0; ids must be
             0..n-1.
 
-    The seams are every pair of grid-adjacent patches.
+    The seams are every pair of grid-adjacent patches.  Two decisions of
+    the decoder network are layout facts, made here and read everywhere
+    else: group, patch -> its unit's cascade group 1..3, so that
+    grid-adjacent patches never share one, and owner, seam index -> the
+    patch whose block holds the seam's vertices and whose temporal faces
+    hold the seam's time edges.
     """
 
     def __init__(self, d: int, positions: dict[int, tuple[int, int]]):
@@ -137,6 +146,10 @@ class Layout:
             else:
                 self._side[(s.patch_a, "s")] = s
                 self._side[(s.patch_b, "n")] = s
+        # the diagonal stripe (2*row + col) mod 3 differs by 1 or 2 between
+        # grid neighbours, and gives [1, 2, 3] on a 1x3 row
+        self.group = {p: (2 * r + c) % 3 + 1 for p, (r, c) in sorted(self.positions.items())}
+        self.owner = [s.patch_a for s in self.seams]
 
     def _adjacent_seams(self):
         seams = []
@@ -176,15 +189,18 @@ def _slab_template(d: int, west: bool, east: bool, north: bool, south: bool,
     time edges to the rounds below and above.
 
     entries holds one itemgetter per slab vertex, which picks the vertex's
-    adjacency entry out of the slab's atoms: None, WEST, EAST, the west
-    seam, north seam, past and future faces, then these segments, each
-    only where the shape has it: the slab's ranks, the ranks below and
-    above it, the west, east, north and south seams' row ranks, its past
-    edge ids, and last the edge ids the slab owns, in entry order.  owned
-    lists those as (vertex, direction) pairs, so an owned id is the
-    vertex's rank << 3 | direction, and futures gives the positions of
-    its future edge ids among them, which the slab above takes as its past
-    edge ids.
+    adjacency entry out of the slab's atoms: None, WEST, EAST, the west,
+    east, north and south seam faces, the past and future faces, then
+    these segments, each only where the shape has it: the slab's ranks,
+    the ranks below and above it, the west, east, north and south seams'
+    row ranks, its past edge ids, and last the edge ids the slab owns, in
+    entry order.  owned lists those as (vertex, direction) pairs, so an
+    owned id is the vertex's rank << 3 | direction, and futures gives the
+    positions of its future edge ids among them, which the slab above
+    takes as its past edge ids.  An edge into a merged seam carries its
+    side's seam-face atom, which the fill sets to the seam's face where
+    the patch does not own the seam (Layout.owner) and to None where it
+    does.
 
     kinds and offsets, two read-only (K, 2) int32 arrays, are the rows
     edge_rank_pairs broadcasts: the getters applied to labels in place of
@@ -208,13 +224,13 @@ def _slab_template(d: int, west: bool, east: bool, north: bool, south: bool,
         [(5, col) for col in range(n * south)],
         [None] * (size * past),
     )
-    labels = [None, (1, WEST), (1, EAST), None, None, None, None]
+    labels = [None, (1, WEST), (1, EAST), None, None, None, None, None, None]
     starts = []
     for seg in segments:
         starts.append(len(labels))
         labels += seg
     rank, below, above, wrow, erow, nrow, srow, pid = starts
-    none, w, e, fw, fn, fp, ff = range(7)
+    none, w, e, fw, fe, fn, fs, fp, ff = range(9)
     # (vertex, direction) of each edge id the slab owns, in entry order,
     # and each one's atom index: the owned ids are the atoms' last segment
     owned = {}
@@ -230,7 +246,8 @@ def _slab_template(d: int, west: bool, east: bool, north: bool, south: bool,
                 ent = [owned[i - 1, 1], rank + i - 1, none]
             else:
                 ent = [own(i, 0), wrow + row if west else w, fw]
-            ent += own(i, 1), rank + i + 1 if col < n - 1 else erow + row if east else e, none
+            ent += (own(i, 1), rank + i + 1 if col < n - 1 else erow + row if east else e,
+                    none if col < n - 1 else fe)
             if row:
                 ent += owned[i - n, 3], rank + i - n, none
             elif north:
@@ -238,7 +255,7 @@ def _slab_template(d: int, west: bool, east: bool, north: bool, south: bool,
             if row < n:
                 ent += own(i, 3), rank + i + n, none
             elif south:
-                ent += own(i, 3), srow + col, none
+                ent += own(i, 3), srow + col, fs
             if past:
                 ent += pid + i, below + i, fp
             if future:
@@ -304,9 +321,9 @@ class DecodingGraph:
         self.rounds = rounds
         # seam -> sorted disjoint merge intervals [start, stop)
         self._merged: dict[Seam, list[list[int]]] = {s: [] for s in layout.seams}
-        # patch field of a vertex id -> the patch its block belongs to
-        self._owner = np.array([*range(layout.n_patches),
-                                *(s.patch_a for s in layout.seams)], dtype=np.int64)
+        # patch field of a vertex id -> the patch whose block holds the
+        # vertex: a patch's own, a seam's owner (Layout.owner)
+        self._owner = np.array([*range(layout.n_patches), *layout.owner], dtype=np.int64)
         # rank -> flat entry tuple, every vertex's, or None until filled
         self._adj: list | None = None
         self._vids: np.ndarray | None = None
@@ -320,12 +337,6 @@ class DecodingGraph:
 
     def seam_pid(self, s: Seam) -> int:
         return self.layout.n_patches + self.layout.seam_index(s)
-
-    def is_merged(self, s: Seam, rnd: int) -> bool:
-        for a, b in self._merged[s]:
-            if a <= rnd < b:
-                return True
-        return False
 
     def merge_intervals(self, s: Seam) -> list[tuple[int, int]]:
         return [tuple(iv) for iv in self._merged[s]]
@@ -545,14 +556,21 @@ class DecodingGraph:
         d = self.d
         size = d * (d - 1)
         rounds = self.rounds
+        owner = self.layout.owner
         adj = [None] * len(self.vertex_array())
         for p, lo, hi, sides in self._patch_runs():
             future = lo < rounds - 1
             templates = [_slab_template(d, *(side is not None for side in sides), past, future)[:3]
                          for past in (False, True)]
-            sw, _, sn, _ = sides
+            # the sides whose edges carry their seam's face: the merged
+            # seams the patch does not own
+            tagged = [(k, side[0]) for k, side in enumerate(sides)
+                      if side is not None and owner[side[0]] != p]
+            faces = [None] * 4
             for rnd in range(lo, hi):
                 epoch = rnd // d
+                for k, si in tagged:
+                    faces[k] = _face_seam(si, epoch)
                 r0 = (p * rounds + rnd) * size
                 if rnd:
                     below, ranks, pids = ranks, above, fids
@@ -562,9 +580,7 @@ class DecodingGraph:
                 above = [r + size for r in ranks] if future else []
                 ids = [ranks[i] << 3 | k for i, k in owned]
                 fids = [ids[j] for j in futures]
-                atoms = [None, WEST, EAST,
-                         _face_seam(sw[0], epoch) if sw else None,
-                         _face_seam(sn[0], epoch) if sn else None,
+                atoms = [None, WEST, EAST, *faces,
                          _face_time(p, epoch) if rnd and rnd % d == 0 else None,
                          _face_time(p, epoch + 1) if (rnd + 1) % d == 0 else None,
                          *ranks, *below, *above]
@@ -580,10 +596,15 @@ class DecodingGraph:
         """Put the entries of every merged seam vertex into adj, interval
         by interval and round by round.  Intervals are coalesced, so a
         round has a past edge unless it starts its interval and a future
-        edge unless it ends it."""
+        edge unless it ends it.  The seam's owner (Layout.owner) holds its
+        vertices: the edge to the owner is internal, the edge to the other
+        patch carries the seam face, and the time edges carry the owner's
+        temporal faces."""
         d = self.d
         size = d * (d - 1)
-        for si, (s, ivs) in enumerate(zip(self.layout.seams, self._seam_interval_ranks())):
+        lay = self.layout
+        for si, (s, ivs) in enumerate(zip(lay.seams, self._seam_interval_ranks())):
+            own = lay.owner[si]
             # an ew seam row meets the patches' rows, on the a-side's east and
             # the b-side's west; an ns seam row their columns, on the a-side's
             # south and the b-side's north
@@ -595,14 +616,15 @@ class DecodingGraph:
                 for rnd in range(lo, hi):
                     epoch = rnd // d
                     fseam = _face_seam(si, epoch)
-                    fpast = _face_time(s.patch_a, epoch) if rnd > lo and rnd % d == 0 else None
-                    ffut = _face_time(s.patch_a, epoch + 1) if (rnd + 1) % d == 0 else None
+                    fa, fb = (None, fseam) if own == s.patch_a else (fseam, None)
+                    fpast = _face_time(own, epoch) if rnd > lo and rnd % d == 0 else None
+                    ffut = _face_time(own, epoch + 1) if (rnd + 1) % d == 0 else None
                     a = (s.patch_a * self.rounds + rnd) * size + aoff
                     b = (s.patch_b * self.rounds + rnd) * size
                     v0 = base + (rnd - lo) * nrows
                     for row in range(nrows):
                         v, ua, ub = v0 + row, a + row * step, b + row * step
-                        ent = [ua << 3 | adir, ua, None, ub << 3 | bdir, ub, fseam]
+                        ent = [ua << 3 | adir, ua, fa, ub << 3 | bdir, ub, fb]
                         if rnd > lo:
                             ent += (v - nrows) << 3 | 4, v - nrows, fpast
                         if rnd < hi - 1:
@@ -699,19 +721,6 @@ class DecodingGraph:
 
     # --- edge metadata ------------------------------------------------
 
-    def kind_of(self, ekey: tuple[int, int]) -> str:
-        u, v = ekey
-        if v < 0:
-            return "boundary"
-        pu, ru, rowu, colu = unpack_vid(u)
-        pv, rv, roww, colv = unpack_vid(v)
-        seam = pu >= self.layout.n_patches or pv >= self.layout.n_patches
-        if ru != rv:
-            return "seam-time" if seam else "time"
-        if seam:
-            return "seam-space"
-        return "space-h" if rowu == roww else "space-v"
-
     def cut_patch(self, ekey: tuple[int, int]):
         """Patch whose west logical cut this edge crosses, or None."""
         u, v = ekey
@@ -743,23 +752,11 @@ class DecodingGraph:
         cut[into] = east_of[(v[into] >> _PATCH_SHIFT) - lay.n_patches]
         return cut
 
-    def face_of(self, ekey: tuple[int, int]):
-        u, v = ekey
-        if v < 0:
-            return None
-        it = iter(self.neighbors(u))
-        for k, other, face in zip(it, it, it):
-            if k == ekey:
-                return face
-        raise ValueError(f"unknown edge {ekey}")
-
     def block_of(self, vid: int) -> tuple[int, int]:
-        """(patch, epoch) owning a vertex; seam vertices go with patch_a."""
-        p = vid >> _PATCH_SHIFT
-        n = self.layout.n_patches
-        if p >= n:
-            p = self.layout.seams[p - n].patch_a
-        return (p, ((vid >> _ROUND_SHIFT) & 0xFFFFFF) // self.d)
+        """(patch, epoch) whose block holds a vertex; a seam vertex's patch
+        is the seam's Layout.owner."""
+        return (self._owner.item(vid >> _PATCH_SHIFT),
+                ((vid >> _ROUND_SHIFT) & 0xFFFFFF) // self.d)
 
 
 def merge_patches(graph: DecodingGraph, seam: Seam, round_range: tuple[int, int]) -> DecodingGraph:
@@ -773,7 +770,9 @@ def carve_blocks(graph: DecodingGraph) -> list[DecodingBlock]:
 
     Requires the graph rounds to be a multiple of d and every merge interval
     to be epoch aligned, so each shared face belongs to exactly two blocks
-    and every other side of a block is a real boundary.
+    and every other side of a block is a real boundary.  A block's seam
+    faces are the merged sides of the patch run (_patch_runs) that holds
+    its first round, in w, e, n, s order.
     """
     lay = graph.layout
     d = graph.d
@@ -784,14 +783,16 @@ def carve_blocks(graph: DecodingGraph) -> list[DecodingBlock]:
             if a % d or b % d:
                 raise ValueError(f"merge [{a}, {b}) of {s} not epoch aligned")
     epochs = graph.rounds // d
+    # patch -> epoch -> its merged seams, read off the run that holds the
+    # epoch's first round
+    merged = [[()] * epochs for _ in range(lay.n_patches)]
+    for p, lo, hi, sides in graph._patch_runs():
+        a, b = -(-lo // d), -(-hi // d)
+        merged[p][a:b] = [[side[0] for side in sides if side is not None]] * (b - a)
     blocks = []
     for e in range(epochs):
         for p in range(lay.n_patches):
-            faces = []
-            for side in ("w", "e", "n", "s"):
-                s = lay.side_seam(p, side)
-                if s is not None and graph.is_merged(s, e * d):
-                    faces.append(_face_seam(lay.seam_index(s), e))
+            faces = [_face_seam(si, e) for si in merged[p][e]]
             if e > 0:
                 faces.append(_face_time(p, e))
             if e < epochs - 1:
@@ -822,7 +823,7 @@ def _face_edge_ids(graph: DecodingGraph, face_id: tuple) -> list:
     Only a few vertices can hold them: a seam face's edges are tagged at
     the seam's rows over its epoch, and a temporal face's, once each, at
     the vertices of the round below it, in the patch's slab and in the
-    rows of the seams whose a-side the patch is.  A seam's rows over a
+    rows of the seams it owns (Layout.owner).  A seam's rows over a
     span of rounds inside one merged interval are one span of ranks.
     """
     lay = graph.layout
@@ -839,7 +840,10 @@ def _face_edge_ids(graph: DecodingGraph, face_id: tuple) -> list:
         lo = hi - 1
         size = d * (d - 1)
         r0 = (i * graph.rounds + lo) * size
-        seams = [s for s in (lay.side_seam(i, "e"), lay.side_seam(i, "s")) if s is not None]
+        # a seam's owner is one of its two patches, so the seams a patch
+        # owns are among its sides'
+        seams = [s for s in (lay.side_seam(i, side) for side in "wens")
+                 if s is not None and lay.owner[lay.seam_index(s)] == i]
         spans = [(r0, r0 + size)]
     seam_ranks = graph._seam_interval_ranks()
     for s in seams:

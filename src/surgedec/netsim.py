@@ -37,7 +37,7 @@ from . import wire
 from .graph import DecodingGraph
 from .noise import EdgeTable, derived_rng
 from .topology import Topology, route
-from .uf import cut_parities, decode_region
+from .uf import decode_region, wrong_patches
 from .windows import Pipeline
 
 @dataclass(frozen=True)
@@ -410,14 +410,12 @@ def simulate(graph: DecodingGraph, topology: Topology, latency: LatencyModel,
         toggled = {v for v, c in touched.items() if c & 1}
         if toggled != sample.defects:
             raise AssertionError(f"trial {trial}: correction invalid")
-        cp = cut_parities(graph, result.correction)
-        bad = [pid for pid in sample.true_logical
-               if sample.true_logical[pid] ^ cp.get(pid, 0)]
+        bad = wrong_patches(graph, result.correction, sample.true_logical)
         if bad:
             failures += 1
             patch_failures.update(bad)
-        glob = cut_parities(graph, decode_region(graph, sample.defects).correction)
-        if any(sample.true_logical[pid] ^ glob.get(pid, 0) for pid in sample.true_logical):
+        if wrong_patches(graph, decode_region(graph, sample.defects).correction,
+                         sample.true_logical):
             global_failures += 1
 
         tr = rep.trace(result)

@@ -29,10 +29,6 @@ class Topology:
     def root(self) -> int:
         return 0
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.children)
-
     def depth(self, node: int) -> int:
         d = 0
         while node != 0:

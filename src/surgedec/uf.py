@@ -580,3 +580,10 @@ def cut_parities(graph: DecodingGraph, edges) -> dict:
         if p is not None:
             out[p] = out.get(p, 0) ^ 1
     return out
+
+
+def wrong_patches(graph: DecodingGraph, edges, truth) -> list:
+    """The patches of truth (patch -> true logical flip), in its order,
+    whose cut parity under the given correction disagrees with it."""
+    cp = cut_parities(graph, edges)
+    return [pid for pid in truth if truth[pid] ^ cp.get(pid, 0)]

@@ -1,14 +1,16 @@
 """Three-group parallel window pipeline.
 
 Every patch is decoded by its own unit, named by the patch id, and units
-are colored with three groups so no two adjacent units share a group.  At
-cascade slot k, group g decodes its block of epoch k-(g-1) and commits
-epoch k-g; within a slot the groups act in order 1, 2, 3.  Temporal
+are colored with three groups, the layout's Layout.group, so no two
+adjacent units share a group.  At cascade slot k, group g decodes its
+block of epoch k-(g-1) and commits epoch k-g; within a slot the groups
+act in order 1, 2, 3.  Temporal
 interfaces between a unit's consecutive epochs are fused in place; spatial
 interfaces between units are resolved once, by the upstream (lower-group)
 side committing its crossing edges, which the downstream side absorbs as
 flipped defects before decoding; the endpoint that flips is the one whose
-block_of is the receiving window, so the pipeline keeps no vertex sets.
+block_of is the receiving window (a seam's vertices are in its
+Layout.owner's blocks), so the pipeline keeps no vertex sets.
 
 The cascade depends on the layout and the merge schedule, never on the
 syndrome, so set-up computes it once: one Window per block (the faces it
@@ -97,16 +99,6 @@ class Window(NamedTuple):
     sends: tuple
 
 
-def assign_groups(layout) -> dict:
-    """Three-color the patches so grid-adjacent patches never share a group.
-
-    The diagonal stripe (2*row + col) mod 3 differs by 1 or 2 between grid
-    neighbours, so it satisfies the adjacency constraint on any grid, and
-    gives [1, 2, 3] on a 1x3 row.
-    """
-    return {p: (2 * r + c) % 3 + 1 for p, (r, c) in sorted(layout.positions.items())}
-
-
 class Pipeline:
     """Drives a carved decoding graph through the cascade schedule.
 
@@ -121,7 +113,7 @@ class Pipeline:
 
     def __init__(self, graph: DecodingGraph):
         layout = graph.layout
-        self.groups = assign_groups(layout)
+        self.groups = layout.group
         self.epochs = graph.rounds // graph.d
         parts = {}
         for blk in carve_blocks(graph):
@@ -225,8 +217,8 @@ class Pipeline:
                 defects = by_block.get(bid, ())
                 if walls:
                     # upstream commits toggle the defects their crossings end
-                    # on here; a seam vertex goes with patch_a in both
-                    # block_of and carving
+                    # on here; block_of and carving both put a seam vertex
+                    # in its Layout.owner's block
                     flips = set()
                     for wall in walls:
                         info = inbox.pop(wall, None)

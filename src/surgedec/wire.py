@@ -53,10 +53,6 @@ def decode_message(word: int) -> Message:
     )
 
 
-def opcode_of(header: int) -> int:
-    return header >> 4
-
-
 def boundary_header(count: int) -> int:
     if not 0 <= count <= 3:
         raise ValueError(f"boundary message carries 0..3 indices, got {count}")

@@ -13,6 +13,49 @@ from surgedec.topology import route
 from surgedec.uf import UfState, face_statuses, merge_statuses
 
 
+def is_merged(graph, s, rnd):
+    """Whether seam s is merged at round rnd, read off its merge intervals."""
+    return any(a <= rnd < b for a, b in graph.merge_intervals(s))
+
+
+def kind_of(graph, ekey):
+    """An edge key's kind: boundary, time, seam-time, seam-space, space-h
+    or space-v."""
+    u, v = ekey
+    if v < 0:
+        return "boundary"
+    pu, ru, rowu, _ = unpack_vid(u)
+    pv, rv, roww, _ = unpack_vid(v)
+    seam = pu >= graph.layout.n_patches or pv >= graph.layout.n_patches
+    if ru != rv:
+        return "seam-time" if seam else "time"
+    if seam:
+        return "seam-space"
+    return "space-h" if rowu == roww else "space-v"
+
+
+def face_of(graph, ekey):
+    """The face the graph's cache tags an edge key with, None for a
+    boundary edge; an edge the graph lacks raises ValueError."""
+    u, v = ekey
+    if v < 0:
+        return None
+    for k, _, face in triples(graph.neighbors(u)):
+        if k == ekey:
+            return face
+    raise ValueError(f"unknown edge {ekey}")
+
+
+def n_nodes(topology):
+    """The number of nodes in a topology."""
+    return len(topology.children)
+
+
+def opcode_of(header):
+    """A message header's opcode, its high nibble."""
+    return header >> 4
+
+
 def toggled_defects(edges):
     """Defects an edge set leaves, recounted by toggling its endpoints."""
     cnt = {}
@@ -39,18 +82,18 @@ def ref_vertices(graph):
         spid = graph.seam_pid(s)
         nrows = d if s.orient == "ew" else d - 1
         for rnd in range(graph.rounds):
-            if graph.is_merged(s, rnd):
+            if is_merged(graph, s, rnd):
                 for row in range(nrows):
                     yield pack_vid(spid, rnd, row, _SEAM_COL)
 
 
 def ref_block_of(graph, vid):
     """(patch, epoch) of a vertex from its unpacked fields; a seam vertex
-    belongs to its seam's patch_a."""
+    belongs to its seam's Layout.owner."""
     p, rnd, _, _ = unpack_vid(vid)
     n = graph.layout.n_patches
     if p >= n:
-        p = graph.layout.seams[p - n].patch_a
+        p = graph.layout.owner[p - n]
     return (p, rnd // graph.d)
 
 
@@ -74,11 +117,17 @@ def ref_adjacency(graph, vid):
 
     The per-vertex builder the graph's slab fill replaced, kept as the slow
     reference: it reads only the layout and the merge intervals, never the
-    graph's cache.
+    graph's cache.  An edge between a patch and a merged seam carries the
+    seam face unless the patch is the seam's Layout.owner, and a seam's
+    time edges carry its owner's temporal faces.
     """
     p, rnd, row, col = unpack_vid(vid)
     lay = graph.layout
     d = graph.d
+
+    def seam_face(s, patch):
+        si = lay.seam_index(s)
+        return None if lay.owner[si] == patch else ("s", si, rnd // d)
     entries = []
     if p < lay.n_patches:
         # west
@@ -87,9 +136,9 @@ def ref_adjacency(graph, vid):
             entries.append(((u, vid), u, None))
         else:
             s = lay.side_seam(p, "w")
-            if s is not None and graph.is_merged(s, rnd):
+            if s is not None and is_merged(graph, s, rnd):
                 u = pack_vid(graph.seam_pid(s), rnd, row, _SEAM_COL)
-                entries.append(((vid, u), u, ("s", lay.seam_index(s), rnd // d)))
+                entries.append(((vid, u), u, seam_face(s, p)))
             else:
                 entries.append(((vid, WEST), WEST, None))
         # east
@@ -98,9 +147,9 @@ def ref_adjacency(graph, vid):
             entries.append(((vid, u), u, None))
         else:
             s = lay.side_seam(p, "e")
-            if s is not None and graph.is_merged(s, rnd):
+            if s is not None and is_merged(graph, s, rnd):
                 u = pack_vid(graph.seam_pid(s), rnd, row, _SEAM_COL)
-                entries.append(((vid, u), u, None))
+                entries.append(((vid, u), u, seam_face(s, p)))
             else:
                 entries.append(((vid, EAST), EAST, None))
         # north
@@ -109,18 +158,18 @@ def ref_adjacency(graph, vid):
             entries.append(((u, vid), u, None))
         else:
             s = lay.side_seam(p, "n")
-            if s is not None and graph.is_merged(s, rnd):
+            if s is not None and is_merged(graph, s, rnd):
                 u = pack_vid(graph.seam_pid(s), rnd, col, _SEAM_COL)
-                entries.append(((vid, u), u, ("s", lay.seam_index(s), rnd // d)))
+                entries.append(((vid, u), u, seam_face(s, p)))
         # south
         if row < d - 1:
             u = pack_vid(p, rnd, row + 1, col)
             entries.append(((vid, u), u, None))
         else:
             s = lay.side_seam(p, "s")
-            if s is not None and graph.is_merged(s, rnd):
+            if s is not None and is_merged(graph, s, rnd):
                 u = pack_vid(graph.seam_pid(s), rnd, col, _SEAM_COL)
-                entries.append(((vid, u), u, None))
+                entries.append(((vid, u), u, seam_face(s, p)))
         # time
         if rnd > 0:
             u = pack_vid(p, rnd - 1, row, col)
@@ -132,8 +181,8 @@ def ref_adjacency(graph, vid):
             entries.append(((vid, u), u, face))
     else:
         s = lay.seams[p - lay.n_patches]
-        si = lay.seam_index(s)
-        if not graph.is_merged(s, rnd):
+        own = lay.owner[lay.seam_index(s)]
+        if not is_merged(graph, s, rnd):
             raise ValueError(f"seam vertex at inactive round {rnd}: {s}")
         if s.orient == "ew":
             ua = pack_vid(s.patch_a, rnd, row, d - 2)
@@ -141,15 +190,15 @@ def ref_adjacency(graph, vid):
         else:
             ua = pack_vid(s.patch_a, rnd, d - 1, row)
             ub = pack_vid(s.patch_b, rnd, 0, row)
-        entries.append(((ua, vid), ua, None))
-        entries.append(((ub, vid), ub, ("s", si, rnd // d)))
-        if rnd > 0 and graph.is_merged(s, rnd - 1):
+        entries.append(((ua, vid), ua, seam_face(s, s.patch_a)))
+        entries.append(((ub, vid), ub, seam_face(s, s.patch_b)))
+        if rnd > 0 and is_merged(graph, s, rnd - 1):
             u = pack_vid(p, rnd - 1, row, _SEAM_COL)
-            face = ("t", s.patch_a, rnd // d) if rnd % d == 0 else None
+            face = ("t", own, rnd // d) if rnd % d == 0 else None
             entries.append(((u, vid), u, face))
-        if rnd < graph.rounds - 1 and graph.is_merged(s, rnd + 1):
+        if rnd < graph.rounds - 1 and is_merged(graph, s, rnd + 1):
             u = pack_vid(p, rnd + 1, row, _SEAM_COL)
-            face = ("t", s.patch_a, (rnd + 1) // d) if (rnd + 1) % d == 0 else None
+            face = ("t", own, (rnd + 1) // d) if (rnd + 1) % d == 0 else None
             entries.append(((vid, u), u, face))
     return tuple(x for entry in entries for x in entry)
 

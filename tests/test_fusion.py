@@ -13,7 +13,7 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import decode_region, face_statuses
 
-from .helpers import decode_blocks, map_view, toggled_defects
+from .helpers import decode_blocks, face_of, map_view, toggled_defects
 
 
 def blocks_by_id(graph):
@@ -190,7 +190,7 @@ def grown_edges_outside(graph, st, blocks):
         ekey, = graph.edge_keys([eid])
         if all(graph.block_of(x) in blocks for x in ekey if x >= 0):
             continue
-        if graph.face_of(ekey) not in open_faces:
+        if face_of(graph, ekey) not in open_faces:
             out.append(ekey)
     return out
 
@@ -217,7 +217,7 @@ def test_faces_bound_block_growth():
                 st = decode_blocks(g, [parts[bid]])
                 assert grown_edges_outside(g, st, {bid}) == []
                 on_faces += sum(1 for eid, grown in map_view(st)[3].items()
-                                if grown and g.face_of(*g.edge_keys([eid])) is not None)
+                                if grown and face_of(g, *g.edge_keys([eid])) is not None)
             sides = {f: [b for b in parts if f in parts[b][0].faces]
                      for f in plan.fuse_order}
             face, (ba, bb) = next((f, pair) for f, pair in sides.items()

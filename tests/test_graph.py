@@ -26,12 +26,16 @@ from surgedec.uf import decode_region, region_vids
 from surgedec.windows import Pipeline
 
 from .helpers import (
+    face_of,
+    is_merged,
+    kind_of,
     ref_adjacency,
     ref_edge_id,
     ref_block_of,
     ref_edges,
     ref_region_vids,
     ref_vertices,
+    toggled_defects,
     triples,
 )
 
@@ -87,7 +91,7 @@ def kind_counts(graph, rnd=None):
             rv = ru if v < 0 else unpack_vid(v)[1]
             if not (ru == rnd and rv == rnd):
                 continue
-        k = graph.kind_of(ekey)
+        k = kind_of(graph, ekey)
         counts[k] = counts.get(k, 0) + 1
     return counts
 
@@ -236,7 +240,7 @@ def random_layout_and_schedule(rng, d):
     g = DecodingGraph(lay, epochs * d)
     for s in lay.seams:
         for e in range(epochs):
-            if rng.random() < 0.4 and not g.is_merged(s, e * d):
+            if rng.random() < 0.4 and not is_merged(g, s, e * d):
                 g.merge(s, e * d, (e + 1) * d)
     return lay, g
 
@@ -328,9 +332,9 @@ def test_face_edges_consistency():
     assert len(face_edges(g, sface)) == 25
     # temporal face: patch time edges + continuing seam time edges
     assert len(face_edges(g, tface)) == 20 + 5
-    tagged_s = [e for e in g.edges() if g.face_of(e) == sface]
+    tagged_s = [e for e in g.edges() if face_of(g, e) == sface]
     assert sorted(tagged_s) == sorted(face_edges(g, sface))
-    tagged_t = [e for e in g.edges() if g.face_of(e) == tface]
+    tagged_t = [e for e in g.edges() if face_of(g, e) == tface]
     assert sorted(tagged_t) == sorted(face_edges(g, tface))
 
 
@@ -403,9 +407,9 @@ def test_cut_patch_membership():
     for e in g.edges():
         cp = g.cut_patch(e)
         if cp == 1:
-            assert g.kind_of(e) == "seam-space"
+            assert kind_of(g, e) == "seam-space"
         if cp == 0:
-            assert g.kind_of(e) == "boundary"
+            assert kind_of(g, e) == "boundary"
 
 
 # --- the slab-filled adjacency cache against the per-vertex reference ---
@@ -506,7 +510,7 @@ def _draw_step(data, g):
     s = data.draw(st.sampled_from([s for s in g.layout.seams if s.orient == orient]))
     kind = data.draw(st.sampled_from(("aligned", "unaligned", "adjacent")))
     ivs = g.merge_intervals(s)
-    free = [r for r in range(rounds) if not g.is_merged(s, r)]
+    free = [r for r in range(rounds) if not is_merged(g, s, r)]
     if kind == "aligned":
         options = [(s, e * d, (e + 1) * d) for e in range(rounds // d)
                    if all(r in free for r in range(e * d, (e + 1) * d))]
@@ -647,3 +651,64 @@ def test_vertex_array_and_regions_match_reference(shape, d, epochs, extra, data)
         want.setdefault(ref_block_of(g, v), []).append(rank[v])
     assert g.ranks(picked) == [rank[v] for v in picked]
     assert g.ranks_by_block(picked) == want
+
+
+def implied_face(g, seam_of, u, w):
+    """The face an edge between vertex ids u and w (or WEST/EAST) lies on,
+    read off block_of alone: none inside a block or at the boundary, the
+    temporal face between two epochs of one patch, or the seam face
+    between two patches' blocks of one epoch."""
+    if w < 0:
+        return None
+    (pu, eu), (pw, ew) = g.block_of(u), g.block_of(w)
+    if (pu, eu) == (pw, ew):
+        return None
+    if pu == pw:
+        return ("t", pu, max(eu, ew))
+    assert eu == ew
+    return ("s", seam_of[frozenset((pu, pw))], eu)
+
+
+def test_every_reader_takes_the_seam_owner_from_the_layout():
+    # a random owner per seam, on small grids with seams of both
+    # orientations merged epoch by epoch: the cache's face tags, the face
+    # tables, block_of, ranks_by_block, carving and both decoders must all
+    # follow Layout.owner
+    rng = random.Random(27)
+    shapes = ((1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))
+    for trial in range(30):
+        rows, cols = rng.choice(shapes)
+        d = rng.choice((3, 5))
+        epochs = rng.randint(1, 4)
+        lay = Layout(d, {r * cols + c: (r, c) for r in range(rows) for c in range(cols)})
+        for si, s in enumerate(lay.seams):
+            lay.owner[si] = rng.choice((s.patch_a, s.patch_b))
+        g = DecodingGraph(lay, epochs * d)
+        for s in lay.seams:
+            for e in range(epochs):
+                if rng.random() < 0.5:
+                    g.merge(s, e * d, (e + 1) * d)
+        seam_of = {frozenset((s.patch_a, s.patch_b)): si for si, s in enumerate(lay.seams)}
+        vids = g.vertex_array().tolist()
+        tagged = {}
+        for r, v in enumerate(vids):
+            entry = triples(g.adjacency(r))
+            assert g.neighbors(v) == ref_adjacency(g, v)
+            for (key, other, face), (eid, _, _) in zip(triples(g.neighbors(v)), entry):
+                assert face == implied_face(g, seam_of, v, other), (trial, key)
+                if face is not None and eid >> 3 == r:
+                    tagged.setdefault(face, []).append(key)
+        faces = {f for blk in carve_blocks(g) for f in blk.faces}
+        assert tagged.keys() <= faces
+        for f in faces:
+            assert face_edges(g, f) == tuple(sorted(tagged.get(f, ()))), (trial, f)
+        by_block = {}
+        for r, v in enumerate(vids):
+            by_block.setdefault(g.block_of(v), []).append(r)
+        assert g.ranks_by_block(vids) == by_block
+        pipe, plan = Pipeline(g), FusionPlan(g)
+        table = EdgeTable(g)
+        for k in range(10):
+            defects = table.sample(0.03, derived_rng(trial, k)).defects
+            assert toggled_defects(pipe.run(defects).correction) == defects
+            assert toggled_defects(plan.decode(defects)) == defects

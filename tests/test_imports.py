@@ -81,15 +81,11 @@ def test_no_import_cycle_inside_the_package():
 
 # defined in the package but read only by the tests or the benchmark
 READ_OUTSIDE = {
-    "graph.face_of": "tests check the cache's face tags edge by edge against it",
-    "graph.kind_of": "tests count edges by kind with it",
     "graph.pack_vid": "tests build vertex ids with it; unpack_vid is its inverse",
     "noise.flipped_edges": "tests compare a sample's flipped edges against the graph's",
     "oracle.oracle_mwpm": "tests bound the decoders' correction weight with it",
     "stats.intervals_overlap": "bench/run.py imports it to compare runs",
-    "topology.n_nodes": "tests check a topology's size with it",
     "uf._find": "tests/helpers.py's reference kernel calls it; the hot loops inline it",
-    "wire.opcode_of": "tests check a message's opcode with it",
 }
 
 

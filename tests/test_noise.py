@@ -23,7 +23,7 @@ from surgedec.noise import (
     raw_merge_draws,
 )
 
-from .helpers import ref_edges, ref_vertices, toggled_defects
+from .helpers import kind_of, ref_edges, ref_vertices, toggled_defects
 
 
 def test_p0_empty():
@@ -170,7 +170,7 @@ def test_edge_table_matches_per_edge_reference(d):
     # both seam orientations were merged, and some seam edge cuts a patch
     kinds = {s.orient for s in lay.seams if g.merge_intervals(s)}
     assert kinds == {"ew", "ns"}
-    assert any(c >= 0 and g.kind_of(ek) == "seam-space"
+    assert any(c >= 0 and kind_of(g, ek) == "seam-space"
                for c, ek in zip(ref_cut, g.edges()))
 
 
@@ -184,7 +184,7 @@ def test_full_flip_sample_rebuilds_every_edge_key():
     table = EdgeTable(g)
     keys = set(g.edges())
     assert {v for _, v in keys if v < 0} == {WEST, EAST}
-    assert {g.kind_of(k) for k in keys} >= {"seam-space", "seam-time"}
+    assert {kind_of(g, k) for k in keys} >= {"seam-space", "seam-time"}
     assert table.sample(1.0, derived_rng(3)).flipped_edges == keys
     # the table keeps int32 arrays per edge and no list of edge keys
     assert not [x for x in vars(table).values() if isinstance(x, (list, tuple))]

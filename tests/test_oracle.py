@@ -13,7 +13,7 @@ import pytest
 from surgedec.graph import DecodingGraph, Layout, carve_blocks, pack_vid
 from surgedec.oracle import oracle_mwpm
 
-from .helpers import toggled_defects
+from .helpers import face_of, kind_of, toggled_defects
 
 
 def exhaustive_min_weight(graph, defects):
@@ -93,8 +93,8 @@ def test_region_wall_vs_absorb():
     w_abs, corr = oracle_mwpm(g, [v], region={(0, 0)}, absorb={("t", 0, 1)})
     assert w_abs == 1
     (ekey,) = corr
-    assert g.kind_of(ekey) == "time"
-    assert g.face_of(ekey) == ("t", 0, 1)
+    assert kind_of(g, ekey) == "time"
+    assert face_of(g, ekey) == ("t", 0, 1)
 
 
 def test_limits():

@@ -3,6 +3,8 @@ import pytest
 from surgedec.topology import build_topology, max_tree_hops, route, tree_path
 from surgedec.wire import OP_RESULT, Message, boundary_header
 
+from .helpers import n_nodes
+
 
 def test_single_leaf_still_has_a_root():
     top = build_topology(1, 25, (1, 1))
@@ -34,7 +36,7 @@ def test_three_level_tree_ids_are_contiguous():
     assert top.children[0] == (1, 2)
     assert top.parent[3] == 1
     assert top.parent[9] == 3
-    assert top.n_nodes == 39
+    assert n_nodes(top) == 39
 
 
 @pytest.mark.parametrize(

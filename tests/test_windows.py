@@ -20,8 +20,7 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
 from surgedec.uf import cut_parities, decode_region, face_statuses
 from surgedec import uf, windows
-from surgedec.windows import (BoundaryInfo, Pipeline, PipelineStallError,
-                              assign_groups)
+from surgedec.windows import BoundaryInfo, Pipeline, PipelineStallError
 
 from .helpers import (RefUfState, decode_block, fuse_states, grown_union, rank_of,
                       toggled_defects)
@@ -43,19 +42,26 @@ def merged_graph(lay, rounds):
     return g
 
 
-def test_assign_groups_row_and_grid():
-    assert assign_groups(row_layout(3)) == {0: 1, 1: 2, 2: 3}
-    groups = assign_groups(grid_layout())
-    assert groups == {0: 1, 1: 2, 2: 3, 3: 1}
-    for s in grid_layout().seams:
-        assert groups[s.patch_a] != groups[s.patch_b]
-    # a 4x4 grid, every seam present: the stripe alone keeps neighbours apart
+def test_layout_group_colours_random_grids():
+    assert row_layout(3).group == {0: 1, 1: 2, 2: 3}
+    assert grid_layout().group == {0: 1, 1: 2, 2: 3, 3: 1}
+    rng = random.Random(27)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cells = rng.sample([(r, c) for r in range(rows) for c in range(cols)],
+                           rng.randint(1, rows * cols))
+        lay = Layout(3, dict(enumerate(cells)))
+        # the diagonal stripe (2*row + col) mod 3, which no two grid
+        # neighbours share
+        assert lay.group == {p: (2 * r + c) % 3 + 1 for p, (r, c) in enumerate(cells)}
+        for s in lay.seams:
+            assert lay.group[s.patch_a] != lay.group[s.patch_b]
+        # the pipeline reads the layout's map, not a copy of it
+        assert Pipeline(DecodingGraph(lay, 3)).groups is lay.group
+    # a 4x4 grid, every seam present, uses all three groups
     lay = Layout(3, {4 * r + c: (r, c) for r in range(4) for c in range(4)})
     assert len(lay.seams) == 24
-    groups = assign_groups(lay)
-    assert set(groups.values()) == {1, 2, 3}
-    for s in lay.seams:
-        assert groups[s.patch_a] != groups[s.patch_b]
+    assert set(lay.group.values()) == {1, 2, 3}
 
 
 def test_single_patch_pipeline_matches_fusion_plan():

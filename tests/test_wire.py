@@ -12,8 +12,9 @@ from surgedec.wire import (
     encode_boundary_info,
     encode_message,
     is_boundary_header,
-    opcode_of,
 )
+
+from .helpers import opcode_of
 
 
 def test_known_word_layout():
