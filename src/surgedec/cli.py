@@ -147,8 +147,9 @@ def _cmd_netcheck(args) -> int:
 
     lay = Layout(5, {0: (0, 0), 1: (0, 1)})
     g = merge_patches(DecodingGraph(lay, rounds=5), lay.seams[0], (0, 5))
-    edges = face_edges(g, ("s", 0, 0))
-    picks = frozenset(rng.sample(edges, 7))
+    # crossings are edge ids, picked from the face's table
+    ids = face_edges(g, ("s", 0, 0))
+    picks = frozenset(rng.sample(ids, 7))
     info = BoundaryInfo(("s", 0, 0), picks)
     msgs = wire.encode_boundary_info(info, g, dest=1)
     ok = wire.decode_boundary_info(msgs, g, ("s", 0, 0)) == picks

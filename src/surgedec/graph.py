@@ -20,7 +20,8 @@ south 3, future 4.  Edge ids therefore sort by lower endpoint first; a
 shared face holds one edge per lower endpoint, so on a face they sort as
 the edge keys (lower id, higher id) do.  WEST and EAST stay negative.
 Edge keys and vertex ids are for callers: ranks() turns ids into ranks
-and edge_keys() edge ids into keys.
+where defects enter, and edge_keys() edge ids into keys where a
+correction leaves.
 
 A slab is the d(d-1) vertices of one (patch, round), or the vertices of
 one merged (seam, round), and its edges follow from its shape (which sides
@@ -44,10 +45,13 @@ The vertex set needs no walk at all: vertex_array() builds it by
 broadcasting patches x rounds x rows x cols, plus each merged seam
 interval, into a sorted numpy array, and keeps it until a merge.
 
-A shared face's edges are its sorted edge keys, so an edge's position on
+A shared face's table is its sorted edge ids, so an edge's position on
 a face needs no lookup table; face_edges reads them off the cache's face
-tags.  A merge drops the adjacency cache, the vertex array and the face
-tables whole; the next read rebuilds what it needs.
+tags.  Every edge of a seam face joins a seam row to the patch that does
+not own the seam, and patch ranks sort below seam ranks, so its id names
+the patch end (id >> 3) and edge_ends gives the seam end.  A merge drops
+the adjacency cache, the vertex array and the face tables whole; the next
+read rebuilds what it needs.
 """
 
 from __future__ import annotations
@@ -330,7 +334,7 @@ class DecodingGraph:
         # per seam index, (start, stop, rank of row 0 at start) per interval
         self._seam_ranks: list | None = None
         self._keys: dict[int, tuple] = {}  # edge id -> key, see edge_keys
-        # face id -> sorted edge tuple
+        # face id -> its sorted edge ids, see face_edges
         self._faces: dict[tuple, tuple] = {}
 
     # --- seam state ---------------------------------------------------
@@ -446,8 +450,8 @@ class DecodingGraph:
         """Edge keys (lower id, higher id or WEST/EAST) of edge ids.
 
         The keys the memo does not hold are built in one pass: their lower
-        ids with one take from the vertex array, their other ends as
-        edge_ends finds them, then their ids with a second take.  The memo
+        ids with one take from the vertex array, their other ends from
+        edge_ends, then their ids with a second take.  The memo
         keeps at most _KEY_MEMO keys and starts over when the new ones
         would not fit, so the decodes of a small graph share one tuple per
         edge and a long run on a large graph keeps no more.
@@ -460,13 +464,8 @@ class DecodingGraph:
         miss = [i for i, key in enumerate(out) if key is None]
         new = [eids[i] for i in miss]
         va = self.vertex_array()
-        cache = self._cache()
-        other = []
-        for eid in new:
-            nb = cache[eid >> 3]
-            other.append(nb[3 * nb[::3].index(eid) + 1])
         lower = va.take(np.array(new, dtype=np.int64) >> 3).tolist()
-        other = np.array(other, dtype=np.int64)
+        other = np.array([self.edge_ends(eid)[1] for eid in new], dtype=np.int64)
         higher = np.where(other >= 0, va.take(other, mode="clip"), other).tolist()
         built = list(zip(lower, higher))
         for i, key in zip(miss, built):
@@ -476,21 +475,6 @@ class DecodingGraph:
         if len(new) <= _KEY_MEMO:
             keys.update(zip(new, built))
         return out
-
-    def neighbors(self, vid: int) -> tuple:
-        """Edges at a vertex id as one flat tuple of (edge_key, other,
-        face_id) entries, other a vertex id or WEST/EAST, in the order of
-        adjacency(); built from the cached entry on every call.  A vertex
-        id the graph does not hold raises ValueError.
-        """
-        rank = self.ranks((vid,))[0]
-        item = self.vertex_array().item
-        out = []
-        it = iter(self.adjacency(rank))
-        for eid, other, face in zip(it, it, it):
-            ov = item(other) if other >= 0 else other
-            out += (vid, ov) if eid >> 3 == rank else (ov, vid), ov, face
-        return tuple(out)
 
     def _cache(self) -> list:
         """The adjacency cache, filled whole if there is none."""
@@ -802,30 +786,24 @@ def carve_blocks(graph: DecodingGraph) -> list[DecodingBlock]:
 
 
 def face_edges(graph: DecodingGraph, face_id: tuple) -> tuple:
-    """Edge keys of a shared face, in sorted order.
+    """Sorted ids of the edges of a shared face, which on a face sort as
+    their keys do.
 
     An edge's position in this tuple is its index on the face, so both
-    sides of a face name an edge alike without a lookup table.  The tuple is
-    built once per graph and face, dropped when a merge changes the
-    graph, and returned as the same object on every call.  A temporal
-    face outside the graph raises ValueError.
+    sides of a face name an edge alike without a lookup table.  The ids
+    are the edges the adjacency cache tags with the face, and only a few
+    vertices can hold them: a seam face's edges are tagged at the seam's
+    rows over its epoch, and a temporal face's, once each, at the vertices
+    of the round below it, in the patch's slab and in the rows of the
+    seams it owns (Layout.owner).  A seam's rows over a span of rounds
+    inside one merged interval are one span of ranks.  The tuple is built
+    once per graph and face, dropped when a merge changes the graph, and
+    returned as the same object on every call.  A temporal face outside
+    the graph raises ValueError.
     """
     edges = graph._faces.get(face_id)
-    if edges is None:
-        edges = graph._faces[face_id] = tuple(graph.edge_keys(_face_edge_ids(graph, face_id)))
-    return edges
-
-
-def _face_edge_ids(graph: DecodingGraph, face_id: tuple) -> list:
-    """Sorted ids of the edges the adjacency cache tags with a face, which
-    on a face sort as their keys do.
-
-    Only a few vertices can hold them: a seam face's edges are tagged at
-    the seam's rows over its epoch, and a temporal face's, once each, at
-    the vertices of the round below it, in the patch's slab and in the
-    rows of the seams it owns (Layout.owner).  A seam's rows over a
-    span of rounds inside one merged interval are one span of ranks.
-    """
+    if edges is not None:
+        return edges
     lay = graph.layout
     d = graph.d
     kind, i, epoch = face_id
@@ -857,4 +835,5 @@ def _face_edge_ids(graph: DecodingGraph, face_id: tuple) -> list:
         for nb in cache[a:b]:
             it = iter(nb)
             ids += [eid for eid, _, face in zip(it, it, it) if face == face_id]
-    return sorted(ids)
+    edges = graph._faces[face_id] = tuple(sorted(ids))
+    return edges

@@ -29,12 +29,14 @@ ints (see graph); a vertex's neighbours are read from the graph's
 rank-indexed cache, which one fill builds whole, so no read checks
 for a missing entry.  Callers pass vertex ids to the constructor, which
 converts them with one numpy search (graph.ranks), and ranks to
-add_block, as graph.ranks_by_block groups them.  defects, correction and
-absorb_face hand vertex ids and (u, v) edge keys back.  Wherever the
-kernel breaks a tie by edge it uses the edge id order, which on a face is
-the sorted key order: contacts keep the smallest (vertex, edge) pair, fuse
-unions a face's grown edges in id order, and touch lists keep the order
-the edges were grown in.
+add_block, as graph.ranks_by_block groups them.  absorb_face hands its
+committed crossings back as edge ids, which the window pipeline sends and
+its receiver flips without a key; only defects and correction hand vertex
+ids and (u, v) edge keys back.  Wherever the kernel breaks a tie by edge
+it uses the edge id order, which on a face is the sorted key order and
+the face_edges order: contacts keep the smallest (vertex, edge) pair,
+fuse unions a face's grown edges in id order, and touch lists keep the
+order the edges were grown in.
 
 Tables.  A cluster's parent and each edge's growth live in flat tables
 (UfTables), as a hardware unit's memories do: parent, size and parity are
@@ -473,7 +475,7 @@ class UfState:
         it; a state with live clusters raises ValueError.  Each
         cluster suspended on the face with defects left is peeled through
         its recorded contact edge there, and the face becomes a wall, so no
-        cluster keeps a contact on it.  Returns the edge keys of the emitted
+        cluster keeps a contact on it.  Returns the ids of the emitted
         edges that cross the face (the committed crossings).
         """
         if self.face_status.get(face) != 'open':
@@ -492,16 +494,16 @@ class UfState:
             if root in held:
                 emitted |= self._peel(root, defs, held[root])
         # a crossing is a contact on the face, so it is on the touch list
-        return set(self.graph.edge_keys(emitted.intersection(eids)))
+        return emitted.intersection(eids)
 
 
 def fuse(state: UfState, face):
     """Join an open face whose two sides both decoded in state.
 
     The face leaves the status map.  The edges on its touch list that
-    reached a full edge are unioned in edge id order (on a face, sorted key
-    order), the clusters suspended on the face wake, and the state settles
-    and peels if anything was unioned or woke.  A face the state never grew
+    reached a full edge are unioned in edge id order (face_edges order),
+    the clusters suspended on the face wake, and the state settles and
+    peels if anything was unioned or woke.  A face the state never grew
     onto costs only its status.
     """
     fs = state.face_status

@@ -8,9 +8,13 @@ act in order 1, 2, 3.  Temporal
 interfaces between a unit's consecutive epochs are fused in place; spatial
 interfaces between units are resolved once, by the upstream (lower-group)
 side committing its crossing edges, which the downstream side absorbs as
-flipped defects before decoding; the endpoint that flips is the one whose
-block_of is the receiving window (a seam's vertices are in its
-Layout.owner's blocks), so the pipeline keeps no vertex sets.
+flipped defects before decoding.  A crossing is its edge id from the
+commit to the receiver.  A seam face's edges join the seam rows, which
+sit in the seam's Layout.owner's blocks, to the other patch, whose ranks
+sort below seam ranks; so a receiver that owns the seam flips an edge's
+seam end (graph.edge_ends) and one that does not its patch end, id >> 3.
+The pipeline keeps no vertex sets and converts no crossing to a key or a
+vertex id.
 
 The cascade depends on the layout and the merge schedule, never on the
 syndrome, so set-up computes it once: one Window per block (the faces it
@@ -32,7 +36,8 @@ the syndrome: joining or absorbing a face the state never grew onto only
 changes its status, and a send with no crossings carries the face's one
 empty record, built at set-up.  A run writes growth rounds only for the
 windows that grew.  A run groups the defects by block, as ranks, in one
-numpy pass (graph.ranks_by_block); only inbound crossings call block_of.
+numpy pass (graph.ranks_by_block), and builds keys once, for its
+correction (graph.edge_keys).
 The dataflow is deterministic and independent of wall-clock timing, so
 the network simulator replays the same schedule under any latency model.
 The fusion plan (fusion.FusionPlan) is the same set-up and loop on
@@ -70,7 +75,7 @@ class PipelineStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryInfo:
-    """Committed crossing edges of one shared face."""
+    """Committed crossings of one shared face, as edge ids."""
     face: tuple
     committed_crossings: frozenset
 
@@ -217,19 +222,21 @@ class Pipeline:
                 defects = by_block.get(bid, ())
                 if walls:
                     # upstream commits toggle the defects their crossings end
-                    # on here; block_of and carving both put a seam vertex
-                    # in its Layout.owner's block
+                    # on here: the seam end where this unit owns the seam,
+                    # else the patch end, the lower one.  A face's edges end
+                    # on distinct vertices, but two walls can share a corner
                     flips = set()
                     for wall in walls:
                         info = inbox.pop(wall, None)
                         if info is None:
                             raise PipelineStallError(
                                 f"window {bid} lacks boundary info for {wall}")
-                        for u, w in info.committed_crossings:
-                            flips.symmetric_difference_update(
-                                (u if graph.block_of(u) == bid else w,))
+                        ids = info.committed_crossings
+                        flips.symmetric_difference_update(
+                            [graph.edge_ends(eid)[1] for eid in ids]
+                            if graph.layout.owner[wall[1]] == unit else [eid >> 3 for eid in ids])
                     if flips:
-                        defects = set(graph.ranks(flips)).symmetric_difference(defects)
+                        defects = flips.symmetric_difference(defects)
                 pre = st.grow_iterations
                 if defects:
                     st.add_block(sorted(defects))

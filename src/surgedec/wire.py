@@ -4,7 +4,9 @@ A message packs the destination node into bits [63:56], a header
 byte into [55:48], and leaves the low 48 bits as payload.  The header
 byte carries an opcode in its high nibble; boundary-information headers
 use the low nibble as the number of edge indices in the payload, three
-16-bit indices per message.
+16-bit indices per message.  An index is a committed crossing's position
+in graph.face_edges, the face's sorted edge ids, so the two units need
+only the shared graph to agree on what it names.
 """
 
 from __future__ import annotations
@@ -84,23 +86,23 @@ def pack_boundary_indices(vals) -> list:
 
 
 def encode_boundary_info(info, graph: DecodingGraph, dest: int) -> list:
-    """Committed face crossings as messages of 16-bit edge indices.
-
-    Edges are named by their position in face_edges, the face's sorted
-    edge keys, so both sides only need the shared graph to agree on the
-    meaning.
-    """
+    """Committed face crossings, edge ids, as messages of 16-bit indices
+    into face_edges, found by bisection; a crossing that is not on the
+    face raises ValueError."""
     edges = face_edges(graph, info.face)
     if len(edges) > (1 << 16):
         raise ValueError(f"face {info.face} has too many edges to index")
-    bad = [ek for ek in info.committed_crossings if ek not in edges]
-    if bad:
-        raise ValueError(f"crossings {bad} are not on face {info.face}")
-    vals = sorted(bisect_left(edges, ek) for ek in info.committed_crossings)
+    vals = []
+    for eid in sorted(info.committed_crossings):
+        i = bisect_left(edges, eid)
+        if edges[i:i + 1] != (eid,):
+            raise ValueError(f"crossing {eid} is not on face {info.face}")
+        vals.append(i)
     return [Message(dest, h, p) for h, p in pack_boundary_indices(vals)]
 
 
 def decode_boundary_info(msgs, graph: DecodingGraph, face: tuple) -> frozenset:
+    """The crossing ids that a face's boundary messages carry."""
     edges = face_edges(graph, face)
     out = set()
     for m in msgs:

@@ -7,7 +7,7 @@ import numpy as np
 
 from surgedec import wire
 from surgedec.fusion import fuse
-from surgedec.graph import EAST, WEST, _SEAM_COL, carve_blocks, pack_vid, unpack_vid
+from surgedec.graph import EAST, WEST, _SEAM_COL, carve_blocks, face_edges, pack_vid, unpack_vid
 from surgedec.netsim import TraceResult
 from surgedec.topology import route
 from surgedec.uf import UfState, face_statuses, merge_statuses
@@ -40,10 +40,31 @@ def face_of(graph, ekey):
     u, v = ekey
     if v < 0:
         return None
-    for k, _, face in triples(graph.neighbors(u)):
+    for k, _, face in triples(neighbors(graph, u)):
         if k == ekey:
             return face
     raise ValueError(f"unknown edge {ekey}")
+
+
+def neighbors(graph, vid):
+    """Edges at a vertex id as one flat tuple of (edge key, other,
+    face_id) entries, other a vertex id or WEST/EAST, in the order of
+    graph.adjacency(); built from the cached entry on every call.  A vertex
+    id the graph does not hold raises ValueError.
+    """
+    rank = graph.ranks((vid,))[0]
+    item = graph.vertex_array().item
+    out = []
+    it = iter(graph.adjacency(rank))
+    for eid, other, face in zip(it, it, it):
+        ov = item(other) if other >= 0 else other
+        out += (vid, ov) if eid >> 3 == rank else (ov, vid), ov, face
+    return tuple(out)
+
+
+def face_keys(graph, face):
+    """A face's edge keys, in the order of its ids (face_edges)."""
+    return tuple(graph.edge_keys(face_edges(graph, face)))
 
 
 def n_nodes(topology):
@@ -106,7 +127,7 @@ def ref_region_vids(graph):
 
 
 def triples(nb):
-    """A flat neighbors() tuple as its list of (edge key, other, face)."""
+    """A flat neighbors tuple as its list of (edge key, other, face)."""
     it = iter(nb)
     return list(zip(it, it, it))
 
@@ -372,6 +393,11 @@ def ref_edge_id(graph, ekey, ranks):
             else:
                 side = 3 if pu == s.patch_a else 2
     return ranks[u] << 3 | side
+
+
+def edge_id(graph, ekey):
+    """The id of one edge key, by ref_edge_id."""
+    return ref_edge_id(graph, ekey, {ekey[0]: rank_of(graph, ekey[0])})
 
 
 class _RefTables:

@@ -11,7 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import inf
 
-from .graph import DecodingGraph
+from surgedec.graph import DecodingGraph
+
+from .helpers import neighbors
 
 
 def _bfs(graph: DecodingGraph, src: int, in_region, absorb: frozenset):
@@ -29,7 +31,7 @@ def _bfs(graph: DecodingGraph, src: int, in_region, absorb: frozenset):
         nxt = []
         for v in frontier:
             dv = dist[v]
-            it = iter(graph.neighbors(v))
+            it = iter(neighbors(graph, v))
             for ekey, other, face in zip(it, it, it):
                 if other < 0:
                     if dv + 1 < best[0]:

@@ -19,11 +19,12 @@ from surgedec.graph import DecodingGraph, Layout, merge_patches
 from surgedec.netsim import LatencyModel, simulate
 from surgedec.noise import EdgeTable, apply_merge_schedule, derived_rng, \
     random_merge_schedule
-from surgedec.oracle import oracle_mwpm
 from surgedec.stats import wilson_interval
 from surgedec.topology import build_topology, max_tree_hops
 from surgedec.uf import cut_parities, decode_region
 from surgedec.wire import Message, decode_message, encode_message
+
+from .oracle import oracle_mwpm
 
 pytestmark = pytest.mark.slow
 

@@ -30,8 +30,8 @@ from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
 from surgedec.uf import UfState, face_statuses
 from surgedec.windows import BoundaryInfo, Pipeline, PipelineResult, PipelineStallError
 
-from .helpers import (RefUfState, map_view, one_state_plan, ref_edge_id, ref_region_vids,
-                      ref_tables, toggled_defects)
+from .helpers import (RefUfState, face_keys, map_view, neighbors, one_state_plan,
+                      ref_edge_id, ref_region_vids, ref_tables, toggled_defects)
 
 RATES = (0.0, 0.001, 0.05, 0.08)
 
@@ -72,7 +72,7 @@ def ref_fuse(a, b, face):
     del a.face_status[face]
     adj = a.grown_adj
     ranks = ref_tables(a.graph).ranks
-    for ekey in face_edges(a.graph, face):
+    for ekey in face_keys(a.graph, face):
         eid = ref_edge_id(a.graph, ekey, ranks)
         if a.growth.get(eid, 0) >= 2:
             u, w = ranks[ekey[0]], ranks[ekey[1]]
@@ -98,8 +98,9 @@ def ref_absorb_face(state, face):
         for root, defs in state._defects_by_root().items():
             if root in held:
                 emitted |= state._peel(root, defs, held[root])
-    on_face = set(face_edges(state.graph, face))
-    return {k for k in state.graph.edge_keys(emitted) if k in on_face}
+    ranks = ref_tables(state.graph).ranks
+    on_face = {ref_edge_id(state.graph, k, ranks) for k in face_keys(state.graph, face)}
+    return emitted & on_face
 
 
 class ReferencePipeline(Pipeline):
@@ -149,7 +150,7 @@ class ReferencePipeline(Pipeline):
             info = self._inbox.pop(face, None)
             if info is None:
                 raise PipelineStallError(f"window {bid} lacks {face}")
-            for u, w in info.committed_crossings:
+            for u, w in self.graph.edge_keys(info.committed_crossings):
                 flips.symmetric_difference_update((u if u in reg else w,))
         vids = ref_tables(self.graph).vids
         defects = flips.symmetric_difference(
@@ -161,7 +162,7 @@ class ReferencePipeline(Pipeline):
         else:
             face = ("t", unit, epoch)
             ranks = ref_tables(self.graph).ranks
-            eids = [ref_edge_id(self.graph, k, ranks) for k in face_edges(self.graph, face)]
+            eids = [ref_edge_id(self.graph, k, ranks) for k in face_keys(self.graph, face)]
             if any(rolling.growth.get(e) or state.growth.get(e) for e in eids):
                 self.joined += 1
             pre = rolling.grow_iterations
@@ -213,7 +214,7 @@ def check_touch_lists(state):
     ranks = ref_tables(state.graph).ranks
     growth = map_view(state)[3]
     for f in open_faces:
-        grown = {k for k in face_edges(state.graph, f)
+        grown = {k for k in face_keys(state.graph, f)
                  if growth.get(ref_edge_id(state.graph, k, ranks), 0)}
         assert set(state.graph.edge_keys(state.touched.get(f, ()))) == grown, f
 
@@ -466,8 +467,8 @@ def test_a_face_grown_onto_commits_no_crossing_beside_an_untouched_face():
     lay = Layout(3, {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
     g = apply_merge_schedule(DecodingGraph(lay, 3), [frozenset(lay.seams)])
     east, south = (face for face, _ in Pipeline(g).windows[(0, 0)].sends)
-    s = face_edges(g, east)[0][1]
-    it = iter(g.neighbors(s))
+    s = face_keys(g, east)[0][1]
+    it = iter(neighbors(g, s))
     x = next(o for _, o, f in zip(it, it, it) if f is None and o >= 0 and o >> 40 == 0)
     # the faces absorbed with a touch list
     absorbed = []

@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module, no
 module of the package imports itself through a chain of relative imports,
-and every function, method and class the package defines is read by the
-package or named, with a reason, as read only from outside it."""
+every function, method and class the package defines is read by the
+package or named, with a reason, as read only from outside it, and edge
+keys are built only where a correction leaves the library."""
 
 import ast
 from pathlib import Path
@@ -83,7 +84,6 @@ def test_no_import_cycle_inside_the_package():
 READ_OUTSIDE = {
     "graph.pack_vid": "tests build vertex ids with it; unpack_vid is its inverse",
     "noise.flipped_edges": "tests compare a sample's flipped edges against the graph's",
-    "oracle.oracle_mwpm": "tests bound the decoders' correction weight with it",
     "stats.intervals_overlap": "bench/run.py imports it to compare runs",
     "uf._find": "tests/helpers.py's reference kernel calls it; the hot loops inline it",
 }
@@ -122,3 +122,47 @@ def test_every_definition_is_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     # an entry for a name the package reads, or no longer defines, is stale
     assert unread_definitions(sources) == sorted(READ_OUTSIDE)
+
+
+# the only readers of DecodingGraph.edge_keys outside graph: inside the
+# library an edge is its id, so keys are built only where a correction
+# leaves it
+KEY_READERS = {
+    "uf.UfState.correction": "a state's correction, read by decode_region's callers",
+    "windows.Pipeline.run": "a pipeline's or a fusion plan's correction",
+}
+
+
+def edge_key_readers(sources: dict) -> list:
+    """The scope, 'module[.Class][.function...]', of each read of
+    edge_keys (a name, an attribute or a string) in sources (module name
+    -> source text), every module but graph, sorted and once each."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "edge_keys")
+                    or (isinstance(child, ast.Attribute) and child.attr == "edge_keys")
+                    or (isinstance(child, ast.Constant) and child.value == "edge_keys")):
+                out.add(scope)
+            visit(child, scope)
+
+    for mod, source in sources.items():
+        if mod != "graph":
+            visit(ast.parse(source), mod)
+    return sorted(out)
+
+
+def test_edge_keys_are_built_only_for_a_correction():
+    planted = {"graph": "def edge_keys(eids):\n    return eids\n\nx = edge_keys([])\n",
+               "a": ("class C:\n    def run(self, g):\n        return g.edge_keys([])\n\n"
+                     "    def m(self, g):\n        keys = g.edge_keys\n        return keys\n\n"
+                     "def h(g):\n    def inner():\n        return getattr(g, 'edge_keys')\n"
+                     "    return inner\n"),
+               "b": "from .graph import edge_keys\nx = edge_keys\n"}
+    assert edge_key_readers(planted) == ["a.C.m", "a.C.run", "a.h.inner", "b"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert edge_key_readers(sources) == sorted(KEY_READERS)

@@ -258,27 +258,25 @@ def test_replayer_places_units_by_default_placement():
     assert rep.trace(res).rows == explicit.trace(res).rows
 
 
-def test_repeat_runs_build_no_face_table(monkeypatch):
+def test_repeat_runs_build_no_face_table():
     g = grid_graph()
     pipe = Pipeline(g)
     rep = Replayer(pipe, build_topology(4, 25, (2, 2)), LatencyModel())
     table = EdgeTable(g)
-    built = []
-    build = graph_mod._face_edge_ids
-    monkeypatch.setattr(graph_mod, "_face_edge_ids",
-                        lambda graph, face: built.append(face) or build(graph, face))
-    counts = []
+    assert not g._faces
+    tables = []
     for _ in range(2):
         res = pipe.run(table.sample(0.02, derived_rng(5, 0)).defects)
         crossed = {info.face for *_, info in res.sends if info.committed_crossings}
         rep.trace(res)
-        counts.append(len(built))
+        tables.append(dict(g._faces))
     # only commits that carry crossings are packed, so only their faces get
-    # a table: the first run builds each once, the repeat run none
+    # a table: the first run builds each once, and the repeat run reads
+    # the same tuples
     assert crossed
-    assert counts[0] == len(set(built)) == len(built)
-    assert set(built) == crossed
-    assert counts[1] == counts[0]
+    assert set(tables[0]) == crossed
+    assert tables[1].keys() == crossed
+    assert all(tables[1][f] is tables[0][f] for f in crossed)
 
 
 def test_simulate_rejects_no_trials_before_set_up(monkeypatch):

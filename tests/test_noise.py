@@ -23,7 +23,7 @@ from surgedec.noise import (
     raw_merge_draws,
 )
 
-from .helpers import kind_of, ref_edges, ref_vertices, toggled_defects
+from .helpers import kind_of, neighbors, ref_edges, ref_vertices, toggled_defects
 
 
 def test_p0_empty():
@@ -50,7 +50,7 @@ def test_defect_density_matches_analytic():
     p = 0.03
     # exact expected defect count: odd-flip probability per vertex degree
     vids = g.vertex_array().tolist()
-    expect = sum((1 - (1 - 2 * p) ** (len(g.neighbors(v)) // 3)) / 2 for v in vids)
+    expect = sum((1 - (1 - 2 * p) ** (len(neighbors(g, v)) // 3)) / 2 for v in vids)
     table = EdgeTable(g)
     rng = derived_rng(42)
     trials = 2000

@@ -11,9 +11,8 @@ from itertools import combinations
 import pytest
 
 from surgedec.graph import DecodingGraph, Layout, carve_blocks, pack_vid
-from surgedec.oracle import oracle_mwpm
-
 from .helpers import face_of, kind_of, toggled_defects
+from .oracle import oracle_mwpm
 
 
 def exhaustive_min_weight(graph, defects):

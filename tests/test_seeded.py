@@ -78,7 +78,9 @@ def field_pipeline():
         defects = table.sample(0.001, derived_rng(1, i)).defects
         res = pipe.run(sorted(defects))
         assert toggled_defects(res.correction) == defects
-        sends = [(k, src, dst, info.face, sorted(info.committed_crossings))
+        # crossings are edge ids, hashed as their keys, which on a face
+        # sort as the ids do
+        sends = [(k, src, dst, info.face, g.edge_keys(sorted(info.committed_crossings)))
                  for k, src, dst, info in res.sends]
         parts.append((sorted(res.correction), sorted(res.iters.items()), sends,
                       rep.trace(res).rows))

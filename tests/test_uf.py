@@ -17,13 +17,13 @@ from surgedec.graph import (EAST, WEST, DecodingGraph, Layout,
 from surgedec.fusion import FusionPlan, fuse
 from surgedec.noise import (EdgeTable, apply_merge_schedule, derived_rng,
                             random_merge_schedule)
-from surgedec.oracle import oracle_mwpm
 from surgedec.uf import (UfState, cut_parities, decode_region, face_statuses,
                          merge_statuses)
 from surgedec.windows import Pipeline
 
-from .helpers import (RefUfState, decode_blocks, grown_union, map_view, rank_of,
+from .helpers import (RefUfState, decode_blocks, edge_id, grown_union, map_view, rank_of,
                       toggled_defects)
+from .oracle import oracle_mwpm
 from .test_differential import held_view
 
 
@@ -121,8 +121,9 @@ def test_absorb_face_drains_suspended_cluster():
     v = pack_vid(0, 4, 2, 1)
     w = pack_vid(0, 5, 2, 1)
     st = decode_blocks(g, [(blk, [v])])
+    # a crossing is an edge id
     crossings = st.absorb_face(("t", 0, 1))
-    assert crossings == {(v, w)}
+    assert crossings == {edge_id(g, (v, w))}
     assert st.correction == {(v, w)}
     assert st.defects == set()
     assert st.face_status[("t", 0, 1)] == "wall"
@@ -156,7 +157,7 @@ def test_absorb_face_never_grown_onto_only_seals_it():
     assert st.face_status[("t", 0, 1)] == "wall"
     assert (st.bnd, st.contacts, st.defects, st.correction, map_view(st)[3]) == before
     # the face it did grow onto still drains through its contact
-    assert st.absorb_face(("t", 0, 2)) == {(v, pack_vid(0, 10, 2, 2))}
+    assert st.absorb_face(("t", 0, 2)) == {edge_id(g, (v, pack_vid(0, 10, 2, 2)))}
     assert st.defects == set() and not st.touched
 
 
@@ -204,10 +205,10 @@ def test_wall_face_is_never_grown_or_suspended_on():
         st = decode_blocks(g, [(blk, [v], face_statuses(blk, (wall,)))])
         assert st.face_status[wall] == "wall"
         assert all(st.face_status[f] == "open" for f in blk.faces if f != wall)
-        assert not set(g.edge_keys(map_view(st)[3])) & set(face_edges(g, wall))
+        assert not set(map_view(st)[3]) & set(face_edges(g, wall))
         assert all(wall not in faces for faces in st.contacts.values())
         open_st = decode_blocks(g, [(blk, [v])])
-        assert set(g.edge_keys(map_view(open_st)[3])) & set(face_edges(g, wall))
+        assert set(map_view(open_st)[3]) & set(face_edges(g, wall))
 
 
 def test_defect_outside_region_rejected():

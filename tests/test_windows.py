@@ -22,8 +22,8 @@ from surgedec.uf import cut_parities, decode_region, face_statuses
 from surgedec import uf, windows
 from surgedec.windows import BoundaryInfo, Pipeline, PipelineStallError
 
-from .helpers import (RefUfState, decode_block, fuse_states, grown_union, rank_of,
-                      toggled_defects)
+from .helpers import (RefUfState, decode_block, edge_id, face_keys, fuse_states, grown_union,
+                      rank_of, toggled_defects)
 from .test_uf import kernel_view
 
 
@@ -95,7 +95,7 @@ def test_straddling_pair_commit_trace():
     assert res.iters[(0, 0)] == 3
     assert res.iters[(1, 0)] == 0
     assert res.sends == [
-        (1, 0, 1, BoundaryInfo(("s", 0, 0), frozenset({(w, s)})))]
+        (1, 0, 1, BoundaryInfo(("s", 0, 0), frozenset({edge_id(g, (w, s))})))]
 
 
 def test_empty_run_still_sends_boundary_info():
@@ -139,7 +139,7 @@ def test_each_run_owns_its_result():
         assert second.sends is not first.sends
     # the second sample's commit carried its crossing, the first's did not
     assert want[2] == [(1, 0, 1, BoundaryInfo(("s", 0, 0), frozenset({
-        (w, pack_vid(g.seam_pid(lay.seams[0]), 2, 2, 0xFF))}))),
+        edge_id(g, (w, pack_vid(g.seam_pid(lay.seams[0]), 2, 2, 0xFF)))}))),
         (2, 0, 1, BoundaryInfo(("s", 0, 1), frozenset()))]
 
 
@@ -210,21 +210,32 @@ def test_a_run_builds_one_state_per_unit(monkeypatch):
 
 def test_a_run_finds_each_defects_block_once(monkeypatch):
     # a 10x10 field of d=5 patches over 6 epochs: the run groups every
-    # defect by block in one numpy pass (graph.ranks_by_block), so block_of
-    # runs only once per inbound crossing, to orient it
+    # defect by block in one numpy pass (graph.ranks_by_block), and an
+    # inbound crossing, an edge id, names the rank it flips, so a run
+    # calls neither block_of nor ranks, and builds keys once, for the
+    # correction
     lay = Layout(5, {i: (i // 10, i % 10) for i in range(100)})
     g = apply_merge_schedule(DecodingGraph(lay, 6 * 5),
                              random_merge_schedule(lay, 6, 0.5, 1))
     defects = EdgeTable(g).sample(0.001, derived_rng(1, 0)).defects
     pipe = Pipeline(g)
-    calls = []
-    real = g.block_of
-    monkeypatch.setattr(g, "block_of", lambda v: calls.append(v) or real(v))
+    calls = dict.fromkeys(("block_of", "ranks", "edge_keys"), 0)
+
+    def counted(name):
+        real = getattr(g, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(g, name, counted(name))
     res = pipe.run(sorted(defects))
     assert toggled_defects(res.correction) == defects
     crossings = sum(len(info.committed_crossings) for *_, info in res.sends)
     assert crossings
-    assert len(calls) == crossings
+    assert calls == {"block_of": 0, "ranks": 0, "edge_keys": 1}
 
 
 def test_commit_cascade_schedule_on_grid():
@@ -374,7 +385,7 @@ def test_a_unit_walled_in_without_a_boundary_fails_loudly():
     lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
     g = apply_merge_schedule(DecodingGraph(lay, 3), [frozenset(lay.seams)])
     seam = lay.side_seam(7, "e")
-    defects = set(face_edges(g, ("s", lay.seam_index(seam), 0))[0])
+    defects = set(face_keys(g, ("s", lay.seam_index(seam), 0))[0])
     assert toggled_defects(FusionPlan(g).decode(sorted(defects))) == defects
     assert toggled_defects(decode_region(g, sorted(defects)).correction) == defects
     with pytest.raises(ValueError, match="walled in"):
@@ -456,6 +467,51 @@ def test_crossings_are_oriented_without_vertex_sets(monkeypatch):
     assert crossed
 
 
+def test_a_crossing_flips_the_receivers_end(monkeypatch):
+    # every edge id of every window wall on a 3x3 grid of d=3 patches whose
+    # seeded schedule merges seams of both orientations: committed alone,
+    # it flips, in the receiving window, the one end of the edge that
+    # block_of puts in that window.  Both cases of the rule occur: the
+    # receiver owns the seam (the seam end flips) and it does not (the
+    # patch end, id >> 3, flips)
+    lay = Layout(3, {i: (i // 3, i % 3) for i in range(9)})
+    g = apply_merge_schedule(DecodingGraph(lay, 9), random_merge_schedule(lay, 3, 0.5, 5))
+    pipe = Pipeline(g)
+    item = g.vertex_array().item
+
+    class Flipped(Exception):
+        pass
+
+    class Recorded(uf.UfState):
+        def add_block(self, ranks):
+            raise Flipped(ranks)
+
+    monkeypatch.setattr(windows, "UfState", Recorded)
+
+    class OneCrossing(dict):
+        """An inbox whose info for one face carries one crossing."""
+        def pop(self, face, default=None):
+            info = super().pop(face, default)
+            return BoundaryInfo(face, frozenset({eid})) if face == wall else info
+
+    seen = {"ew": set(), "ns": set()}
+    for bid, win in pipe.windows.items():
+        for wall in win.walls:
+            owns = lay.owner[wall[1]] == bid[0]
+            seen[lay.seams[wall[1]].orient].add(owns)
+            for eid in face_edges(g, wall):
+                pipe._reset([])
+                pipe._inbox = OneCrossing()
+                with pytest.raises(Flipped) as got:
+                    for k in range(pipe.slots):
+                        pipe.run_epoch(k)
+                (flipped,) = got.value.args[0]
+                low, high = g.edge_ends(eid)
+                assert flipped == (high if owns else low)
+                assert [g.block_of(item(v)) == bid for v in (low, high)] == [not owns, owns]
+    assert seen == {"ew": {True, False}, "ns": {True, False}}
+
+
 def test_pipeline_set_up_holds_no_per_vertex_state():
     # one d=5 patch over 200 epochs (20,000 vertices): what Pipeline keeps
     # grows with its blocks, not its vertices.  A frozenset of every
@@ -504,7 +560,7 @@ class TwoStatePipeline(Pipeline):
         win = self.windows[bid]
         flips = set()
         for face in win.walls:
-            for u, w in self._inbox.pop(face).committed_crossings:
+            for u, w in self.graph.edge_keys(self._inbox.pop(face).committed_crossings):
                 flips.symmetric_difference_update((u if self.graph.block_of(u) == bid else w,))
         item = self.graph.vertex_array().item
         defects = sorted(flips.symmetric_difference(

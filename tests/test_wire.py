@@ -70,10 +70,13 @@ def _merged_graph(d=5):
 
 
 def test_boundary_info_round_trip():
+    # a crossing is an edge id, and its index on the wire is its position
+    # in the face's sorted ids
     g = _merged_graph()
     face = ("s", 0, 0)
     edges = face_edges(g, face)
     assert len(edges) == 25
+    assert all(type(eid) is int for eid in edges) and list(edges) == sorted(edges)
     info = BoundaryInfo(face, frozenset({edges[0], edges[7], edges[24]}))
     msgs = encode_boundary_info(info, g, dest=3)
     assert len(msgs) == 1
@@ -102,11 +105,18 @@ def test_empty_boundary_info_is_one_message():
 
 
 def test_boundary_info_rejects_foreign_edges():
+    # crossings are edge ids: an edge of the graph that is not on the face,
+    # such as the east edge at a face edge's patch end, and an id past
+    # every edge both raise, alone or beside ids that are on the face
     g = _merged_graph()
     face = ("s", 0, 0)
-    info = BoundaryInfo(face, frozenset({((1, 2), (3, 4))}))
-    with pytest.raises(ValueError):
-        encode_boundary_info(info, g, dest=0)
+    edges = face_edges(g, face)
+    inside = edges[0] >> 3 << 3 | 1
+    assert g.edge_ends(inside)[0] == edges[0] >> 3
+    for eid in (inside, len(g.vertex_array()) << 3, -1):
+        for crossings in ({eid}, {edges[0], eid, edges[-1]}):
+            with pytest.raises(ValueError, match=f"crossing {eid} is not on face"):
+                encode_boundary_info(BoundaryInfo(face, frozenset(crossings)), g, dest=0)
 
 
 def test_decode_rejects_out_of_face_index():
